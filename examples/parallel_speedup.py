@@ -2,8 +2,8 @@
 """Parallel A* speedup sweep (a slice of the paper's Figure 6).
 
 Runs the simulated parallel A* on 2/4/8/16 mesh-connected PPEs over a
-few §4.1 random graphs and prints the speedup table, then demonstrates
-the real-multiprocessing backend on the same instance.
+few §4.1 random graphs and prints the speedup table, then runs the
+real-cores HDA* engine on the same kind of instance.
 
 Run:  python examples/parallel_speedup.py
 """
@@ -14,8 +14,8 @@ from repro import (
     Budget,
     MachineSpec,
     astar_schedule,
+    hda_astar_schedule,
     measure_speedup,
-    multiprocessing_astar_schedule,
 )
 from repro.graph.generators.random_paper import PaperGraphSpec, paper_random_graph
 from repro.system.processors import ProcessorSystem
@@ -44,21 +44,21 @@ def main() -> None:
         title="Simulated parallel A* speedup (mesh topology, Figure-6 style)",
     ))
 
-    # Real cores: the multiprocessing backend on one instance.
+    # Real cores: HDA* with two worker processes on one instance.
     graph = paper_random_graph(PaperGraphSpec(num_nodes=12, ccr=1.0, seed=11))
     system = ProcessorSystem.fully_connected(12)
     t0 = time.perf_counter()
     serial = astar_schedule(graph, system, budget=budget)
     t_serial = time.perf_counter() - t0
     t0 = time.perf_counter()
-    parallel = multiprocessing_astar_schedule(graph, system, workers=4)
+    parallel = hda_astar_schedule(graph, system, workers=2)
     t_parallel = time.perf_counter() - t0
-    print("\nReal multiprocessing backend (4 worker processes):")
+    print("\nHDA* on real cores (2 worker processes):")
     print(f"  serial A*  : length {serial.length:g} in {t_serial:.2f}s")
-    print(f"  4 workers  : length {parallel.length:g} in {t_parallel:.2f}s")
-    print("  (on instances this small, process startup + duplicated subtree")
-    print("   work can outweigh the parallelism — the same overheads the")
-    print("   paper's Figure 6 shows shrinking speedups for small graphs)")
+    print(f"  2 workers  : length {parallel.length:g} in {t_parallel:.2f}s")
+    print("  (on instances this small, process startup can outweigh the")
+    print("   parallelism — the same overhead the paper's Figure 6 shows")
+    print("   shrinking speedups for small graphs)")
     assert abs(serial.length - parallel.length) < 1e-9
 
 

@@ -23,8 +23,7 @@ Public surface
 * exact schedulers: :func:`astar_schedule` (serial A*),
   :func:`bnb_schedule` (depth-first B&B),
   :func:`parallel_astar_schedule` (simulated parallel A*),
-  :func:`multiprocessing_astar_schedule` (real cores, static
-  partition), :func:`hda_astar_schedule` (real cores, hash-distributed
+  :func:`hda_astar_schedule` (real cores, hash-distributed
   shared-incumbent HDA*);
 * approximate scheduler: :func:`focal_schedule` (Aε*, ε-admissible);
 * heuristics: :func:`list_schedule`, :func:`insertion_list_schedule`,
@@ -56,7 +55,6 @@ from repro.heuristics.listsched import list_schedule
 from repro.parallel.hda import hda_astar_schedule
 from repro.parallel.machine import MachineSpec
 from repro.parallel.metrics import measure_speedup
-from repro.parallel.mp_backend import multiprocessing_astar_schedule
 from repro.parallel.parallel_astar import parallel_astar_schedule
 from repro.schedule.gantt import render_gantt
 from repro.schedule.schedule import Schedule
@@ -108,7 +106,6 @@ __all__ = [
     "select_engine",
     "run_batch",
     "ResultCache",
-    "multiprocessing_astar_schedule",
     "hda_astar_schedule",
     "chen_yu_schedule",
     "list_schedule",

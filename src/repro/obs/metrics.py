@@ -79,6 +79,12 @@ class Counter:
         with self._lock:
             self._value += amount
 
+    def set(self, total: float) -> None:
+        """Adopt a running total that another object keeps (a cache's
+        hit count, a breaker's trip count), read at scrape time."""
+        with self._lock:
+            self._value = float(total)
+
     @property
     def value(self) -> float:
         return self._value
@@ -291,6 +297,27 @@ class MetricsRegistry:
     ) -> Histogram:
         fam = self._family(name, help_text, "histogram", tuple(buckets))
         return fam.child(_label_key(labels))  # type: ignore[return-value]
+
+    def counter_family(
+        self, name: str, help_text: str, label: str, values: Iterable[str],
+    ) -> dict[str, Counter]:
+        """Bind one child of a one-label counter family per value."""
+        return {
+            value: self.counter(name, help_text, labels={label: value})
+            for value in values
+        }
+
+    def counts(self, name: str) -> dict[str, int]:
+        """A one-label counter family as ``{label value: count}`` (the
+        JSON view of what :meth:`render_prometheus` exposes); empty
+        while the family does not exist."""
+        fam = self._families.get(name)
+        if fam is None:
+            return {}
+        return {
+            labels[0][1]: int(child.value)
+            for labels, child in list(fam.children.items())
+        }
 
     def histogram_summaries(self) -> dict[str, dict[str, float]]:
         """p50/p99 snapshots of every histogram, keyed by family name

@@ -3,8 +3,9 @@
 This is the §3.3 parallel search idea implemented the way the
 follow-up literature converged on (Kishimoto et al.'s HDA*; Orr &
 Sinnen's parallel duplicate-free scheduling search): instead of
-independent sub-searches over a statically-partitioned frontier
-(:mod:`repro.parallel.mp_backend`), every state has exactly one *owner*
+independent sub-searches over a statically-partitioned frontier (the
+paper's PPEs, simulated in :mod:`repro.parallel.parallel_astar`),
+every state has exactly one *owner*
 among the workers, determined by hashing its duplicate key
 (:func:`repro.parallel.shared.owner_of`).  Consequences:
 
@@ -205,7 +206,7 @@ def hda_astar_schedule(
 
     # -- serial seed phase ---------------------------------------------------
     # Best-first expansion until the frontier is wide enough to feed
-    # every worker (same discipline as mp_backend's static partitioner).
+    # every worker (the paper's initial load-distribution phase).
     target = max(2, workers * max(1, oversubscribe))
     root = state_cls.empty(graph, system)
     frontier: list[tuple[float, float, int, PartialSchedule]] = [

@@ -1,216 +1,30 @@
-"""Real multi-core parallel A* via :mod:`multiprocessing`.
+"""The persistent worker-process pool and its plain-dict helpers.
 
-The simulator (:mod:`repro.parallel.parallel_astar`) reproduces the
-paper's *measurements*; this backend demonstrates the same algorithmic
-idea — independent searches over a partitioned frontier with a shared
-initial upper bound — on actual cores:
-
-1. expand the root best-first until the frontier holds at least
-   ``workers × oversubscribe`` states (static partitioning — the
-   paper's initial load-distribution phase);
-2. deal the frontier interleaved by cost (paper Case 3) to the workers;
-3. each worker runs the *serial* A* over its sub-frontier to completion
-   with the global list-scheduling upper bound;
-4. reduce: the minimum-length result wins.
-
-As in the paper, workers share no CLOSED list, so placements reachable
-from two frontier states are explored twice — the "extra states"
-overhead.  No dynamic load balancing is attempted (the simulator covers
-that); this backend is intentionally the simplest *correct* real-cores
-variant: every optimal completion passes through the frontier, each
-sub-search is exhaustive below its seeds, hence the reduced minimum is
-the global optimum.
-
-Workers receive the problem as plain serializable dicts (graph dict +
-system parameters + seed placements) and rebuild them, avoiding any
-pickling of library classes across the process boundary.  Seed states
-cross that boundary via :meth:`PartialSchedule.compact` — the delta
-states hold parent references, so pickling the objects themselves would
-drag each seed's whole ancestor chain along; the compact ``(node, pe,
-start)`` triples inflate back by replay on the worker side.
+:class:`SolverPool` is the one process pool the service layer
+dispatches on (the batch runner and the solver daemon).  Jobs cross the
+process boundary as plain serializable dicts: graphs via
+:func:`repro.graph.io.graph_to_dict` and processor systems via
+:func:`system_to_args` / :func:`system_from_args`, so no library class
+is ever pickled.  The real-cores parallel A* engine is
+:mod:`repro.parallel.hda`, which shares :func:`pool_context` and the
+system helpers.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 import multiprocessing as mp
+import signal
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Callable, Iterable
 
-from repro.graph.io import graph_from_dict, graph_to_dict
-from repro.graph.taskgraph import TaskGraph
-from repro.heuristics.listsched import fast_upper_bound_schedule
-from repro.schedule.partial import PartialSchedule
-from repro.schedule.schedule import Schedule
-from repro.search.costs import make_cost_function
-from repro.search.dedup import SignatureSet
-from repro.search.expansion import StateExpander
-from repro.search.pruning import PruningConfig
-from repro.search.result import SearchResult, SearchStats
 from repro.system.processors import ProcessorSystem
-from repro.util import tolerance as tol
-from repro.util.timing import Budget
 
 __all__ = [
-    "multiprocessing_astar_schedule",
     "pool_context",
     "system_to_args",
     "system_from_args",
     "SolverPool",
 ]
-
-def multiprocessing_astar_schedule(
-    graph: TaskGraph,
-    system: ProcessorSystem,
-    *,
-    workers: int = 2,
-    oversubscribe: int = 4,
-    pruning: PruningConfig | None = None,
-    cost: str = "paper",
-    budget: Budget | None = None,
-) -> SearchResult:
-    """Optimal scheduling using ``workers`` OS processes.
-
-    Falls back to the serial engine when the frontier cannot be split
-    (trivial instances) or ``workers == 1``.
-    """
-    from repro.search.astar import astar_schedule
-
-    if pruning is None:
-        pruning = PruningConfig.all()
-    if workers <= 1:
-        return astar_schedule(graph, system, pruning=pruning, cost=cost, budget=budget)
-
-    # -- step 1: build the frontier --------------------------------------------
-    target = workers * max(1, oversubscribe)
-    cost_fn = make_cost_function(cost, graph, system)
-    stats = SearchStats()
-    expander = StateExpander(graph, system, pruning, stats.pruning)
-    fallback = fast_upper_bound_schedule(graph, system)
-    upper = fallback.length if pruning.upper_bound else math.inf
-
-    root = PartialSchedule.empty(graph, system)
-    frontier: list[tuple[float, int, PartialSchedule]] = [(0.0, 0, root)]
-    seen = SignatureSet(verify=pruning.verify_signatures)
-    seen.add(root.dedup_key, lambda: root.signature)
-    seq = 1
-    best_goal: Schedule | None = None
-    while frontier and len(frontier) < target:
-        f, _s, state = heapq.heappop(frontier)
-        if state.is_complete():
-            if best_goal is None or state.makespan < best_goal.length:
-                best_goal = state.to_schedule()
-            # A goal popped at the frontier minimum is already optimal.
-            stats.states_expanded += 1
-            return SearchResult(
-                schedule=best_goal, optimal=True, bound=1.0,
-                stats=stats, algorithm="mp-astar(trivial)",
-            )
-        stats.states_expanded += 1
-        for child in expander.children(state, seen):
-            ch = cost_fn.h(child)
-            cf = child.makespan + ch
-            if pruning.upper_bound and tol.gt(cf, upper):
-                stats.pruning.upper_bound_cuts += 1
-                continue
-            stats.states_generated += 1
-            heapq.heappush(frontier, (cf, seq, child))
-            seq += 1
-    if not frontier:
-        return astar_schedule(graph, system, pruning=pruning, cost=cost, budget=budget)
-
-    # -- step 2: deal seeds interleaved by cost ---------------------------------
-    from repro.parallel.partition import distribute_seeds
-
-    seeds = [(f, state) for f, _s, state in frontier]
-    buckets = distribute_seeds(seeds, workers)
-
-    # -- step 3: fan out -----------------------------------------------------------
-    graph_dict = graph_to_dict(graph)
-    system_args = system_to_args(system)
-    jobs: list[tuple[Any, ...]] = []
-    for bucket in buckets:
-        seed_assignments = [
-            state.compact()  # type: ignore[union-attr]
-            for state in bucket
-        ]
-        jobs.append((graph_dict, system_args, seed_assignments, cost, upper))
-
-    with pool_context().Pool(processes=workers) as pool:
-        outcomes = pool.map(_worker_search, jobs)
-
-    # -- step 4: reduce ---------------------------------------------------------------
-    best: Schedule | None = best_goal
-    total_expanded = stats.states_expanded
-    total_generated = stats.states_generated
-    for assignment, expanded, generated in outcomes:
-        total_expanded += expanded
-        total_generated += generated
-        if assignment is not None:
-            sched = Schedule(graph, system, {n: (pe, st) for n, pe, st in assignment})
-            if best is None or sched.length < best.length:
-                best = sched
-    stats.states_expanded = total_expanded
-    stats.states_generated = total_generated
-    if best is None or fallback.length < best.length:
-        best = fallback
-    return SearchResult(
-        schedule=best, optimal=True, bound=1.0, stats=stats,
-        algorithm=f"mp-astar(workers={workers})",
-    )
-
-
-# -- worker side (top-level functions: picklable under spawn) -----------------
-
-
-def _worker_search(job: tuple[Any, ...]) -> tuple[list | None, int, int]:
-    """Run serial A* restricted to one seed bucket; return the best."""
-    graph_dict, system_args, seed_assignments, cost, upper = job
-    graph = graph_from_dict(graph_dict)
-    system = system_from_args(system_args)
-    cost_fn = make_cost_function(cost, graph, system)
-    pruning = PruningConfig.all()
-    stats = SearchStats()
-    expander = StateExpander(graph, system, pruning, stats.pruning)
-
-    open_heap: list[tuple[float, int, PartialSchedule]] = []
-    seen = SignatureSet()
-    seq = 0
-    for placements in seed_assignments:
-        state = PartialSchedule.inflate(graph, system, placements)
-        heapq.heappush(open_heap, (0.0, seq, state))  # f re-costed below
-        seq += 1
-    # Re-cost seeds properly (f was a placeholder).
-    recosted: list[tuple[float, int, PartialSchedule]] = []
-    for _f, s, state in open_heap:
-        recosted.append((state.makespan + cost_fn.h(state), s, state))
-    heapq.heapify(recosted)
-    open_heap = recosted
-
-    best_assignment: list | None = None
-    best_len = math.inf
-    expanded = 0
-    generated = 0
-    while open_heap:
-        f, _s, state = heapq.heappop(open_heap)
-        if tol.gt(f, min(upper, best_len)):
-            continue
-        if state.is_complete():
-            expanded += 1
-            if state.makespan < best_len:
-                best_len = state.makespan
-                best_assignment = list(state.compact())
-            break  # best-first: first goal popped is bucket-optimal
-        expanded += 1
-        for child in expander.children(state, seen):
-            cf = child.makespan + cost_fn.h(child)
-            if tol.gt(cf, min(upper, best_len)):
-                continue
-            generated += 1
-            heapq.heappush(open_heap, (cf, seq, child))
-            seq += 1
-    return best_assignment, expanded, generated
 
 
 def pool_context() -> mp.context.BaseContext:
@@ -218,8 +32,8 @@ def pool_context() -> mp.context.BaseContext:
 
     Prefers ``fork`` (workers inherit the parent's imports and the jobs
     need no re-import cost); falls back to ``spawn`` on platforms
-    without it.  Shared by this backend and the batch front-end
-    (:mod:`repro.service.batch`).
+    without it.  Shared by :class:`SolverPool` and the HDA* engine
+    (:mod:`repro.parallel.hda`).
     """
     methods = mp.get_all_start_methods()
     return mp.get_context("fork" if "fork" in methods else "spawn")
@@ -245,6 +59,20 @@ def system_from_args(args: dict[str, Any]) -> ProcessorSystem:
         distance_scaled=args["distance_scaled"],
         name=args["name"],
     )
+
+
+def _worker_init() -> None:
+    """Give a freshly forked worker default stop-signal handling.
+
+    Under ``fork`` a worker inherits the daemon's asyncio stop-signal
+    handler and its wakeup fd.  A SIGTERM aimed at the worker (the
+    executor terminates the survivors when one worker dies) would then
+    leave the worker running and be relayed into the daemon's event
+    loop, draining the daemon as if it had been signalled itself.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
 
 
 def _warmup() -> int:
@@ -282,9 +110,7 @@ class SolverPool:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self._executor: ProcessPoolExecutor | None = ProcessPoolExecutor(
-            max_workers=workers, mp_context=pool_context()
-        )
+        self._executor: ProcessPoolExecutor | None = self._new_executor()
 
     @property
     def executor(self) -> ProcessPoolExecutor:
@@ -323,10 +149,14 @@ class SolverPool:
         if broken is not None and self._executor is not broken:
             return False
         self._executor.shutdown(wait=False)
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=pool_context()
-        )
+        self._executor = self._new_executor()
         return True
+
+    def _new_executor(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.workers, mp_context=pool_context(),
+            initializer=_worker_init,
+        )
 
     def liveness(self) -> str:
         """Non-blocking health verdict: empty string = live.

@@ -7,9 +7,8 @@ traffic:
 * canonical instance identity — a stable 128-bit key for (graph,
   system, cost model) invariant under node relabeling, so identical
   problems hash identically however the caller numbered their tasks;
-  the implementation lives in :mod:`repro.schedule.fingerprint` (it
-  has no service-layer dependencies) and is re-exported here and via
-  the :mod:`repro.service.fingerprint` shim;
+  it lives in :mod:`repro.schedule.fingerprint` (it has no
+  service-layer dependencies), the one import path for it;
 * :mod:`repro.service.cache` — a persistent result cache (in-memory LRU
   in front of an optional SQLite store) keyed by fingerprint, storing
   the schedule, its optimality certificate, and the search counters;
@@ -44,13 +43,6 @@ from repro.service.batch import (
 from repro.service.cache import CacheEntry, ResultCache
 from repro.service.client import DaemonUnavailable, ServerClient, ServerError
 from repro.service.fleet import ShardProcess, spawn_fleet, spawn_shard
-from repro.service.fingerprint import (
-    assignment_from_canonical,
-    canonical_assignment,
-    canonical_graph,
-    canonical_order,
-    instance_fingerprint,
-)
 from repro.service.jobs import Draining, Job, JobManager, QueueFull
 from repro.service.portfolio import (
     PortfolioResult,
@@ -92,12 +84,7 @@ __all__ = [
     "ShardRouter",
     "SolverServer",
     "StageReport",
-    "assignment_from_canonical",
     "backend_from_spec",
-    "canonical_assignment",
-    "canonical_graph",
-    "canonical_order",
-    "instance_fingerprint",
     "item_from_request",
     "items_from_suite",
     "load_items",

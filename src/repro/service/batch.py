@@ -4,16 +4,16 @@ This is the service layer's request loop.  Given a list of
 :class:`BatchItem` (from a directory of graph JSON files, a JSON-lines
 stream, or the §4.1 suite), :func:`run_batch`:
 
-1. fingerprints every request (:mod:`repro.service.fingerprint`);
+1. fingerprints every request (:mod:`repro.schedule.fingerprint`);
 2. **dedupes in flight**: requests sharing a fingerprint are solved
    once, and the result fans out to every requester — in its own node
    numbering, via the canonical assignment mapping;
 3. consults the :class:`~repro.service.cache.ResultCache` so warm
    instances skip search entirely;
-4. dispatches the remaining unique instances across OS processes (the
-   same pool discipline and plain-dict serialization as
-   :mod:`repro.parallel.mp_backend`), each solved by the portfolio
-   ladder or the single-engine fast path;
+4. dispatches the remaining unique instances across OS processes (a
+   :class:`~repro.parallel.mp_backend.SolverPool`, jobs as plain
+   dicts), each solved by the portfolio ladder or the single-engine
+   fast path;
 5. writes fresh results back to the cache and reports aggregate
    throughput (instances/second, hit/dedupe counts).
 
@@ -499,7 +499,7 @@ def _job_for(
     probe_every: int | None = None,
     preprocess: bool = False,
 ) -> dict[str, Any]:
-    """Plain-dict job descriptor (same discipline as mp_backend seeds)."""
+    """Plain-dict job descriptor: nothing but builtins crosses the pool."""
     return {
         "fingerprint": fingerprint,
         "graph": graph_to_dict(item.graph),
@@ -535,50 +535,26 @@ def _worker_solve(job: dict[str, Any]) -> dict[str, Any]:
     with (wtracer if wtracer is not None else null_tracer).span(
         "batch.item", attrs={"fingerprint": job["fingerprint"]}
     ):
-        if job["mode"] == "portfolio":
-            pres = portfolio_schedule(
-                graph, system, deadline=job["deadline"], epsilon=job["epsilon"],
-                cost=job["cost"], max_expansions=job["max_expansions"],
-                workers=job.get("solver_workers", 1),
-                max_memory_mb=job.get("max_memory_mb"),
-                tracer=wtracer, probe_every=probe_every,
-                preprocess=job.get("preprocess", False),
-            )
-            schedule = pres.schedule
-            certificate = pres.certificate
-            bound = pres.bound
-            algorithm = pres.algorithm
-            winner = pres.winner
-            stats = pres.stats.as_dict()
-            lower_bound = pres.lower_bound
-            interrupted = pres.interrupted
-        else:
-            res = solve_auto(
-                graph, system, deadline=job["deadline"], epsilon=job["epsilon"],
-                cost=job["cost"], max_expansions=job["max_expansions"],
-                workers=job.get("solver_workers", 1),
-                max_memory_mb=job.get("max_memory_mb"),
-                tracer=wtracer, probe_every=probe_every,
-                preprocess=job.get("preprocess", False),
-            )
-            schedule = res.schedule
-            certificate = res.certificate
-            bound = res.bound
-            algorithm = res.algorithm
-            winner = ""
-            stats = res.stats.as_dict()
-            lower_bound = res.lower_bound
-            interrupted = res.interrupted
+        solve = portfolio_schedule if job["mode"] == "portfolio" else solve_auto
+        res = solve(
+            graph, system, deadline=job["deadline"], epsilon=job["epsilon"],
+            cost=job["cost"], max_expansions=job["max_expansions"],
+            workers=job.get("solver_workers", 1),
+            max_memory_mb=job.get("max_memory_mb"),
+            tracer=wtracer, probe_every=probe_every,
+            preprocess=job.get("preprocess", False),
+        )
     return {
         "fingerprint": job["fingerprint"],
-        "assignment": [[t.node, t.pe, t.start] for t in schedule.tasks],
-        "certificate": certificate,
-        "bound": bound,
-        "algorithm": algorithm,
-        "winner": winner,
-        "stats": stats,
+        "assignment": [[t.node, t.pe, t.start] for t in res.schedule.tasks],
+        "certificate": res.certificate,
+        "bound": res.bound,
+        "algorithm": res.algorithm,
+        # Only the portfolio ladder has stages, so only it names a winner.
+        "winner": getattr(res, "winner", ""),
+        "stats": res.stats.as_dict(),
         "seconds": time.perf_counter() - t0,
-        "lower_bound": lower_bound,
-        "interrupted": interrupted,
+        "lower_bound": res.lower_bound,
+        "interrupted": res.interrupted,
         "trace_events": wtracer.drain() if wtracer is not None else None,
     }

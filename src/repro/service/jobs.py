@@ -48,12 +48,7 @@ from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from typing import Any, NamedTuple
 
 from repro.heuristics.listsched import fast_upper_bound_schedule
-from repro.obs.metrics import (
-    EXPANSION_BUCKETS,
-    MetricsRegistry,
-    _escape_label_value,
-    _format_value,
-)
+from repro.obs.metrics import EXPANSION_BUCKETS, MetricsRegistry
 from repro.obs.trace import Tracer, null_tracer
 from repro.parallel.mp_backend import SolverPool
 from repro.schedule.schedule import Schedule
@@ -145,6 +140,24 @@ _SOLVE_EWMA_ALPHA = 0.2
 #: declaring the store wedged (a ``/healthz?deep=1`` answer must come
 #: back well inside the router's probe timeout).
 _DEEP_PROBE_TIMEOUT = 5.0
+
+#: Point-in-time values set on gauges at scrape time:
+#: (gauge name, JSON ``/metrics`` key, help text).
+_GAUGES = (
+    ("uptime_seconds", "uptime_seconds", "Seconds since the daemon started."),
+    ("draining", "draining", "1 while drain is in progress, else 0."),
+    ("queue_depth", "queue_depth", "Unique jobs queued, not yet running."),
+    ("dedup_followers", "dedup_followers",
+     "Requests riding an in-flight primary as dedupe followers "
+     "(not counted in queue_depth)."),
+    ("queue_limit", "queue_limit",
+     "Admission-control capacity (unique pending jobs)."),
+    ("jobs_running", "running", "Jobs currently executing on the pool."),
+    ("jobs_in_flight", "in_flight",
+     "Unique fingerprints queued or running (dedupe targets)."),
+    ("pool_workers", "pool_workers", "Solver pool worker processes."),
+    ("cache_hit_rate", "cache_hit_rate", "Cache hits / submissions since start."),
+)
 
 
 def _validate_options(options: dict[str, Any]) -> None:
@@ -352,31 +365,23 @@ class JobManager:
         self._runners: list[asyncio.Task] = []
         self._running = 0
         self._seq = 0
-        self.counters: dict[str, int] = {
-            "submitted": 0,
-            "accepted": 0,
-            "rejected": 0,
-            "completed": 0,
-            "failed": 0,
-            "cache_hits": 0,
-            "dedup_fanout": 0,
-            "solved": 0,
-            "pool_rebuilds": 0,
-            "degraded": 0,
-            "cache_errors": 0,
-        }
-        #: Per-cause counts of solve failures the degrade path absorbed
-        #: (or, when no incumbent could be built, surfaced as errors).
-        self.failures: dict[str, int] = {
-            "broken_pool": 0,
-            "worker_error": 0,
-            "completion_error": 0,
-        }
-        self.engine_counts: dict[str, int] = {}
-        #: Histogram home for the latency quantiles ``/metrics`` serves
-        #: (JSON p50/p99 summaries and the Prometheus bucket series are
-        #: derived from the same instruments).
+        #: Every ``/metrics`` counter and histogram lives here; the JSON
+        #: payload and the Prometheus text are both read from it.
         self.registry = MetricsRegistry()
+        self._jobs_total = self.registry.counter_family(
+            "jobs_total", "Job lifecycle counters by event.", "event", (
+                "submitted", "accepted", "rejected", "completed", "failed",
+                "cache_hits", "dedup_fanout", "solved", "pool_rebuilds",
+                "degraded", "cache_errors",
+            ),
+        )
+        #: Solve failures the degrade path absorbed (or, when no
+        #: incumbent could be built, surfaced as errors), by cause.
+        self._failures_total = self.registry.counter_family(
+            "solve_failures_total",
+            "Solve failures absorbed by the degrade path, by cause.",
+            "cause", ("broken_pool", "worker_error", "completion_error"),
+        )
         self._h_request = self.registry.histogram(
             "request_seconds",
             "End-to-end request latency: submit to finished.",
@@ -399,7 +404,7 @@ class JobManager:
         try:
             return self.cache.get(fingerprint, require_proven=require_proven)
         except Exception:  # noqa: BLE001 - a broken store reads as a miss
-            self.counters["cache_errors"] += 1
+            self._jobs_total["cache_errors"].inc()
             return None
 
     def _cache_get_blocking(self, prepared: "PreparedRequest"):
@@ -482,7 +487,7 @@ class JobManager:
         """
         if self.draining:
             raise Draining("server is draining; not accepting new jobs")
-        self.counters["submitted"] += 1
+        self._jobs_total["submitted"].inc()
         self._seq += 1
         job_id = f"j{self._seq:06d}"
         item, fp, order, options = prepared
@@ -515,8 +520,8 @@ class JobManager:
                         return job
                     job.via = None
                 else:
-                    self.counters["cache_hits"] += 1
-                    self.counters["accepted"] += 1
+                    self._jobs_total["cache_hits"].inc()
+                    self._jobs_total["accepted"].inc()
                     return job
 
         # 2. Dedupe in front of the queue: followers ride for free —
@@ -530,8 +535,8 @@ class JobManager:
             and primary.active
             and all(primary.options[k] == options[k] for k in _SOLVE_KEYS)
         ):
-            self.counters["dedup_fanout"] += 1
-            self.counters["accepted"] += 1
+            self._jobs_total["dedup_fanout"].inc()
+            self._jobs_total["accepted"].inc()
             job.via = "dedup"
             self._followers.setdefault(primary.id, []).append(job)
             self.tracer.event(
@@ -541,7 +546,7 @@ class JobManager:
 
         # 3. Admission control on unique pending problems.
         if self._queue.qsize() >= self.queue_limit:
-            self.counters["rejected"] += 1
+            self._jobs_total["rejected"].inc()
             job.state = FAILED
             job.error = "queue full"
             job.done.set()
@@ -550,7 +555,7 @@ class JobManager:
             raise QueueFull(
                 f"job queue at capacity ({self.queue_limit} pending)"
             )
-        self.counters["accepted"] += 1
+        self._jobs_total["accepted"].inc()
         self._inflight[fp] = job
         self._queue.put_nowait(job)
         return job
@@ -611,7 +616,7 @@ class JobManager:
                 self._degrade_or_fail(
                     job, "broken_pool", f"{type(exc).__name__}: {exc}")
                 if self.pool.rebuild(broken=executor):
-                    self.counters["pool_rebuilds"] += 1
+                    self._jobs_total["pool_rebuilds"].inc()
             except Exception as exc:  # noqa: BLE001 - worker raised
                 self._degrade_or_fail(
                     job, "worker_error", f"{type(exc).__name__}: {exc}")
@@ -649,9 +654,12 @@ class JobManager:
             algorithm=payload["algorithm"],
             stats=payload["stats"],
         )
-        self.counters["solved"] += 1
+        self._jobs_total["solved"].inc()
         algo = payload["algorithm"]
-        self.engine_counts[algo] = self.engine_counts.get(algo, 0) + 1
+        self.registry.counter(
+            "engine_solves_total", "Fresh solves by winning algorithm.",
+            labels={"algorithm": algo},
+        ).inc()
         # Engine label without the parenthesised variant suffix
         # ("focal(eps=0.25,budget)" -> "focal") to keep cardinality low.
         self.registry.histogram(
@@ -687,7 +695,7 @@ class JobManager:
                 stored = True
             except Exception:  # noqa: BLE001 - broken store: count it,
                 # serve the fresh result anyway; caching is best-effort.
-                self.counters["cache_errors"] += 1
+                self._jobs_total["cache_errors"].inc()
                 stored = True
         if self.cache is not None and not stored:
             # The store already held something better; serve that —
@@ -733,7 +741,7 @@ class JobManager:
         and earn a real certificate.  Falls back to :meth:`_fail` when
         even the list schedule cannot be built.
         """
-        self.failures[cause] = self.failures.get(cause, 0) + 1
+        self._failures_total[cause].inc()
         self.tracer.event(
             "job.degraded", attrs={"id": primary.id, "cause": cause}
         )
@@ -757,7 +765,7 @@ class JobManager:
                     primary, entry, via="solve", seconds=0.0, winner="degraded"
                 )
                 primary.result["reason"] = error
-                self.counters["degraded"] += 1
+                self._jobs_total["degraded"].inc()
             for follower in self._followers.get(primary.id, []):
                 if not follower.active:
                     continue
@@ -765,7 +773,7 @@ class JobManager:
                     follower, entry, via="dedup", seconds=0.0, winner="degraded"
                 )
                 follower.result["reason"] = error
-                self.counters["degraded"] += 1
+                self._jobs_total["degraded"].inc()
             self._followers.pop(primary.id, None)
             self._release(primary)
         except Exception:  # noqa: BLE001 - degradation itself failed
@@ -782,7 +790,7 @@ class JobManager:
             job.error = error
             job.finished = time.time()
             job.done.set()
-            self.counters["failed"] += 1
+            self._jobs_total["failed"].inc()
             self._h_request.observe(job.finished - job.submitted)
             self.tracer.event(
                 "job.failed", attrs={"id": job.id, "error": error}
@@ -819,7 +827,7 @@ class JobManager:
         job.state = DONE
         job.finished = time.time()
         job.done.set()
-        self.counters["completed"] += 1
+        self._jobs_total["completed"].inc()
         self._h_request.observe(job.finished - job.submitted)
         self.tracer.event("job.done", attrs={"id": job.id, "via": via})
 
@@ -927,16 +935,10 @@ class JobManager:
 
     def metrics(self) -> dict[str, Any]:
         """The ``GET /metrics`` payload."""
-        submitted = self.counters["submitted"]
-        hit_rate = (
-            self.counters["cache_hits"] / submitted if submitted else 0.0
-        )
-        if self.shard_id is not None:
-            return {"shard": self.shard_id, **self._metrics_body(hit_rate)}
-        return self._metrics_body(hit_rate)
-
-    def _metrics_body(self, hit_rate: float) -> dict[str, Any]:
-        return {
+        jobs = self.registry.counts("jobs_total")
+        submitted = jobs["submitted"]
+        hit_rate = jobs["cache_hits"] / submitted if submitted else 0.0
+        body = {
             "uptime_seconds": time.time() - self.started_at,
             "draining": self.draining,
             "queue_depth": self._queue.qsize(),
@@ -945,10 +947,10 @@ class JobManager:
             "running": self._running,
             "in_flight": len(self._inflight),
             "pool_workers": self.pool.workers,
-            "jobs": dict(self.counters),
-            "failures": dict(self.failures),
+            "jobs": jobs,
+            "failures": self.registry.counts("solve_failures_total"),
             "cache_hit_rate": hit_rate,
-            "engines": dict(self.engine_counts),
+            "engines": self.registry.counts("engine_solves_total"),
             "cache": self.cache.counters() if self.cache is not None else {},
             # Histogram-derived p50/p99 (request latency, queue wait,
             # per-engine solve seconds, expansions per solve).  Additive
@@ -956,62 +958,20 @@ class JobManager:
             # every pre-existing key byte-compatible.
             "latency": self.registry.histogram_summaries(),
         }
+        if self.shard_id is not None:
+            return {"shard": self.shard_id, **body}
+        return body
 
     def prometheus(self) -> str:
-        """``GET /metrics?format=prometheus``: text exposition 0.0.4.
-
-        The histogram series come straight from :attr:`registry`; the
-        legacy JSON counters and gauges are re-emitted as synthesized
-        families so one scrape covers the whole daemon.
-        """
+        """``GET /metrics?format=prometheus``: :attr:`registry` in text
+        exposition 0.0.4, after the point-in-time gauges and the result
+        cache's own counters are set from the JSON payload."""
         m = self.metrics()
-        ns = self.registry.namespace
-        lines: list[str] = []
-
-        def gauge(name: str, value: float, help_text: str) -> None:
-            lines.append(f"# HELP {ns}_{name} {help_text}")
-            lines.append(f"# TYPE {ns}_{name} gauge")
-            lines.append(f"{ns}_{name} {_format_value(float(value))}")
-
-        def family(
-            name: str, mapping: dict, label: str, help_text: str,
-        ) -> None:
-            if not mapping:
-                return
-            lines.append(f"# HELP {ns}_{name} {help_text}")
-            lines.append(f"# TYPE {ns}_{name} counter")
-            for key, val in sorted(mapping.items()):
-                esc = _escape_label_value(str(key))
-                lines.append(
-                    f'{ns}_{name}{{{label}="{esc}"}} '
-                    f"{_format_value(float(val))}"
-                )
-
-        gauge("uptime_seconds", m["uptime_seconds"],
-              "Seconds since the daemon started.")
-        gauge("draining", float(m["draining"]),
-              "1 while drain is in progress, else 0.")
-        gauge("queue_depth", m["queue_depth"],
-              "Unique jobs queued, not yet running.")
-        gauge("dedup_followers", m["dedup_followers"],
-              "Requests riding an in-flight primary as dedupe "
-              "followers (not counted in queue_depth).")
-        gauge("queue_limit", m["queue_limit"],
-              "Admission-control capacity (unique pending jobs).")
-        gauge("jobs_running", m["running"],
-              "Jobs currently executing on the pool.")
-        gauge("jobs_in_flight", m["in_flight"],
-              "Unique fingerprints queued or running (dedupe targets).")
-        gauge("pool_workers", m["pool_workers"],
-              "Solver pool worker processes.")
-        gauge("cache_hit_rate", m["cache_hit_rate"],
-              "Cache hits / submissions since start.")
-        family("jobs_total", m["jobs"], "event",
-               "Job lifecycle counters by event.")
-        family("solve_failures_total", m["failures"], "cause",
-               "Solve failures absorbed by the degrade path, by cause.")
-        family("engine_solves_total", m["engines"], "algorithm",
-               "Fresh solves by winning algorithm.")
-        family("cache_events_total", m["cache"], "event",
-               "Result-cache operation counters.")
-        return self.registry.render_prometheus(extra="\n".join(lines))
+        for name, key, help_text in _GAUGES:
+            self.registry.gauge(name, help_text).set(m[key])
+        for event, count in m["cache"].items():
+            self.registry.counter(
+                "cache_events_total", "Result-cache operation counters.",
+                labels={"event": event},
+            ).set(count)
+        return self.registry.render_prometheus()

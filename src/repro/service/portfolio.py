@@ -220,7 +220,8 @@ def _run_engine(
     if name == "wastar":
         return engine(
             graph, system, epsilon, cost=cost, budget=budget,
-            pruning=pruning, state_cls=state_cls, probe=probe,
+            pruning=pruning, state_cls=state_cls, incumbent=incumbent,
+            probe=probe,
         )
     if name == "hda":
         return engine(

@@ -56,7 +56,7 @@ import time
 from typing import Any, Callable
 from urllib.parse import parse_qs
 
-from repro.obs.metrics import _escape_label_value, _format_value
+from repro.obs.metrics import MetricsRegistry
 from repro.schedule.fingerprint import canonical_order, instance_fingerprint
 from repro.service import httpwire
 from repro.service.batch import item_from_request
@@ -300,8 +300,6 @@ class Shard:
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.draining = False
         self.healthy: bool | None = None  # None until first probe
-        self.forwarded = 0
-        self.errors = 0
         self.probes = 0
         self.probe_failures = 0
 
@@ -313,22 +311,6 @@ class Shard:
         if not host or not port_s.isdigit():
             raise ValueError(f"shard spec must be HOST:PORT[=NAME], got {spec!r}")
         return cls(name or f"shard{index}", host, int(port_s), **kwargs)
-
-    def describe(self) -> dict[str, Any]:
-        """Per-shard block of the router's ``/metrics`` JSON."""
-        return {
-            "host": self.host,
-            "port": self.port,
-            "state": self.breaker.state,
-            "draining": self.draining,
-            "healthy": self.healthy,
-            "consecutive_failures": self.breaker.consecutive_failures,
-            "breaker_trips": self.breaker.trips,
-            "forwarded": self.forwarded,
-            "errors": self.errors,
-            "probes": self.probes,
-            "probe_failures": self.probe_failures,
-        }
 
 
 class ShardRouter:
@@ -400,16 +382,24 @@ class ShardRouter:
         self.forward_timeout = forward_timeout
         self.retry_base = retry_base
         self.retry_cap = retry_cap
-        self.counters: dict[str, int] = {
-            "requests": 0,
-            "routed": 0,
-            "failovers": 0,
-            "no_shard": 0,
-            "bad_requests": 0,
-            "jobs_forwarded": 0,
-            "probes": 0,
-            "probe_failures": 0,
+        #: Every ``/metrics`` counter lives here; the JSON payload and
+        #: the Prometheus text are both read from it.
+        self.registry = MetricsRegistry(namespace="repro_router")
+        self._routing = {
+            key: self.registry.counter(f"{key}_total", "Routing counter.")
+            for key in ("requests", "routed", "failovers", "no_shard",
+                        "bad_requests", "jobs_forwarded", "probes",
+                        "probe_failures")
         }
+        self._forwarded, self._errors, self._trips = (
+            self.registry.counter_family(family, help_text, "shard", self.shards)
+            for family, help_text in (
+                ("shard_forwarded_total", "Requests forwarded to the shard."),
+                ("shard_errors_total", "Forwarding failures per shard."),
+                ("shard_breaker_trips_total",
+                 "Circuit-breaker open transitions per shard."),
+            )
+        )
         self.started_at = time.time()
         self.draining = False
         self.ready = threading.Event()
@@ -424,7 +414,8 @@ class ShardRouter:
     async def start(self) -> None:
         """Bind the listener and start the health loop."""
         self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
+        if self._stop is None:
+            self._stop = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port
         )
@@ -455,8 +446,10 @@ class ShardRouter:
         self.ready.clear()
 
     async def _main(self, *, install_signals: bool) -> None:
-        await self.start()
-        assert self._stop is not None
+        # The handlers go in before start() sets ``ready``: a supervisor
+        # may signal the moment it reads the readiness line, and that
+        # SIGTERM must drain the router, not kill it mid-start.
+        self._stop = asyncio.Event()
         if install_signals:
             loop = asyncio.get_running_loop()
             for sig in (signal.SIGTERM, signal.SIGINT):
@@ -464,6 +457,7 @@ class ShardRouter:
                     loop.add_signal_handler(sig, self._stop.set)
                 except (NotImplementedError, ValueError, RuntimeError):
                     pass  # non-main thread or unsupported platform
+        await self.start()
         await self._stop.wait()
         await self.drain()
 
@@ -545,7 +539,7 @@ class ShardRouter:
         """
         path = "/healthz?deep=1" if self.deep_probes else "/healthz"
         shard.probes += 1
-        self.counters["probes"] += 1
+        self._routing["probes"].inc()
         try:
             status, _, _ = await httpwire.fetch(
                 shard.host, shard.port, "GET", path,
@@ -559,7 +553,7 @@ class ShardRouter:
             shard.breaker.record_success()
         else:
             shard.probe_failures += 1
-            self.counters["probe_failures"] += 1
+            self._routing["probe_failures"].inc()
             shard.breaker.record_failure()
 
     # -- the HTTP layer ------------------------------------------------------
@@ -707,7 +701,7 @@ class ShardRouter:
     async def _route_solve(
         self, body: bytes
     ) -> tuple[int, dict[str, Any] | str, str]:
-        self.counters["requests"] += 1
+        self._routing["requests"].inc()
         try:
             obj = json.loads(body)
             if not isinstance(obj, dict):
@@ -718,7 +712,7 @@ class ShardRouter:
             )
         except Exception as exc:  # noqa: BLE001 - any parse/shape error
             # is the client's 400; real routing errors happen below.
-            self.counters["bad_requests"] += 1
+            self._routing["bad_requests"].inc()
             return 400, {
                 "error": f"bad request: {type(exc).__name__}: {exc}"
             }, ""
@@ -735,20 +729,20 @@ class ShardRouter:
             if shard.draining or not shard.breaker.allow():
                 continue
             if attempts:
-                self.counters["failovers"] += 1
+                self._routing["failovers"].inc()
                 await asyncio.sleep(
                     min(self.retry_cap,
                         self.retry_base * (2 ** (attempts - 1)))
                 )
             attempts += 1
-            shard.forwarded += 1
+            self._forwarded[name].inc()
             try:
                 status, headers, data = await httpwire.fetch(
                     shard.host, shard.port, "POST", "/v1/solve", body,
                     timeout=self.forward_timeout,
                 )
             except (OSError, asyncio.TimeoutError, ConnectionError) as exc:
-                shard.errors += 1
+                self._errors[name].inc()
                 shard.breaker.record_failure()
                 last_gateway = (502, {
                     "error": f"shard {name} unreachable: "
@@ -760,7 +754,7 @@ class ShardRouter:
                 # broken pool, unrecoverable failure): count it against
                 # the breaker and try the next ring position — the
                 # twin shard re-solves (or warm-hits a shared store).
-                shard.errors += 1
+                self._errors[name].inc()
                 shard.breaker.record_failure()
                 last_gateway = (status, self._decode(data, name))
                 continue
@@ -774,7 +768,7 @@ class ShardRouter:
                 if "retry-after" in headers:
                     extra = f"Retry-After: {headers['retry-after']}\r\n"
                 return status, self._decode(data, name), extra
-            self.counters["routed"] += 1
+            self._routing["routed"].inc()
             payload = self._decode(data, name)
             if status < 300 and isinstance(payload, dict) and "id" in payload:
                 payload["id"] = f"{name}:{payload['id']}"
@@ -783,7 +777,7 @@ class ShardRouter:
         if last_gateway is not None:
             status, payload = last_gateway
             return status if status == 503 else 502, payload, ""
-        self.counters["no_shard"] += 1
+        self._routing["no_shard"].inc()
         return 503, {
             "error": "no shard available "
                      f"({len(self.ring)} on ring, all open or draining)"
@@ -810,7 +804,7 @@ class ShardRouter:
                          "(expected <shard>:<id>)"
             }, ""
         shard = self.shards[name]
-        self.counters["jobs_forwarded"] += 1
+        self._routing["jobs_forwarded"].inc()
         try:
             status, _, data = await httpwire.fetch(
                 shard.host, shard.port, "GET", f"/v1/jobs/{raw_id}",
@@ -835,9 +829,21 @@ class ShardRouter:
         return {
             "uptime_seconds": time.time() - self.started_at,
             "draining": self.draining,
-            "routing": dict(self.counters),
+            "routing": {k: int(c.value) for k, c in self._routing.items()},
             "shards": {
-                name: shard.describe()
+                name: {
+                    "host": shard.host,
+                    "port": shard.port,
+                    "state": shard.breaker.state,
+                    "draining": shard.draining,
+                    "healthy": shard.healthy,
+                    "consecutive_failures": shard.breaker.consecutive_failures,
+                    "breaker_trips": shard.breaker.trips,
+                    "forwarded": int(self._forwarded[name].value),
+                    "errors": int(self._errors[name].value),
+                    "probes": shard.probes,
+                    "probe_failures": shard.probe_failures,
+                }
                 for name, shard in sorted(self.shards.items())
             },
             "ring": {
@@ -847,64 +853,27 @@ class ShardRouter:
         }
 
     async def _prometheus(self) -> str:
-        """Text exposition: router state plus a live scrape of every
-        shard's own JSON metrics, re-emitted with ``shard`` labels —
-        one endpoint covers the whole fleet."""
-        m = self.metrics()
-        lines: list[str] = []
-
-        def gauge(name: str, value: float, help_text: str) -> None:
-            lines.append(f"# HELP repro_router_{name} {help_text}")
-            lines.append(f"# TYPE repro_router_{name} gauge")
-            lines.append(
-                f"repro_router_{name} {_format_value(float(value))}"
-            )
-
-        def labeled(
-            name: str, per_shard: dict[str, float], help_text: str,
-            kind: str = "gauge",
-        ) -> None:
-            lines.append(f"# HELP repro_router_{name} {help_text}")
-            lines.append(f"# TYPE repro_router_{name} {kind}")
-            for shard_name, value in sorted(per_shard.items()):
-                esc = _escape_label_value(shard_name)
-                lines.append(
-                    f'repro_router_{name}{{shard="{esc}"}} '
-                    f"{_format_value(float(value))}"
-                )
-
-        gauge("uptime_seconds", m["uptime_seconds"],
-              "Seconds since the router started.")
-        gauge("draining", float(m["draining"]),
-              "1 while drain is in progress, else 0.")
-        gauge("ring_members", len(m["ring"]["members"]),
-              "Shards currently on the hash ring.")
-        gauge("routable_shards", len(self.routable_shards()),
-              "Ring members whose circuit breaker is not open.")
-        for key, value in sorted(m["routing"].items()):
-            lines.append(f"# HELP repro_router_{key}_total Routing counter.")
-            lines.append(f"# TYPE repro_router_{key}_total counter")
-            lines.append(
-                f"repro_router_{key}_total {_format_value(float(value))}"
-            )
-        shards = m["shards"]
-        labeled("shard_open",
-                {n: 1.0 if s["state"] == CircuitBreaker.OPEN else 0.0
-                 for n, s in shards.items()},
-                "1 while the shard's circuit breaker is open.")
-        labeled("shard_draining",
-                {n: float(s["draining"]) for n, s in shards.items()},
-                "1 while the shard is drained off the ring.")
-        labeled("shard_forwarded_total",
-                {n: s["forwarded"] for n, s in shards.items()},
-                "Requests forwarded to the shard.", kind="counter")
-        labeled("shard_errors_total",
-                {n: s["errors"] for n, s in shards.items()},
-                "Forwarding failures per shard.", kind="counter")
-        labeled("shard_breaker_trips_total",
-                {n: s["breaker_trips"] for n, s in shards.items()},
-                "Circuit-breaker open transitions per shard.",
-                kind="counter")
+        """Text exposition: :attr:`registry` with the router's
+        point-in-time gauges set, plus a live scrape of every shard's
+        own JSON metrics re-emitted with ``shard`` labels — one endpoint
+        covers the whole fleet."""
+        reg = self.registry
+        for name, help_text, value in (
+            ("uptime_seconds", "Seconds since the router started.",
+             time.time() - self.started_at),
+            ("draining", "1 while drain is in progress, else 0.", self.draining),
+            ("ring_members", "Shards currently on the hash ring.", len(self.ring)),
+            ("routable_shards", "Ring members whose circuit breaker is not open.",
+             len(self.routable_shards())),
+        ):
+            reg.gauge(name, help_text).set(value)
+        for name, shard in self.shards.items():
+            labels = {"shard": name}
+            reg.gauge("shard_open", "1 while the shard's circuit breaker is open.",
+                      labels=labels).set(shard.breaker.state == CircuitBreaker.OPEN)
+            reg.gauge("shard_draining", "1 while the shard is drained off the ring.",
+                      labels=labels).set(shard.draining)
+            self._trips[name].set(shard.breaker.trips)
 
         # Live scrape: each shard's own gauges, labeled.  A shard that
         # does not answer in time shows up=0 — absence is itself the
@@ -925,9 +894,12 @@ class ShardRouter:
         scraped = dict(await asyncio.gather(
             *(scrape(s) for s in self.shards.values())
         ))
-        labeled("shard_up",
-                {n: 0.0 if v is None else 1.0 for n, v in scraped.items()},
-                "1 when the shard answered the metrics scrape.")
+        # A fresh registry per scrape: a shard that stops answering
+        # loses its series instead of keeping its last values.
+        live = MetricsRegistry(namespace=reg.namespace)
+        for name, obj in scraped.items():
+            live.gauge("shard_up", "1 when the shard answered the metrics "
+                       "scrape.", labels={"shard": name}).set(obj is not None)
         for metric, help_text in (
             ("queue_depth", "Unique jobs queued on the shard."),
             ("dedup_followers",
@@ -935,10 +907,8 @@ class ShardRouter:
             ("running", "Jobs executing on the shard's pool."),
             ("in_flight", "Unique fingerprints in flight on the shard."),
         ):
-            values = {
-                n: float(v[metric]) for n, v in scraped.items()
-                if v is not None and metric in v
-            }
-            if values:
-                labeled(f"shard_{metric}", values, help_text)
-        return "\n".join(lines) + "\n"
+            for name, obj in scraped.items():
+                if obj is not None and metric in obj:
+                    live.gauge(f"shard_{metric}", help_text,
+                               labels={"shard": name}).set(obj[metric])
+        return reg.render_prometheus(extra=live.render_prometheus())

@@ -205,7 +205,8 @@ class SolverServer:
         )
         self.manager.start()
         self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
+        if self._stop is None:
+            self._stop = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port
         )
@@ -253,8 +254,10 @@ class SolverServer:
         self.ready.clear()
 
     async def _main(self, *, install_signals: bool) -> None:
-        await self.start()
-        assert self._stop is not None
+        # The handlers go in before start() sets ``ready``: a supervisor
+        # may signal the moment it reads the readiness line, and that
+        # SIGTERM must drain the daemon, not kill it mid-start.
+        self._stop = asyncio.Event()
         if install_signals:
             loop = asyncio.get_running_loop()
             for sig in (signal.SIGTERM, signal.SIGINT):
@@ -262,6 +265,7 @@ class SolverServer:
                     loop.add_signal_handler(sig, self._stop.set)
                 except (NotImplementedError, ValueError, RuntimeError):
                     pass  # non-main thread or unsupported platform
+        await self.start()
         await self._stop.wait()
         await self.drain()
 

@@ -18,8 +18,6 @@ from repro.obs.metrics import (
     Histogram,
     LATENCY_BUCKETS,
     MetricsRegistry,
-    _escape_label_value,
-    _format_value,
 )
 
 
@@ -33,6 +31,14 @@ class TestInstruments:
     def test_counter_rejects_negative(self):
         with pytest.raises(ValueError):
             Counter().inc(-1)
+
+    def test_counter_set_adopts_a_total_and_keeps_counting(self):
+        c = Counter()
+        c.inc(4)
+        c.set(10)
+        assert c.value == 10.0
+        c.inc()
+        assert c.value == 11.0
 
     def test_gauge_set_inc_dec(self):
         g = Gauge()
@@ -149,12 +155,40 @@ class TestPrometheusRendering:
         assert text.endswith("repro_uptime_seconds 1.5\n")
 
     def test_label_value_escaping(self):
-        assert _escape_label_value('a"b\\c\nd') == r'a\"b\\c\nd'
+        reg = MetricsRegistry()
+        reg.counter("c", labels={"k": 'a"b\\c\nd'}).inc()
+        assert r'repro_c{k="a\"b\\c\nd"} 1' in reg.render_prometheus()
 
     def test_value_formatting(self):
-        assert _format_value(3.0) == "3"
-        assert _format_value(math.inf) == "+Inf"
-        assert _format_value(0.25) == "0.25"
+        reg = MetricsRegistry()
+        for name, value in (("whole", 3.0), ("inf", math.inf), ("frac", 0.25)):
+            reg.gauge(name).set(value)
+        lines = reg.render_prometheus().splitlines()
+        assert {"repro_whole 3", "repro_inf +Inf", "repro_frac 0.25"} <= set(lines)
+
+    def test_counter_set_and_one_label_counts(self):
+        reg = MetricsRegistry()
+        reg.counter("hits_total", labels={"event": "hit"}).set(7)
+        reg.counter("hits_total", labels={"event": "miss"}).inc()
+        assert reg.counts("hits_total") == {"hit": 7, "miss": 1}
+        assert reg.counts("absent_total") == {}
+
+    def test_counter_family_binds_every_value_at_zero(self):
+        reg = MetricsRegistry()
+        family = reg.counter_family("ev_total", "Events.", "event", ("a", "b"))
+        assert set(family) == {"a", "b"}
+        assert reg.counter("ev_total", labels={"event": "a"}) is family["a"]
+        assert reg.counts("ev_total") == {"a": 0, "b": 0}
+        text = reg.render_prometheus()
+        assert text.count("# TYPE repro_ev_total counter") == 1
+        assert 'repro_ev_total{event="a"} 0' in text
+        assert 'repro_ev_total{event="b"} 0' in text
+
+    def test_counts_are_ints(self):
+        reg = MetricsRegistry()
+        reg.counter("n_total", labels={"k": "x"}).inc(2.0)
+        (value,) = reg.counts("n_total").values()
+        assert value == 2 and type(value) is int
 
     def test_expansion_buckets_are_sorted(self):
         assert list(EXPANSION_BUCKETS) == sorted(EXPANSION_BUCKETS)

@@ -1,69 +1,56 @@
-"""Unit tests for the real-multiprocessing backend."""
+"""Unit tests for the persistent worker pool."""
+
+import json
+import os
+import signal
+import socket
 
 import pytest
-from hypothesis import given, settings
 
-from repro.graph.generators.random_paper import PaperGraphSpec, paper_random_graph
-from repro.parallel.mp_backend import multiprocessing_astar_schedule
-from repro.schedule.validate import schedule_violations
-from repro.search.astar import astar_schedule
-from repro.search.enumerate import enumerate_optimal
+from repro.parallel.mp_backend import (
+    SolverPool,
+    _warmup,
+    system_from_args,
+    system_to_args,
+)
 from repro.system.processors import ProcessorSystem
-from tests.strategies import scheduling_instances
+
+SYSTEMS = {
+    "clique": ProcessorSystem.fully_connected(3),
+    "ring": ProcessorSystem.ring(4),
+    "chain": ProcessorSystem.chain(3),
+    "mesh": ProcessorSystem.mesh(2, 3),
+    "hypercube": ProcessorSystem.hypercube(2),
+    "hetero-star": ProcessorSystem.star(4, speeds=[2.0, 1.0, 1.5, 1.0]),
+    "distance-scaled": ProcessorSystem(
+        4, [(0, 1), (1, 2), (2, 3)], distance_scaled=True, name="scaled-chain",
+    ),
+}
 
 
-class TestMpBackend:
-    def test_paper_example(self, fig1_graph, fig1_system):
-        result = multiprocessing_astar_schedule(
-            fig1_graph, fig1_system, workers=2
-        )
-        assert result.optimal
-        assert result.length == 14.0
-        assert schedule_violations(result.schedule) == []
-
-    def test_single_worker_falls_back_to_serial(self, fig1_graph, fig1_system):
-        result = multiprocessing_astar_schedule(
-            fig1_graph, fig1_system, workers=1
-        )
-        assert result.length == 14.0
-        assert result.algorithm == "astar"
-
-    def test_matches_serial_on_random_instance(self):
-        graph = paper_random_graph(PaperGraphSpec(num_nodes=10, ccr=1.0, seed=3))
-        system = ProcessorSystem.fully_connected(3)
-        serial = astar_schedule(graph, system)
-        mp = multiprocessing_astar_schedule(graph, system, workers=2)
-        assert mp.length == pytest.approx(serial.length)
-
-    def test_trivial_instance(self):
-        from repro.graph.taskgraph import TaskGraph
-
-        g = TaskGraph([5], {})
-        result = multiprocessing_astar_schedule(g, ProcessorSystem(2), workers=2)
-        assert result.length == 5.0
-
-
-@settings(max_examples=5, deadline=None)
-@given(scheduling_instances(max_nodes=5, max_pes=2))
-def test_mp_matches_exhaustive(instance):
-    graph, system = instance
-    mp = multiprocessing_astar_schedule(graph, system, workers=2, oversubscribe=2)
-    opt = enumerate_optimal(graph, system).length
-    assert mp.length == pytest.approx(opt)
+class TestSystemArgs:
+    @pytest.mark.parametrize("key", sorted(SYSTEMS))
+    def test_round_trip_through_json(self, key):
+        """Systems cross the process boundary (and the daemon's HTTP
+        body) as JSON-safe dicts and come back equal."""
+        system = SYSTEMS[key]
+        back = system_from_args(json.loads(json.dumps(system_to_args(system))))
+        assert back == system
+        assert back.name == system.name
+        pes = range(system.num_pes)
+        assert [[back.comm_time(5.0, a, b) for b in pes] for a in pes] == [
+            [system.comm_time(5.0, a, b) for b in pes] for a in pes
+        ]
 
 
 class TestSolverPool:
     def test_submit_and_map(self):
-        from repro.parallel.mp_backend import SolverPool, _warmup
-
         with SolverPool(2) as pool:
             assert pool.workers == 2 and not pool.closed
             assert pool.submit(_warmup).result() > 0
             assert pool.map(abs, [-1, 2, -3]) == [1, 2, 3]
 
     def test_warm_prespawns_workers(self):
-        from repro.parallel.mp_backend import SolverPool
-
         pool = SolverPool(2)
         pool.warm()
         assert len(pool.executor._processes) == 2
@@ -71,8 +58,6 @@ class TestSolverPool:
         assert pool.closed
 
     def test_closed_pool_raises(self):
-        from repro.parallel.mp_backend import SolverPool
-
         pool = SolverPool(1)
         pool.close()
         pool.close()  # idempotent
@@ -80,15 +65,60 @@ class TestSolverPool:
             pool.submit(abs, 1)
 
     def test_invalid_worker_count(self):
-        from repro.parallel.mp_backend import SolverPool
-
         with pytest.raises(ValueError):
             SolverPool(0)
 
     def test_persistent_pool_survives_multiple_rounds(self):
         """The point of the abstraction: worker processes are reused."""
-        from repro.parallel.mp_backend import SolverPool, _warmup
-
         with SolverPool(1) as pool:
             pids = {pool.submit(_warmup).result() for _ in range(4)}
         assert len(pids) == 1
+
+    def test_workers_get_default_stop_signals(self):
+        """A daemon's SIGTERM handler must not leak into its workers."""
+        previous = signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        try:
+            with SolverPool(1) as pool:
+                got = pool.submit(signal.getsignal, signal.SIGTERM).result()
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert got == signal.SIG_DFL
+
+    def test_workers_get_the_default_interrupt_handler(self):
+        previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            with SolverPool(1) as pool:
+                got = pool.submit(signal.getsignal, signal.SIGINT).result()
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert got is signal.default_int_handler
+
+    def test_workers_drop_the_inherited_wakeup_fd(self):
+        """A signal delivered to a worker must not be written into the
+        parent's event-loop wakeup fd."""
+        reader, writer = socket.socketpair()
+        writer.setblocking(False)
+        previous = signal.set_wakeup_fd(writer.fileno())
+        try:
+            with SolverPool(1) as pool:
+                inherited = pool.submit(signal.set_wakeup_fd, -1).result()
+        finally:
+            signal.set_wakeup_fd(previous)
+            reader.close()
+            writer.close()
+        assert inherited == -1
+
+    @pytest.mark.timeout(60)
+    def test_sigterm_stops_a_worker_of_a_parent_that_ignores_it(self):
+        previous = signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        pool = SolverPool(1)
+        try:
+            pid = pool.submit(_warmup).result()
+            (process,) = pool.executor._processes.values()
+            assert process.pid == pid
+            os.kill(pid, signal.SIGTERM)
+            process.join(timeout=30)
+            assert process.exitcode == -signal.SIGTERM
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+            pool.close(wait=False)

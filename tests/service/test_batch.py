@@ -12,6 +12,8 @@ from repro.parallel.hda import hda_astar_schedule
 from repro.search.astar import astar_schedule
 from repro.service.batch import (
     BatchItem,
+    _job_for,
+    _worker_solve,
     items_from_suite,
     load_items,
     run_batch,
@@ -168,6 +170,18 @@ class TestReport:
         assert row["name"] == "a" and len(row["assignment"]) == 6
         agg = report.as_dict()
         assert agg["instances"] == 1 and agg["instances_per_second"] > 0
+        # Both solve modes return one worker payload schema.
+        job = _job_for(make_item("a", v=6), "fp", None, 0.25, "paper",
+                       50_000, "portfolio")
+        keys = {
+            mode: set(_worker_solve({**job, "mode": mode}))
+            for mode in ("portfolio", "auto")
+        }
+        assert keys["portfolio"] == keys["auto"] == {
+            "fingerprint", "assignment", "certificate", "bound", "algorithm",
+            "winner", "stats", "seconds", "lower_bound", "interrupted",
+            "trace_events",
+        }
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from repro.graph.generators.random_paper import PaperGraphSpec, paper_random_graph
 from repro.graph.taskgraph import TaskGraph
-from repro.service.fingerprint import (
+from repro.schedule.fingerprint import (
     assignment_from_canonical,
     canonical_assignment,
     canonical_graph,

@@ -15,6 +15,7 @@ from repro.graph.generators.random_paper import PaperGraphSpec, paper_random_gra
 from repro.graph.io import graph_to_dict
 from repro.schedule.schedule import Schedule
 from repro.schedule.validate import validate_schedule
+from repro.service.batch import _worker_solve
 from repro.service.cache import ResultCache
 from repro.service.jobs import DONE, QUEUED, Draining, JobManager, QueueFull
 from repro.system.processors import ProcessorSystem
@@ -72,9 +73,9 @@ class TestSolveLifecycle:
                 {int(n): (int(pe), float(st))
                  for n, pe, st in job.result["assignment"]},
             ))
-            assert manager.counters["completed"] == 1
-            assert manager.counters["solved"] == 1
-            assert sum(manager.engine_counts.values()) == 1
+            assert manager.metrics()["jobs"]["completed"] == 1
+            assert manager.metrics()["jobs"]["solved"] == 1
+            assert sum(manager.metrics()["engines"].values()) == 1
             await manager.drain()
             pool.close()
 
@@ -113,7 +114,7 @@ class TestSolveLifecycle:
             manager.submit(request_obj(epsilon=-0.5))
         with pytest.raises(ValueError, match="max_expansions"):
             manager.submit(request_obj(max_expansions=0))
-        assert manager.counters["accepted"] == 0
+        assert manager.metrics()["jobs"]["accepted"] == 0
         pool.close()
 
     def test_worker_failure_degrades_primary_and_followers(self, monkeypatch):
@@ -137,9 +138,9 @@ class TestSolveLifecycle:
                 assert job.state == DONE
                 assert job.result["certificate"] == "degraded"
                 assert "worker exploded" in job.result["reason"]
-            assert manager.counters["failed"] == 0
-            assert manager.counters["degraded"] == 2
-            assert manager.failures["worker_error"] == 1
+            assert manager.metrics()["jobs"]["failed"] == 0
+            assert manager.metrics()["jobs"]["degraded"] == 2
+            assert manager.metrics()["failures"]["worker_error"] == 1
             await manager.drain()
             pool.close()
 
@@ -155,13 +156,13 @@ class TestDedupe:
             manager, pool = make_manager(workers=2)
             a = manager.submit(request_obj(seed=21))
             b = manager.submit(request_obj(seed=21, epsilon=0.0))
-            assert b.via is None and manager.counters["dedup_fanout"] == 0
+            assert b.via is None and manager.metrics()["jobs"]["dedup_fanout"] == 0
             # A third request matching b's options rides b.
             c = manager.submit(request_obj(seed=21, epsilon=0.0))
             assert c.via == "dedup"
             manager.start()
             await finish(manager, a, b, c)
-            assert manager.counters["solved"] == 2
+            assert manager.metrics()["jobs"]["solved"] == 2
             assert b.result["makespan"] == pytest.approx(a.result["makespan"])
             await manager.drain()
             pool.close()
@@ -200,12 +201,12 @@ class TestDedupe:
             manager, pool = make_manager()
             a = manager.submit(request_obj(seed=2))
             b = manager.submit(request_obj(seed=2))
-            assert b.via == "dedup" and manager.counters["dedup_fanout"] == 1
+            assert b.via == "dedup" and manager.metrics()["jobs"]["dedup_fanout"] == 1
             manager.start()
             await finish(manager, a, b)
             assert a.via == "solve" and b.via == "dedup"
             assert a.result["makespan"] == pytest.approx(b.result["makespan"])
-            assert manager.counters["solved"] == 1
+            assert manager.metrics()["jobs"]["solved"] == 1
             await manager.drain()
             pool.close()
 
@@ -260,7 +261,7 @@ class TestFaultTolerance:
             assert bad.state == DONE
             assert bad.result["certificate"] == "degraded"
             assert "canonical mismatch" in bad.result["reason"]
-            assert manager.failures["completion_error"] == 1
+            assert manager.metrics()["failures"]["completion_error"] == 1
             # The runner survived: a subsequent job completes normally.
             manager._complete = real_complete
             good = manager.submit(request_obj(seed=32))
@@ -292,8 +293,8 @@ class TestFaultTolerance:
             await finish(manager, doomed)
             assert doomed.state == DONE
             assert doomed.result["certificate"] == "degraded"
-            assert manager.counters["pool_rebuilds"] == 1
-            assert manager.failures["broken_pool"] == 1
+            assert manager.metrics()["jobs"]["pool_rebuilds"] == 1
+            assert manager.metrics()["failures"]["broken_pool"] == 1
             os.unlink(tmp_flag)  # next forked worker solves for real
             healthy = manager.submit(request_obj(seed=34))
             await finish(manager, healthy)
@@ -324,7 +325,7 @@ class TestAdmission:
         first = manager.submit(request_obj(seed=1))
         with pytest.raises(QueueFull):
             manager.submit(request_obj(seed=2))
-        assert manager.counters["rejected"] == 1
+        assert manager.metrics()["jobs"]["rejected"] == 1
         # Dedupe sits in front of the queue: a twin of the queued job is
         # accepted even at capacity.
         rider = manager.submit(request_obj(seed=1))
@@ -354,8 +355,8 @@ class TestCacheIntegration:
             # Cache hits complete synchronously at submit.
             assert b.state == DONE and b.via == "cache"
             assert b.result["makespan"] == pytest.approx(a.result["makespan"])
-            assert manager.counters["cache_hits"] == 1
-            assert manager.counters["solved"] == 1
+            assert manager.metrics()["jobs"]["cache_hits"] == 1
+            assert manager.metrics()["jobs"]["solved"] == 1
             await manager.drain()
             pool.close()
 
@@ -412,6 +413,111 @@ class TestDrain:
             pool.close()
 
         asyncio.run(scenario())
+
+
+def sample(text, name, **labels):
+    """The value of one sample line of a Prometheus text exposition."""
+    inner = ",".join(f'{k}="{v}"' for k, v in labels.items())
+    prefix = f"{name}{{{inner}}} " if labels else f"{name} "
+    (line,) = [l for l in text.splitlines() if l.startswith(prefix)]
+    return float(line[len(prefix):])
+
+
+JOB_EVENTS = ("submitted", "accepted", "rejected", "completed", "failed",
+              "cache_hits", "dedup_fanout", "solved", "pool_rebuilds",
+              "degraded", "cache_errors")
+FAILURE_CAUSES = ("broken_pool", "worker_error", "completion_error")
+#: Prometheus gauge -> the JSON ``/metrics`` key it mirrors.
+GAUGES = {"draining": "draining", "queue_depth": "queue_depth",
+          "dedup_followers": "dedup_followers", "queue_limit": "queue_limit",
+          "jobs_running": "running", "jobs_in_flight": "in_flight",
+          "pool_workers": "pool_workers", "cache_hit_rate": "cache_hit_rate"}
+
+
+class TestMetricsViewsAgree:
+    """The JSON ``/metrics`` payload and ``?format=prometheus`` read the
+    same registry instruments, so each counter and gauge agrees."""
+
+    @pytest.fixture(scope="class")
+    def scrapes(self):
+        """One scrape with work queued, one after a solve, a dedupe
+        follower, a 400-style rejection, a worker failure and a cache
+        hit."""
+        async def scenario():
+            manager, pool = make_manager(cache=ResultCache(), queue_limit=2,
+                                         workers=3)
+            primary = manager.submit(request_obj(seed=1))
+            follower = manager.submit(request_obj(seed=1))
+            failing = manager.submit(request_obj(seed=2))
+            with pytest.raises(QueueFull):
+                manager.submit(request_obj(seed=3))
+            queued = (manager.prometheus(), manager.metrics())
+
+            def solve_or_fail(job):
+                if job["fingerprint"] == failing.fingerprint:
+                    raise RuntimeError("worker exploded")
+                return _worker_solve(job)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr("repro.service.jobs._worker_solve", solve_or_fail)
+                manager.start()
+                await finish(manager, primary, follower, failing)
+            hit = manager.submit(request_obj(seed=1))
+            assert hit.via == "cache"
+            final = (manager.prometheus(), manager.metrics())
+            await manager.drain()
+            pool.close()
+            return {"queued": queued, "final": final}
+
+        return asyncio.run(scenario())
+
+    def test_scenario_counts(self, scrapes):
+        _, m = scrapes["final"]
+        assert {k: v for k, v in m["jobs"].items() if v} == {
+            "submitted": 5, "accepted": 4, "rejected": 1, "dedup_fanout": 1,
+            "cache_hits": 1, "solved": 1, "degraded": 1, "completed": 4,
+        }
+        assert m["failures"] == {"broken_pool": 0, "worker_error": 1,
+                                 "completion_error": 0}
+
+    @pytest.mark.parametrize("event", JOB_EVENTS)
+    def test_job_event(self, scrapes, event):
+        text, m = scrapes["final"]
+        assert type(m["jobs"][event]) is int
+        assert sample(text, "repro_jobs_total", event=event) == m["jobs"][event]
+
+    @pytest.mark.parametrize("cause", FAILURE_CAUSES)
+    def test_failure_cause(self, scrapes, cause):
+        text, m = scrapes["final"]
+        assert type(m["failures"][cause]) is int
+        assert (sample(text, "repro_solve_failures_total", cause=cause)
+                == m["failures"][cause])
+
+    def test_engine_solves(self, scrapes):
+        text, m = scrapes["final"]
+        ((algorithm, count),) = m["engines"].items()
+        assert count == 1
+        assert sample(text, "repro_engine_solves_total",
+                      algorithm=algorithm) == count
+
+    def test_cache_events(self, scrapes):
+        text, m = scrapes["final"]
+        assert m["cache"]
+        for event, count in m["cache"].items():
+            assert sample(text, "repro_cache_events_total", event=event) == count
+
+    @pytest.mark.parametrize("gauge", sorted(GAUGES))
+    def test_gauge_while_queued(self, scrapes, gauge):
+        text, m = scrapes["queued"]
+        assert sample(text, f"repro_{gauge}") == pytest.approx(
+            float(m[GAUGES[gauge]]))
+
+    def test_gauges_after_the_run(self, scrapes):
+        text, m = scrapes["final"]
+        assert m["queue_depth"] == m["running"] == 0
+        assert m["cache_hit_rate"] == pytest.approx(1 / 5)
+        for gauge, key in GAUGES.items():
+            assert sample(text, f"repro_{gauge}") == pytest.approx(float(m[key]))
 
 
 class TestHistoryEviction:

@@ -151,6 +151,27 @@ class TestSelection:
         pres = portfolio_schedule(graph, system, cost="auto")
         assert pres.length == explicit.length
 
+    @pytest.mark.parametrize("max_expanded", [None, 1])
+    def test_wastar_dispatch_never_worse_than_its_incumbent(self, max_expanded):
+        """The stage incumbent reaches weighted A* as it reaches astar,
+        bnb and hda: a greedy eps=2 run (195 on its own) and a run
+        stopped after one expansion (the list schedule, 211) both come
+        back no longer than the optimum handed in as incumbent."""
+        from repro.schedule.partial import PartialSchedule
+        from repro.service.portfolio import _run_engine
+        from repro.util.timing import Budget
+
+        graph = paper_random_graph(PaperGraphSpec(num_nodes=8, ccr=1.0, seed=2))
+        system = ProcessorSystem.fully_connected(3)
+        incumbent = astar_schedule(graph, system).schedule
+        assert incumbent.length < fast_upper_bound_schedule(graph, system).length
+        res = _run_engine(
+            "wastar", graph, system, budget=Budget(max_expanded=max_expanded),
+            epsilon=2.0, cost="paper", state_cls=PartialSchedule,
+            incumbent=incumbent,
+        )
+        assert res.schedule.length <= incumbent.length
+
 
 class TestDeadlineAccounting:
     """Regression tests (ISSUE 3): every stage's engine receives the

@@ -8,6 +8,7 @@ admission → fingerprint dedupe → cache → portfolio on the pool → fan-out
 actual subprocess (slow tier).
 """
 
+import contextlib
 import json
 import os
 import signal
@@ -279,25 +280,49 @@ class TestAdmissionControl:
             thread.join(timeout=60)
 
 
+@contextlib.contextmanager
+def _serve(*args: str):
+    """``repro serve --port 0 ARGS`` from this checkout; killed on exit
+    if the test left it running."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        str(Path(__file__).resolve().parents[2] / "src")
+        + os.pathsep + env.get("PYTHONPATH", "")
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        yield proc
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+
+
+def _live_processes() -> dict[int, int]:
+    """``{pid: parent pid}`` of every non-zombie process (Linux /proc)."""
+    live = {}
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, ppid = stat.read_text().rpartition(")")[2].split()[:2]
+        except (FileNotFoundError, ProcessLookupError):
+            continue  # exited while we looked
+        if state != "Z":
+            live[int(stat.parent.name)] = int(ppid)
+    return live
+
+
 @pytest.mark.slow
 class TestSigtermDrain:
     def test_sigterm_drains_without_losing_results(self, tmp_path):
         """Accepted async jobs all finish and land in the persistent
         cache before the process exits."""
         cache_path = tmp_path / "serve.db"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            str(Path(__file__).resolve().parents[2] / "src")
-            + os.pathsep + env.get("PYTHONPATH", "")
-        )
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--solver-workers", "2", "--queue-limit", "32",
-             "--cache", str(cache_path), "--max-expansions", "50000"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=env,
-        )
-        try:
+        with _serve("--solver-workers", "2", "--queue-limit", "32",
+                    "--cache", str(cache_path),
+                    "--max-expansions", "50000") as proc:
             ready = proc.stdout.readline()
             assert "listening on" in ready, ready
             port = int(ready.split(":")[-1].split()[0].strip("/"))
@@ -325,10 +350,27 @@ class TestSigtermDrain:
                     assert cache.get(fp) is not None, f"lost result {fp}"
             finally:
                 cache.close()
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate()
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="reads child processes from /proc")
+    def test_sigterm_right_at_readiness_still_drains(self):
+        """A supervisor may signal the moment it reads the readiness
+        line: the handler must already be in place, so the daemon
+        drains, exits 0 and reaps its pool worker."""
+        with _serve("--solver-workers", "1") as proc:
+            ready = proc.stdout.readline()
+            workers = [pid for pid, ppid in _live_processes().items()
+                       if ppid == proc.pid]
+            proc.send_signal(signal.SIGTERM)
+            assert "listening on" in ready, ready
+            out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err
+            assert "repro serve: drained" in out
+        assert workers, "the warmed pool worker should exist by now"
+        deadline = time.monotonic() + 10
+        while set(workers) & set(_live_processes()):
+            assert time.monotonic() < deadline, "pool worker left behind"
+            time.sleep(0.1)
 
 
 class TestMetricsSchema:

@@ -1,5 +1,7 @@
 """The public API surface: everything in __all__ exists and works."""
 
+import pytest
+
 import repro
 
 
@@ -33,6 +35,21 @@ class TestPublicSurface:
         )
         result = repro.astar_schedule(g, repro.ProcessorSystem.ring(3))
         assert result.schedule.length == 14.0
+
+    def test_removed_duplicates_stay_removed(self):
+        """HDA* is the one real-cores parallel engine, heapq the one
+        priority queue, repro.schedule.fingerprint the one fingerprint
+        import path."""
+        import importlib
+
+        import repro.util
+
+        assert not hasattr(repro, "multiprocessing_astar_schedule")
+        assert not hasattr(repro.util, "LazyPQ")
+        assert not hasattr(repro.util, "AddressablePQ")
+        for module in ("repro.util.pqueue", "repro.service.fingerprint"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
 
     def test_subpackages_importable(self):
         import repro.baselines
