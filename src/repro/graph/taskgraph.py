@@ -109,7 +109,10 @@ class TaskGraph:
                 raise GraphError(f"edge ({u}, {w_node}) has negative cost {cost!r}")
             if (u, w_node) in edge_cost:
                 raise GraphError(f"duplicate edge ({u}, {w_node})")
-            edge_cost[(u, w_node)] = float(cost)
+            # ``or 0.0`` folds -0.0 into 0.0: the two compare and hash
+            # equal but ``repr`` apart, and equal graphs must serialise
+            # (and fingerprint) identically.
+            edge_cost[(u, w_node)] = float(cost) or 0.0
             succ_lists[u].append(w_node)
             pred_lists[w_node].append(u)
         self._edge_cost = edge_cost

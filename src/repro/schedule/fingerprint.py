@@ -35,12 +35,27 @@ The digest itself is BLAKE2b-128 over the canonical byte serialization
 of (graph, system, cost model): stable across processes and Python
 versions (``repr`` of floats round-trips exactly), unlike salted
 ``hash()``.
+
+Both :func:`canonical_order` and :func:`instance_fingerprint` are
+memoized in one bounded, lock-guarded LRU keyed by the instance *value*
+(:class:`TaskGraph` and :class:`ProcessorSystem` compare and hash by
+weights, edges, labels, PEs, links, speeds and model), so a repeated
+instance — every warm cache hit in the daemon and the router — is
+canonicalized once per process.  Equal values serialize to equal bytes
+(``TaskGraph`` folds ``-0.0`` edge costs into ``0.0``; weights and
+speeds are positive), so a memo hit is byte-identical to a fresh
+computation.  A relabeled twin, a label change or a NaN cost (NaN never
+equals itself) is simply a miss.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Mapping, Sequence
+import heapq
+import threading
+from collections import OrderedDict
+from collections.abc import Callable, Mapping, Sequence
+from typing import Any, TypeVar
 
 from repro.graph.taskgraph import TaskGraph
 from repro.schedule.schedule import Schedule
@@ -56,7 +71,38 @@ __all__ = [
     "instance_fingerprint",
     "canonical_assignment",
     "assignment_from_canonical",
+    "clear_fingerprint_cache",
 ]
+
+_T = TypeVar("_T")
+
+#: Entries (canonical orders and digests together) kept per process.
+_MEMO_CAP = 512
+_memo: "OrderedDict[tuple, Any]" = OrderedDict()
+_memo_lock = threading.Lock()
+
+
+def clear_fingerprint_cache() -> None:
+    """Drop every memoized canonical order and fingerprint (tests)."""
+    with _memo_lock:
+        _memo.clear()
+
+
+def _memoized(key: tuple, compute: Callable[[], _T]) -> _T:
+    """``compute()``, remembered under the value ``key`` (LRU, capped)."""
+    hash(key)  # warm TaskGraph's cached hash outside the lock
+    with _memo_lock:
+        hit = _memo.get(key)
+        if hit is not None:
+            _memo.move_to_end(key)
+            return hit
+    value = compute()
+    with _memo_lock:
+        _memo[key] = value
+        _memo.move_to_end(key)
+        while len(_memo) > _MEMO_CAP:
+            _memo.popitem(last=False)
+    return value
 
 
 def _fold_sorted(base: int, parts: list[int]) -> int:
@@ -108,15 +154,19 @@ def refined_node_keys(graph: TaskGraph) -> tuple[int, ...]:
 def canonical_order(graph: TaskGraph) -> tuple[int, ...]:
     """Canonical topological order: ``order[i]`` is the node at position i.
 
-    Kahn's algorithm over a ready pool sorted by label-free criteria:
+    Memoized per graph value; see :func:`_compute_canonical_order`.
+    """
+    return _memoized(("order", graph), lambda: _compute_canonical_order(graph))
+
+
+def _compute_canonical_order(graph: TaskGraph) -> tuple[int, ...]:
+    """Kahn's algorithm over a ready pool sorted by label-free criteria:
     the fold of the node's placed-parent ``(position, edge cost)`` pairs
     first (a perfect discriminator once ancestors are placed), the
     refined WL key second.  Only WL-indistinguishable siblings fall back
     to the original node id (see the module docstring for why that is
     safe).
     """
-    import heapq
-
     v = graph.num_nodes
     base = refined_node_keys(graph)
     indegree = [len(graph.preds(n)) for n in range(v)]
@@ -190,12 +240,16 @@ def instance_fingerprint(
     map cached assignments back into the request's node space).
 
     Graph/system *names* are deliberately excluded: they are report
-    labels, not problem semantics.
+    labels, not problem semantics.  Memoized per
+    ``(graph, system, cost, order)`` value.
     """
-    if order is None:
-        order = canonical_order(graph)
-    doc = _canonical_doc(graph, system, cost, order)
-    return hashlib.blake2b(doc, digest_size=16).hexdigest()
+    order = canonical_order(graph) if order is None else tuple(order)
+    return _memoized(
+        ("fingerprint", graph, system, cost, order),
+        lambda: hashlib.blake2b(
+            _canonical_doc(graph, system, cost, order), digest_size=16
+        ).hexdigest(),
+    )
 
 
 # -- schedule <-> canonical assignment mapping ------------------------------

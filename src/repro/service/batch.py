@@ -330,15 +330,9 @@ def run_batch(
     t0 = time.perf_counter()
 
     # Canonicalization is the per-request fixed cost; content-equal
-    # graphs (the dedupe workload) share one WL run via the memo.
-    order_memo: dict[TaskGraph, tuple[int, ...]] = {}
-    orders: list[tuple[int, ...]] = []
-    for item in items:
-        order = order_memo.get(item.graph)
-        if order is None:
-            order = canonical_order(item.graph)
-            order_memo[item.graph] = order
-        orders.append(order)
+    # graphs (the dedupe workload) share one WL run via the
+    # fingerprint module's memo.
+    orders = [canonical_order(item.graph) for item in items]
     # Resolve the "auto" cost sentinel BEFORE fingerprinting (pure in
     # each instance's static features), so auto-costed requests share
     # fingerprints — dedupe and cache entries — with requests naming

@@ -16,6 +16,11 @@ and ``--shard-id``, which makes the daemon print::
 A reader thread drains the child's merged stdout/stderr into a bounded
 deque from the moment it starts (so the child can never block on a
 full pipe) and parses that line for the advertised address.
+
+Each shard leads its own session and process group, so SIGKILL can
+take its pool workers down with it; the flip side is that a terminal's
+Ctrl-C reaches only the supervising process, which must stop its
+shards itself (the chaos tests and ``bench_router`` do so on exit).
 """
 
 from __future__ import annotations
@@ -81,6 +86,9 @@ class ShardProcess:
             stderr=subprocess.STDOUT,
             text=True,
             env=env,
+            # Its own process group, so kill() reaches the shard's pool
+            # workers too (see kill()).
+            start_new_session=True,
         )
         self._reader = threading.Thread(target=self._drain, daemon=True)
         self._reader.start()
@@ -120,13 +128,24 @@ class ShardProcess:
         return self.proc.poll() is None
 
     def kill(self) -> None:
-        """SIGKILL — the chaos case: no drain, no goodbye."""
-        if self.alive:
-            self.proc.send_signal(signal.SIGKILL)
+        """SIGKILL — the chaos case: no drain, no goodbye.
+
+        The signal goes to the shard's whole process group: a killed
+        shard cannot reap its ``SolverPool`` workers, which would
+        otherwise run on as orphans.  The group is signalled only while
+        the shard is unreaped: until then its pid (the group id) cannot
+        have been reused.
+        """
+        if self.proc.returncode is None:
+            try:
+                os.killpg(self.proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
         self.proc.wait()
 
     def terminate(self, timeout: float = 30.0) -> int:
-        """SIGTERM and wait for the graceful drain to finish."""
+        """SIGTERM (to the shard only) and wait for the graceful drain,
+        which reaps the shard's own workers, to finish."""
         if self.alive:
             self.proc.terminate()
         try:

@@ -832,14 +832,24 @@ class JobManager:
         self.tracer.event("job.done", attrs={"id": job.id, "via": via})
 
     def _evict_history(self) -> None:
-        """Drop the oldest *finished* jobs beyond the history bound."""
-        if len(self._jobs) <= self.history_limit:
+        """Drop the oldest *finished* jobs beyond the history bound.
+
+        Walks from the oldest end only as far as it must — past any
+        still-active jobs, up to the first ``excess`` finished ones — so
+        a full history costs one short walk per admit, not a copy of
+        every job id.
+        """
+        excess = len(self._jobs) - self.history_limit
+        if excess <= 0:
             return
-        for job_id in list(self._jobs):
-            if len(self._jobs) <= self.history_limit:
-                break
-            if not self._jobs[job_id].active:
-                del self._jobs[job_id]
+        doomed: list[str] = []
+        for job_id, job in self._jobs.items():
+            if not job.active:
+                doomed.append(job_id)
+                if len(doomed) == excess:
+                    break
+        for job_id in doomed:
+            del self._jobs[job_id]
 
     # -- drain ---------------------------------------------------------------
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from repro.errors import WorkloadError
 from repro.graph.generators.random_paper import PaperGraphSpec, paper_random_graph
@@ -40,11 +39,6 @@ PAPER_SIZES = tuple(range(10, 33, 2))
 DEFAULT_SIZES = tuple(range(10, 21, 2))
 
 
-@lru_cache(maxsize=1024)
-def _cached_fingerprint(graph: TaskGraph, system: ProcessorSystem) -> str:
-    return instance_fingerprint(graph, system)
-
-
 @dataclass(frozen=True)
 class WorkloadInstance:
     """One problem instance of the suite."""
@@ -60,9 +54,9 @@ class WorkloadInstance:
         """Canonical 128-bit instance fingerprint (see
         :mod:`repro.schedule.fingerprint`); relabeling-invariant, so two
         suite points that generate the same problem share cached results.
-        Memoized per (graph, system) — the WL canonicalization is not
-        free."""
-        return _cached_fingerprint(self.graph, self.system)
+        Memoized per (graph, system) value by
+        :func:`~repro.schedule.fingerprint.instance_fingerprint` itself."""
+        return instance_fingerprint(self.graph, self.system)
 
     @property
     def key(self) -> str:

@@ -538,6 +538,32 @@ class TestHistoryEviction:
 
         asyncio.run(scenario())
 
+    def test_active_head_is_skipped_not_evicted(self):
+        async def scenario():
+            cache = ResultCache()
+            warm, warm_pool = make_manager(cache=cache)
+            warm.start()
+            for s in range(4):
+                await finish(warm, warm.submit(request_obj(seed=s)))
+            await warm.drain()
+            warm_pool.close()
+
+            manager, pool = make_manager(cache=cache, history_limit=2)
+            # Not started: the head job stays queued while every later
+            # submission is a cache hit that finishes at admit.
+            head = manager.submit(request_obj(seed=9))
+            hits = [manager.submit(request_obj(seed=s)) for s in range(4)]
+            assert [job.via for job in hits] == ["cache"] * 4
+            assert head.active and manager.get(head.id) is head
+            assert [manager.get(job.id) for job in hits] == [
+                None, None, None, hits[3]]
+            manager.start()
+            await finish(manager, head)
+            await manager.drain()
+            pool.close()
+
+        asyncio.run(scenario())
+
 
 class TestFleetReadiness:
     """The JobManager surface the fleet router depends on: deep
