@@ -9,7 +9,7 @@ Method
 ------
 Two searches over the identical instance and expansion budget:
 
-* **reference** — a line-for-line replica of the A* hot loop *without*
+* **reference** — a replica of the kernel's A* path *without*
   the probe branch, defined in this file.  It replays exactly the same
   expansions (the search is deterministic: heap order is
   ``(f, h, seq)`` and the budget stops on an expansion count), which
@@ -46,6 +46,7 @@ import argparse
 import heapq
 import json
 import math
+import os
 import platform
 import subprocess
 import sys
@@ -98,8 +99,9 @@ def _git_rev() -> str | None:
 
 def _reference_astar(graph, system, *, cost: str, max_expanded: int):
     """The A* hot loop with no probe branch: the pre-instrumentation
-    baseline, kept line-for-line in step with ``astar_schedule`` (minus
-    probe/trace).  Returns ``(stats, best_length)``."""
+    baseline: the kernel's A* path (``repro.search.astar._best_first``
+    with w = 1) written out inline, minus probe/trace.  Returns
+    ``(stats, best_length)``."""
     pruning = PruningConfig.all()
     cost_fn = make_cost_function(cost, graph, system)
     budget = Budget(max_expanded=max_expanded)
@@ -267,6 +269,7 @@ def main(argv: list[str] | None = None) -> int:
         "unix_time": int(time.time()),
         "python": platform.python_version(),
         "git_rev": _git_rev(),
+        "cpu_count": os.cpu_count(),
         "smoke": args.smoke,
         "row": row,
         "gate_max_overhead_pct": GATE_MAX_OVERHEAD_PCT,

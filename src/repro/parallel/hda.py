@@ -168,18 +168,14 @@ def hda_astar_schedule(
     if serial_fallback:
         if epsilon > 0.0:
             # Keep the ε contract: Aε* proves the same 1+ε bound the
-            # distributed pruning would have.  focal has no incumbent
-            # parameter, so honor a better caller-held incumbent by
-            # substituting it — it satisfies any bound focal proved.
+            # distributed pruning would have.
             from repro.search.focal import focal_schedule
 
-            res = focal_schedule(
+            return focal_schedule(
                 graph, system, epsilon, pruning=pruning, cost=cost,
-                budget=budget, state_cls=state_cls, probe=probe,
+                budget=budget, state_cls=state_cls, incumbent=incumbent,
+                probe=probe,
             )
-            if incumbent is not None and incumbent.length < res.length:
-                res.schedule = incumbent
-            return res
         return astar_schedule(
             graph, system, pruning=pruning, cost=cost, budget=budget,
             incumbent=incumbent, state_cls=state_cls, probe=probe,

@@ -13,7 +13,10 @@ system helpers.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import signal
+import threading
+import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Callable, Iterable
 
@@ -61,18 +64,40 @@ def system_from_args(args: dict[str, Any]) -> ProcessorSystem:
     )
 
 
+#: Seconds between a pool worker's checks that its parent is alive.
+_PARENT_POLL_S = 0.5
+
+
 def _worker_init() -> None:
-    """Give a freshly forked worker default stop-signal handling.
+    """Give a freshly forked worker default stop-signal handling, and
+    make it exit with its parent.
 
     Under ``fork`` a worker inherits the daemon's asyncio stop-signal
     handler and its wakeup fd.  A SIGTERM aimed at the worker (the
     executor terminates the survivors when one worker dies) would then
     leave the worker running and be relayed into the daemon's event
     loop, draining the daemon as if it had been signalled itself.
+
+    A parent that dies without shutting the executor down (SIGKILL,
+    ``os._exit``) never tells its workers to stop, and an orphaned
+    worker would live on under init.  A daemon thread watches for the
+    re-parenting and exits the worker when it happens.  It only sleeps
+    and reads the parent pid, holding no lock, so a job that forks
+    (HDA* workers) inherits nothing it could deadlock on.
     """
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.default_int_handler)
+    threading.Thread(
+        target=_exit_with_parent, args=(os.getppid(),),
+        name="exit-with-parent", daemon=True,
+    ).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
 
 
 def _warmup() -> int:

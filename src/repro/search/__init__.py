@@ -4,10 +4,16 @@
   of §3.1 (Theorem 1) plus tighter/looser alternatives for ablation.
 * :mod:`repro.search.pruning` — the four §3.2 pruning techniques as
   independently-toggleable rules with hit counters.
-* :mod:`repro.search.astar` — the serial A* scheduling algorithm.
+* :mod:`repro.search.astar` — the serial A* scheduling algorithm, and
+  the one best-first loop it shares with weighted A* and Aε* (each
+  engine supplies only its OPEN order).
+* :mod:`repro.search.weighted` — weighted A* (``g + (1+ε)·h``), the
+  other bounded-suboptimality engine.
 * :mod:`repro.search.focal` — the approximate Aε* (§3.4, Theorem 2).
 * :mod:`repro.search.bnb` — depth-first branch-and-bound on the same
   state space (memory-light alternative).
+* :mod:`repro.search.idastar` — iterative-deepening A*: memory linear
+  in the depth, at the price of re-expansions.
 * :mod:`repro.search.enumerate` — exhaustive enumeration for tiny
   instances (ground truth in tests).
 

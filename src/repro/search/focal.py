@@ -30,24 +30,102 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 
 from repro.errors import SearchError
 from repro.graph.taskgraph import TaskGraph
-from repro.heuristics.listsched import fast_upper_bound_schedule
 from repro.obs.probe import SearchProbe
 from repro.schedule.partial import PartialSchedule
 from repro.schedule.schedule import Schedule
-from repro.search.costs import CostFunction, make_cost_function
-from repro.search.dedup import SignatureSet
-from repro.search.expansion import StateExpander
+from repro.search.astar import _best_first
+from repro.search.costs import CostFunction
 from repro.search.pruning import PruningConfig
-from repro.search.result import SearchResult, SearchStats
+from repro.search.result import SearchResult
 from repro.system.processors import ProcessorSystem
 from repro.util import tolerance as tol
 from repro.util.timing import Budget
 
 __all__ = ["focal_schedule"]
+
+
+class _FocalOrder:
+    """Aε*'s OPEN for :func:`repro.search.astar._best_first`: the three
+    heaps of the module docstring over one ``seq -> (state, h)`` store."""
+
+    def __init__(self, epsilon: float, num_nodes: int) -> None:
+        #: Theorem 2's guarantee on the first goal popped.
+        self.factor = 1.0 + epsilon
+        self._v = num_nodes
+        # seq -> (state, h); dead seqs are skipped lazily in all heaps.
+        self._store: dict[int, tuple[PartialSchedule, float]] = {}
+        self._dead: set[int] = set()
+        self._all_by_f: list[tuple[float, int]] = []
+        self._focal: list[tuple[int, float, int]] = []  # (unscheduled, f, seq)
+        self._non_focal: list[tuple[float, int]] = []
+        self._in_focal: set[int] = set()
+        self._seq = 0
+        # (1+ε)·f_min at the last pop; before the first pop (the root)
+        # every state belongs in FOCAL.
+        self._bound = math.inf
+
+    def __len__(self) -> int:
+        return len(self._store)
+
+    def floor(self) -> float:
+        # f_min over OPEN never exceeds f_opt (Theorem 2's premise).
+        all_by_f, dead = self._all_by_f, self._dead
+        while all_by_f[0][1] in dead:
+            heapq.heappop(all_by_f)
+        return all_by_f[0][0]
+
+    def push(self, state: PartialSchedule, f: float, h: float) -> None:
+        s = self._seq
+        self._seq += 1
+        self._store[s] = (state, h)
+        heapq.heappush(self._all_by_f, (f, s))
+        # Drift-aware FOCAL admission (repro.util.tolerance): a state
+        # that ties (1+ε)·f_min up to rounding belongs in FOCAL.
+        if tol.leq(f, self._bound):
+            heapq.heappush(self._focal, (self._v - state.num_scheduled, f, s))
+            self._in_focal.add(s)
+        else:
+            heapq.heappush(self._non_focal, (f, s))
+
+    def pop(self) -> tuple[PartialSchedule, float, float]:
+        fmin = self.floor()
+        bound = self._bound = self.factor * fmin
+        focal, non_focal = self._focal, self._non_focal
+        dead, in_focal = self._dead, self._in_focal
+        while True:
+            # Admit newly-qualifying states into FOCAL.
+            while non_focal:
+                f, s = non_focal[0]
+                if s in dead:
+                    heapq.heappop(non_focal)
+                    continue
+                if tol.leq(f, bound):
+                    heapq.heappop(non_focal)
+                    state, _ = self._store[s]
+                    heapq.heappush(focal, (self._v - state.num_scheduled, f, s))
+                    in_focal.add(s)
+                else:
+                    break
+
+            # Pop the FOCAL state with fewest unscheduled nodes,
+            # re-validating against the current bound (f_min may have
+            # decreased).
+            while focal:
+                _d, f, s = heapq.heappop(focal)
+                if s in dead or s not in in_focal:
+                    continue
+                in_focal.discard(s)
+                if tol.gt(f, bound):
+                    heapq.heappush(non_focal, (f, s))
+                    continue
+                dead.add(s)
+                state, h = self._store.pop(s)
+                return state, h, fmin
+            # FOCAL drained by demotions; re-admit (the f_min state
+            # always qualifies, so progress is guaranteed).
 
 
 def focal_schedule(
@@ -75,183 +153,21 @@ def focal_schedule(
     """
     if epsilon < 0:
         raise SearchError(f"epsilon must be >= 0, got {epsilon}")
-    if pruning is None:
-        pruning = PruningConfig.all()
-    if isinstance(cost, str):
-        cost_fn = make_cost_function(cost, graph, system)
-    else:
-        cost_fn = cost
-    if budget is None:
-        budget = Budget.unlimited()
-    budget.start()
-
-    stats = SearchStats()
-    expander = StateExpander(graph, system, pruning, stats.pruning)
-    fallback: Schedule = fast_upper_bound_schedule(graph, system)
-    if incumbent is not None and incumbent.length < fallback.length:
-        fallback = incumbent
     # The *unrelaxed* upper bound stays valid for Aε*: states on an
     # optimal path have f ≤ f_opt ≤ U and therefore survive the cut, so
     # the termination argument (a goal within (1+ε)·f_min pops) is
     # untouched — and OPEN stays as small as exact A*'s.
-    upper = fallback.length if pruning.upper_bound else math.inf
-
-    t0 = time.perf_counter()
-    v = graph.num_nodes
-    root = state_cls.empty(graph, system)
-
-    # seq -> (state, f); dead seqs are skipped lazily in all heaps.
-    store: dict[int, tuple[PartialSchedule, float]] = {0: (root, 0.0)}
-    dead: set[int] = set()
-    all_by_f: list[tuple[float, int]] = [(0.0, 0)]
-    focal: list[tuple[int, float, int]] = [(v, 0.0, 0)]  # (unscheduled, f, seq)
-    non_focal: list[tuple[float, int]] = []
-    in_focal: set[int] = {0}
-    next_seq = 1
-    seen = SignatureSet(verify=pruning.verify_signatures)
-    if pruning.duplicate_detection:
-        seen.add(root.dedup_key, lambda: root.signature)
-    incumbent = None  # rebound: best complete schedule *generated here*
-
-    def f_min() -> float:
-        while all_by_f:
-            f, s = all_by_f[0]
-            if s in dead:
-                heapq.heappop(all_by_f)
-                continue
-            return f
-        return math.inf
-
-    dup_on = pruning.duplicate_detection
-    ub_on = pruning.upper_bound
-    # Anytime lower bound: f_min over OPEN never exceeds f_opt
-    # (Theorem 2's premise), so its running max survives budget aborts
-    # as a certified floor.
-    lower = 0.0
-
-    while True:
-        fmin = f_min()
-        if fmin is math.inf or (not focal and not non_focal):
-            break
-        if fmin > lower:
-            lower = fmin
-        # Drift-aware FOCAL admission (repro.util.tolerance): a state
-        # that ties (1+ε)·f_min up to rounding belongs in FOCAL.
-        bound = (1.0 + epsilon) * fmin
-
-        # Admit newly-qualifying states into FOCAL.
-        while non_focal:
-            f, s = non_focal[0]
-            if s in dead:
-                heapq.heappop(non_focal)
-                continue
-            if tol.leq(f, bound):
-                heapq.heappop(non_focal)
-                state, _ = store[s]
-                heapq.heappush(focal, (v - state.num_scheduled, f, s))
-                in_focal.add(s)
-            else:
-                break
-
-        # Pop the FOCAL state with fewest unscheduled nodes, re-validating
-        # against the current bound (f_min may have decreased).
-        chosen: int | None = None
-        while focal:
-            _d, f, s = heapq.heappop(focal)
-            if s in dead or s not in in_focal:
-                continue
-            in_focal.discard(s)
-            if tol.gt(f, bound):
-                heapq.heappush(non_focal, (f, s))
-                continue
-            chosen = s
-            break
-        if chosen is None:
-            # FOCAL drained by demotions; loop to re-admit (f_min state
-            # always qualifies, so progress is guaranteed).
-            continue
-
-        state, f = store.pop(chosen)
-        dead.add(chosen)
-
-        if budget.exhausted(stats.states_expanded, stats.states_generated,
-                            len(store) + len(seen)):
-            best = incumbent if incumbent is not None else fallback
-            stats.wall_seconds = time.perf_counter() - t0
-            stats.cost_evaluations = cost_fn.evaluations
-            lb = min(lower, best.length)
-            if probe is not None:
-                probe.finish(stats.states_expanded, len(store),
-                             best.length, lb)
-            return SearchResult(
-                schedule=best, optimal=False, bound=math.inf,
-                stats=stats, algorithm=f"focal(eps={epsilon},budget)",
-                lower_bound=lb,
-                interrupted=budget.reason or "budget",
-                timeline=probe.timeline() if probe is not None else (),
-            )
-
-        if state.is_complete():
-            stats.states_expanded += 1
-            stats.wall_seconds = time.perf_counter() - t0
-            stats.cost_evaluations = cost_fn.evaluations
-            goal = state.to_schedule()
-            if probe is not None:
-                probe.finish(stats.states_expanded, len(store),
-                             goal.length, min(lower, goal.length))
-            return SearchResult(
-                schedule=goal,
-                optimal=(epsilon == 0.0),
-                bound=1.0 + epsilon,
-                stats=stats,
-                algorithm=f"focal(eps={epsilon})",
-                lower_bound=min(lower, goal.length),
-                timeline=probe.timeline() if probe is not None else (),
-            )
-
-        stats.states_expanded += 1
-        if probe is not None:
-            probe.tick(
-                stats.states_expanded, len(store),
-                incumbent.length if incumbent is not None else math.inf,
-                min(lower,
-                    incumbent.length if incumbent is not None else math.inf),
-            )
-        for child in expander.children(state, seen if dup_on else None):
-            ch = cost_fn.h(child)
-            cf = child.makespan + ch
-            if ub_on and tol.gt(cf, upper):
-                stats.pruning.upper_bound_cuts += 1
-                continue
-            stats.states_generated += 1
-            s = next_seq
-            next_seq += 1
-            store[s] = (child, cf)
-            heapq.heappush(all_by_f, (cf, s))
-            if tol.leq(cf, bound):
-                heapq.heappush(focal, (v - child.num_scheduled, cf, s))
-                in_focal.add(s)
-            else:
-                heapq.heappush(non_focal, (cf, s))
-            if child.is_complete() and (
-                incumbent is None or child.makespan < incumbent.length
-            ):
-                incumbent = child.to_schedule()
-        live = len(store)
-        if live > stats.max_open_size:
-            stats.max_open_size = live
-
-    # State space exhausted below the (1+ε)-loosened bound: the best
-    # complete schedule seen is within the guarantee.
-    stats.wall_seconds = time.perf_counter() - t0
-    stats.cost_evaluations = cost_fn.evaluations
-    best = incumbent if incumbent is not None else fallback
-    lb = min(max(lower, best.length / (1.0 + epsilon)), best.length)
-    if probe is not None:
-        probe.finish(stats.states_expanded, 0, best.length, lb)
+    out = _best_first(
+        graph, system, _FocalOrder(epsilon, graph.num_nodes), pruning=pruning,
+        cost=cost, budget=budget, state_cls=state_cls, incumbent=incumbent,
+        probe=probe,
+    )
+    tag = f"eps={epsilon}" if out.status == "goal" else f"eps={epsilon},{out.status}"
     return SearchResult(
-        schedule=best, optimal=False, bound=1.0 + epsilon,
-        stats=stats, algorithm=f"focal(eps={epsilon},exhausted)",
-        lower_bound=lb,
-        timeline=probe.timeline() if probe is not None else (),
+        schedule=out.schedule,
+        optimal=out.status == "goal" and epsilon == 0.0,
+        bound=math.inf if out.status == "budget" else 1.0 + epsilon,
+        stats=out.stats, algorithm=f"focal({tag})",
+        lower_bound=out.lower_bound, interrupted=out.interrupted,
+        timeline=out.timeline,
     )

@@ -16,23 +16,20 @@ keeps the A* frontier and re-prioritises only within the (1+ε) band.
 
 from __future__ import annotations
 
-import heapq
+# Unused here: perfbench's layer wrappers proxy and pin weighted.heapq by name.
+import heapq  # repro: ignore[unused-import]
 import math
-import time
 
 from repro.errors import SearchError
 from repro.graph.taskgraph import TaskGraph
-from repro.heuristics.listsched import fast_upper_bound_schedule
 from repro.obs.probe import SearchProbe
 from repro.schedule.partial import PartialSchedule
 from repro.schedule.schedule import Schedule
-from repro.search.costs import CostFunction, make_cost_function
-from repro.search.dedup import SignatureSet
-from repro.search.expansion import StateExpander
+from repro.search.astar import _best_first, _WeightedOrder
+from repro.search.costs import CostFunction
 from repro.search.pruning import PruningConfig
-from repro.search.result import SearchResult, SearchStats
+from repro.search.result import SearchResult
 from repro.system.processors import ProcessorSystem
-from repro.util import tolerance as tol
 from repro.util.timing import Budget
 
 __all__ = ["weighted_astar_schedule"]
@@ -63,116 +60,19 @@ def weighted_astar_schedule(
     """
     if epsilon < 0:
         raise SearchError(f"epsilon must be >= 0, got {epsilon}")
-    if pruning is None:
-        pruning = PruningConfig.all()
-    if isinstance(cost, str):
-        cost_fn = make_cost_function(cost, graph, system)
-    else:
-        cost_fn = cost
-    if budget is None:
-        budget = Budget.unlimited()
-    budget.start()
-
     w = 1.0 + epsilon
-    stats = SearchStats()
-    expander = StateExpander(graph, system, pruning, stats.pruning)
-    fallback: Schedule = fast_upper_bound_schedule(graph, system)
-    if incumbent is not None and incumbent.length < fallback.length:
-        fallback = incumbent
-    # The unrelaxed upper bound remains valid (optimal-path states have
-    # plain f ≤ f_opt ≤ U and survive), so WA* prunes as hard as A*.
-    upper = fallback.length if pruning.upper_bound else math.inf
-
-    t0 = time.perf_counter()
-    root = state_cls.empty(graph, system)
-    open_heap: list[tuple[float, float, int, PartialSchedule]] = [
-        (0.0, 0.0, 0, root)
-    ]
-    seq = 1
-    seen = SignatureSet(verify=pruning.verify_signatures)
-    if pruning.duplicate_detection:
-        seen.add(root.dedup_key, lambda: root.signature)
-    incumbent = None  # rebound: best complete schedule *generated here*
-    # Anytime lower bound: an optimal-path state s in OPEN has
-    # f_w(s) <= w * f_opt, so every popped f_w / w is a proven floor
-    # (same argument as the suboptimality bound, read in reverse).
-    lower = 0.0
-    dup_on = pruning.duplicate_detection
-    ub_on = pruning.upper_bound
-
-    while open_heap:
-        if budget.exhausted(stats.states_expanded, stats.states_generated,
-                            len(open_heap) + len(seen)):
-            best = incumbent if incumbent is not None else fallback
-            stats.wall_seconds = time.perf_counter() - t0
-            stats.cost_evaluations = cost_fn.evaluations
-            lower = max(lower, open_heap[0][0] / w)
-            bound = min(lower, best.length)
-            if probe is not None:
-                probe.finish(stats.states_expanded, len(open_heap),
-                             best.length, bound)
-            return SearchResult(
-                schedule=best, optimal=False, bound=math.inf,
-                stats=stats, algorithm=f"wastar(eps={epsilon},budget)",
-                lower_bound=bound,
-                interrupted=budget.reason or "budget",
-                timeline=probe.timeline() if probe is not None else (),
-            )
-        fw, h, _s, state = heapq.heappop(open_heap)
-        if fw / w > lower:
-            lower = fw / w
-        if state.is_complete():
-            stats.states_expanded += 1
-            stats.wall_seconds = time.perf_counter() - t0
-            stats.cost_evaluations = cost_fn.evaluations
-            goal = state.to_schedule()
-            if probe is not None:
-                probe.finish(stats.states_expanded, len(open_heap),
-                             goal.length, min(lower, goal.length))
-            return SearchResult(
-                schedule=goal,
-                optimal=(epsilon == 0.0),
-                bound=w,
-                stats=stats,
-                algorithm=f"wastar(eps={epsilon})",
-                lower_bound=min(lower, goal.length),
-                timeline=probe.timeline() if probe is not None else (),
-            )
-        stats.states_expanded += 1
-        if probe is not None:
-            probe.tick(
-                stats.states_expanded, len(open_heap),
-                incumbent.length if incumbent is not None else math.inf,
-                min(lower,
-                    incumbent.length if incumbent is not None else math.inf),
-            )
-        for child in expander.children(state, seen if dup_on else None):
-            ch = cost_fn.h(child)
-            plain_f = child.makespan + ch
-            if ub_on and tol.gt(plain_f, upper):
-                stats.pruning.upper_bound_cuts += 1
-                continue
-            stats.states_generated += 1
-            if child.is_complete() and (
-                incumbent is None or child.makespan < incumbent.length
-            ):
-                incumbent = child.to_schedule()
-            heapq.heappush(
-                open_heap, (child.makespan + w * ch, ch, seq, child)
-            )
-            seq += 1
-        if len(open_heap) > stats.max_open_size:
-            stats.max_open_size = len(open_heap)
-
-    stats.wall_seconds = time.perf_counter() - t0
-    stats.cost_evaluations = cost_fn.evaluations
-    best = incumbent if incumbent is not None else fallback
-    bound = min(max(lower, best.length / w), best.length)
-    if probe is not None:
-        probe.finish(stats.states_expanded, 0, best.length, bound)
+    # The unrelaxed upper bound stays valid (optimal-path states have
+    # plain f ≤ f_opt ≤ U and survive the cut).
+    out = _best_first(
+        graph, system, _WeightedOrder(w), pruning=pruning, cost=cost,
+        budget=budget, state_cls=state_cls, incumbent=incumbent, probe=probe,
+    )
+    tag = f"eps={epsilon}" if out.status == "goal" else f"eps={epsilon},{out.status}"
     return SearchResult(
-        schedule=best, optimal=False, bound=w,
-        stats=stats, algorithm=f"wastar(eps={epsilon},exhausted)",
-        lower_bound=bound,
-        timeline=probe.timeline() if probe is not None else (),
+        schedule=out.schedule,
+        optimal=out.status == "goal" and epsilon == 0.0,
+        bound=math.inf if out.status == "budget" else w,
+        stats=out.stats, algorithm=f"wastar({tag})",
+        lower_bound=out.lower_bound, interrupted=out.interrupted,
+        timeline=out.timeline,
     )

@@ -27,6 +27,7 @@ from repro.graph.io import graph_to_dict
 from repro.service.client import ServerClient
 from repro.service.fleet import spawn_fleet, spawn_shard
 from repro.service.router import Shard, ShardRouter
+from tests.procs import HAVE_PROC, wait_empty
 
 pytestmark = [pytest.mark.chaos, pytest.mark.slow]
 
@@ -195,6 +196,10 @@ class TestShardCrashFault:
             ]
             assert all(out["status"] == "done" for out in outs)
             assert not doomed.alive  # the fault really hard-exited it
+            # ...and took its pool worker with it: nothing of s0's
+            # process group lives on under init.
+            if HAVE_PROC:
+                assert wait_empty(doomed.proc.pid) == set()
             m = router.metrics()
             assert m["shards"]["s0"]["errors"] >= 1
             assert m["routing"]["failovers"] >= 1

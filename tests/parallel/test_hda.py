@@ -14,6 +14,7 @@ from repro.schedule.partial_reference import ReferencePartialSchedule
 from repro.schedule.validate import schedule_violations
 from repro.search.astar import astar_schedule
 from repro.search.enumerate import enumerate_optimal
+from repro.search.focal import focal_schedule
 from repro.search.pruning import PruningConfig
 from repro.system.processors import ProcessorSystem
 from repro.util.timing import Budget
@@ -43,6 +44,20 @@ class TestHdaBasic:
         )
         assert result.bound == 1.5
         assert "focal" in result.algorithm
+
+    def test_serial_epsilon_fallback_prunes_with_the_incumbent(self):
+        # The caller's incumbent seeds focal's U cut, not just the
+        # returned schedule: the fallback does focal's exact work.
+        graph = paper_random_graph(PaperGraphSpec(num_nodes=12, ccr=1.0, seed=0))
+        system = ProcessorSystem.fully_connected(2)
+        best = astar_schedule(graph, system).schedule
+        fallback = hda_astar_schedule(
+            graph, system, workers=1, epsilon=0.3, incumbent=best
+        )
+        direct = focal_schedule(graph, system, 0.3, incumbent=best)
+        assert fallback.stats.states_generated == direct.stats.states_generated
+        assert fallback.length == direct.length
+        assert fallback.lower_bound == direct.lower_bound
 
     def test_reference_state_cls_falls_back_to_serial(
         self, fig1_graph, fig1_system

@@ -4,6 +4,9 @@ import json
 import os
 import signal
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from repro.parallel.mp_backend import (
     system_to_args,
 )
 from repro.system.processors import ProcessorSystem
+from tests.procs import HAVE_PROC, wait_empty
 
 SYSTEMS = {
     "clique": ProcessorSystem.fully_connected(3),
@@ -122,3 +126,30 @@ class TestSolverPool:
         finally:
             signal.signal(signal.SIGTERM, previous)
             pool.close(wait=False)
+
+    @pytest.mark.skipif(not HAVE_PROC, reason="needs procfs")
+    @pytest.mark.timeout(60)
+    def test_worker_exits_when_its_parent_hard_exits(self):
+        """A parent that dies without closing its pool (``os._exit``,
+        SIGKILL) must not leave the worker running under init."""
+        script = (
+            "import os\n"
+            "from repro.parallel.mp_backend import SolverPool, _warmup\n"
+            "pool = SolverPool(1)\n"
+            "pool.warm()\n"
+            "print(pool.submit(_warmup).result(), flush=True)\n"
+            "os._exit(0)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (
+            str(Path(__file__).resolve().parents[2] / "src")
+            + os.pathsep + env.get("PYTHONPATH", "")
+        )
+        # Its own session, so the parent and its worker share a group.
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], env=env, text=True,
+            stdout=subprocess.PIPE, start_new_session=True,
+        )
+        out, _ = proc.communicate(timeout=30)
+        assert int(out) > 0  # the worker existed when its parent exited
+        assert wait_empty(proc.pid) == set()

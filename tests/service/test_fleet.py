@@ -4,41 +4,16 @@ processes behind."""
 from __future__ import annotations
 
 import os
-import time
 
 import pytest
 
 from repro.service.fleet import spawn_shard
+from tests.procs import HAVE_PROC, group_members, wait_empty
 
 pytestmark = [
     pytest.mark.slow,
-    pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs procfs"),
+    pytest.mark.skipif(not HAVE_PROC, reason="needs procfs"),
 ]
-
-
-def group_members(pgid: int) -> set[int]:
-    """Live (non-zombie) processes whose process group is ``pgid``."""
-    members = set()
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            with open(f"/proc/{entry}/stat") as fh:
-                stat = fh.read()
-        except (FileNotFoundError, ProcessLookupError):
-            continue  # exited while we looked
-        # Fields after the parenthesised command: state ppid pgrp ...
-        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
-        if int(pgrp) == pgid and state != "Z":
-            members.add(int(entry))
-    return members
-
-
-def wait_empty(pgid: int, timeout: float = 10.0) -> set[int]:
-    deadline = time.monotonic() + timeout
-    while (members := group_members(pgid)) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    return members
 
 
 @pytest.mark.parametrize("stop", ["kill", "terminate"])
