@@ -54,7 +54,12 @@ def graph_from_dict(data: dict[str, Any]) -> TaskGraph:
         edge_rows = data["edges"]
     except KeyError as exc:
         raise GraphError(f"missing field {exc}") from None
-    edges = {(int(u), int(v)): float(c) for u, v, c in edge_rows}
+    edges: dict[tuple[int, int], float] = {}
+    for u, v, c in edge_rows:
+        try:
+            edges[int(u), int(v)] = float(c)
+        except OverflowError:  # an int too large for a float
+            raise GraphError(f"edge ({u}, {v}) has non-finite cost {c!r}") from None
     validate_graph(weights, edges)
     return TaskGraph(
         weights,

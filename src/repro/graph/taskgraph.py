@@ -28,12 +28,18 @@ cached — safe because the graph is immutable.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any
 
 from repro.errors import CycleError, GraphError
 
 __all__ = ["TaskGraph"]
+
+#: The largest finite float.  One comparison against it refuses NaN,
+#: infinities and ints too large for a float (which ``math.isfinite``
+#: would raise ``OverflowError`` on), without a call per value.
+_FLOAT_MAX = sys.float_info.max
 
 Edge = tuple[int, int]
 
@@ -56,7 +62,8 @@ class TaskGraph:
     Raises
     ------
     GraphError
-        On malformed weights/edges (wrong node ids, negative costs).
+        On malformed weights/edges (wrong node ids, non-positive weights,
+        negative or non-finite values).
     CycleError
         When the edge set contains a directed cycle.
     """
@@ -95,6 +102,8 @@ class TaskGraph:
         for i, w in enumerate(weights):
             if not (w > 0):
                 raise GraphError(f"node {i} has non-positive weight {w!r}")
+            if not w <= _FLOAT_MAX:
+                raise GraphError(f"node {i} has non-finite weight {w!r}")
         self._weights = tuple(float(w) for w in weights)
 
         pred_lists: list[list[int]] = [[] for _ in range(v)]
@@ -105,6 +114,8 @@ class TaskGraph:
                 raise GraphError(f"edge ({u}, {w_node}) references unknown node")
             if u == w_node:
                 raise GraphError(f"self-loop on node {u}")
+            if not -_FLOAT_MAX <= cost <= _FLOAT_MAX:
+                raise GraphError(f"edge ({u}, {w_node}) has non-finite cost {cost!r}")
             if cost < 0:
                 raise GraphError(f"edge ({u}, {w_node}) has negative cost {cost!r}")
             if (u, w_node) in edge_cost:

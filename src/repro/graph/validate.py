@@ -8,12 +8,18 @@ structural properties in tests.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Mapping
 
 from repro.errors import CycleError, GraphError
 from repro.graph.taskgraph import TaskGraph
 
 __all__ = ["check_acyclic", "validate_graph", "is_connected_dag"]
+
+#: The largest finite float.  One comparison against it refuses NaN,
+#: infinities and ints too large for a float (which ``math.isfinite``
+#: would raise ``OverflowError`` on), as in :class:`TaskGraph`.
+_FLOAT_MAX = sys.float_info.max
 
 
 def check_acyclic(num_nodes: int, edges: Iterable[tuple[int, int]]) -> None:
@@ -62,13 +68,17 @@ def validate_graph(
     for i, w in enumerate(weights):
         if not (w > 0):
             problems.append(f"node {i} has non-positive weight {w!r}")
+        elif not w <= _FLOAT_MAX:
+            problems.append(f"node {i} has non-finite weight {w!r}")
     v = len(weights)
     for (a, b), c in edges.items():
         if not (0 <= a < v) or not (0 <= b < v):
             problems.append(f"edge ({a}, {b}) references unknown node")
         elif a == b:
             problems.append(f"self-loop on node {a}")
-        if c < 0:
+        if not -_FLOAT_MAX <= c <= _FLOAT_MAX:
+            problems.append(f"edge ({a}, {b}) has non-finite cost {c!r}")
+        elif c < 0:
             problems.append(f"edge ({a}, {b}) has negative cost {c!r}")
     if problems:
         raise GraphError("; ".join(problems))

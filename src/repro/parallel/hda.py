@@ -213,6 +213,11 @@ def hda_astar_schedule(
     seq = 1
     best_goal: Schedule | None = None
     dup_on = pruning.duplicate_detection
+    ub_on = pruning.upper_bound
+    # Per-child names, bound once: the loops below run for every child.
+    children = expander.children
+    h_of = cost_fn.h
+    v = graph.num_nodes
 
     # Anytime lower bound, same argument as serial A*: each popped
     # frontier minimum (and, once dealt, the deal-time frontier
@@ -266,27 +271,28 @@ def hda_astar_schedule(
                 best_goal.length if best_goal is not None else math.inf,
                 lower,
             )
-        if state.is_complete():
+        if state.num_scheduled == v:
             # A goal popped at the frontier minimum is already optimal.
             return _finish(state.to_schedule(), True, f"hda(seed,workers={workers})")
-        for child in expander.children(state, seen if dup_on else None):
-            ch = cost_fn.h(child)
+        for child in children(state, seen if dup_on else None):
+            ch = h_of(child)
             cf = child.makespan + ch
+            complete = child.num_scheduled == v
             # Raw `<` is deliberate: a complete child is only exempted
             # from the cut when it *strictly* beats the incumbent bound,
             # mirroring the serial engines' exact goal-improvement test
             # so the equivalence suites stay byte-identical.
-            if pruning.upper_bound and tol.geq(relax * cf, upper) and not (
-                child.is_complete()
+            if ub_on and tol.geq(relax * cf, upper) and not (
+                complete
                 and child.makespan < upper  # repro: ignore[float-compare]
             ):
                 stats.pruning.upper_bound_cuts += 1
                 continue
             stats.states_generated += 1
-            if child.is_complete():
+            if complete:
                 if best_goal is None or child.makespan < best_goal.length:
                     best_goal = child.to_schedule()
-                    if pruning.upper_bound:
+                    if ub_on:
                         upper = min(upper, best_goal.length)
             heapq.heappush(frontier, (cf, ch, seq, child))
             seq += 1
@@ -305,7 +311,7 @@ def hda_astar_schedule(
     lower = max(lower, frontier[0][0])
     frontier_keys: set[tuple[int, int]] = set()
     for f, h, _s, state in frontier:
-        if state.is_complete():
+        if state.num_scheduled == v:
             continue  # already folded into best_goal / upper
         key = state.dedup_key
         frontier_keys.add(key)
@@ -613,6 +619,10 @@ def _hda_worker_loop(
 
     pstats = SearchStats()
     expander = StateExpander(graph, system, pruning, pstats.pruning)
+    # Per-child names, bound once: the loop below runs for every child.
+    children = expander.children
+    h_of = cost_fn.h
+    v = graph.num_nodes
     seen = SignatureSet(verify=verify)
     for key, sigs in job["closed_keys"]:
         if sigs:
@@ -750,10 +760,10 @@ def _hda_worker_loop(
                         time.perf_counter() - wt0, expanded,
                         len(open_heap), best_len,
                     ))
-                for child in expander.children(state, seen if dup_on else None):
-                    ch = cost_fn.h(child)
+                for child in children(state, seen if dup_on else None):
+                    ch = h_of(child)
                     cf = child.makespan + ch
-                    if child.is_complete():
+                    if child.num_scheduled == v:
                         generated += 1
                         if child.makespan < best_len:
                             best_len = child.makespan

@@ -204,16 +204,20 @@ def parallel_astar_schedule(
     dup_on = pruning.duplicate_detection
     ub_on = pruning.upper_bound
     seq = 0
+    # Per-child names, bound once: every PPE's loop runs for every child.
+    children = expander.children
+    h_of = cost_fn.h
+    v = graph.num_nodes
 
     def evaluate(child: PartialSchedule) -> _Entry | None:
         """Cost a child; None when the upper-bound rule discards it."""
         nonlocal seq, incumbent, upper
-        ch = cost_fn.h(child)
+        ch = h_of(child)
         cf = child.makespan + ch
         if ub_on and tol.gt(cf, upper):
             stats.pruning.upper_bound_cuts += 1
             return None
-        if child.is_complete() and (
+        if child.num_scheduled == v and (
             incumbent is None or child.makespan < incumbent.length
         ):
             incumbent = child.to_schedule()
@@ -232,12 +236,12 @@ def parallel_astar_schedule(
     seed_expansions = 0
     while seed_heap and len(seed_heap) < max(q, 2):
         f, h, _s, state = heapq.heappop(seed_heap)
-        if state.is_complete():
+        if state.num_scheduled == v:
             # Degenerate: the whole space fit below q states.
             heapq.heappush(seed_heap, (f, h, _s, state))
             break
         seed_expansions += 1
-        for child in expander.children(state, seed_seen if dup_on else None):
+        for child in children(state, seed_seen if dup_on else None):
             entry = evaluate(child)
             if entry is not None:
                 stats.states_generated += 1
@@ -254,7 +258,6 @@ def parallel_astar_schedule(
             ppes[i].push(entry)  # type: ignore[arg-type]
 
     # ---- phase loop --------------------------------------------------------
-    v = graph.num_nodes
     T = max(2, v // 2)
     makespan = float(seed_expansions) * spec.expansion_cost
     comm_units = 0.0
@@ -275,7 +278,7 @@ def parallel_astar_schedule(
                 ppe.phase_expansions += 1
                 ppe.expansions += 1
                 stats.states_expanded += 1
-                if state.is_complete():
+                if state.num_scheduled == v:
                     if incumbent is None or state.makespan < incumbent.length:
                         incumbent = state.to_schedule()
                         if ub_on:
@@ -284,9 +287,7 @@ def parallel_astar_schedule(
                 if ub_on and tol.gt(f, upper):
                     stats.pruning.upper_bound_cuts += 1
                     continue
-                for child in expander.children(
-                    state, ppe.seen if dup_on else None
-                ):
+                for child in children(state, ppe.seen if dup_on else None):
                     child_entry = evaluate(child)
                     if child_entry is not None:
                         stats.states_generated += 1

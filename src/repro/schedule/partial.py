@@ -406,59 +406,78 @@ class PartialSchedule:
         ``_start``/``_sig`` are the performance path for callers that
         already ran :meth:`child_signature` (values are trusted).
 
+        Every engine pays this once per child it builds, so the child is
+        filled slot by slot instead of through the keyword
+        :meth:`__init__`; ``tests/property/test_extend_construction.py``
+        pins the two to the same state.  The child is always a plain
+        :class:`PartialSchedule`.
+
         Raises
         ------
         ScheduleError
             When ``node`` is not ready or ``pe`` is out of range.
         """
-        if not self.is_ready(node):
+        bit = 1 << node
+        if not self.ready_mask & bit:
             raise ScheduleError(f"node {node} is not ready for scheduling")
-        if not (0 <= pe < self.system.num_pes):
+        system = self.system
+        if not 0 <= pe < system.num_pes:
             raise ScheduleError(f"unknown PE {pe}")
+        graph = self.graph
         start = self.est(node, pe) if _start is None else _start
-        finish = start + self.system.exec_time(self.graph.weight(node), pe)
+        weight = graph.weights[node]
+        finish = start + weight / system.speeds[pe]
 
+        child = object.__new__(PartialSchedule)
         makespan = self.makespan
         if finish > makespan:
-            mfn: tuple[int, ...] = (node,)
-            makespan = finish
+            child.makespan = finish
+            child._max_finish_nodes = (node,)
         elif finish == makespan:
-            mfn = self._max_finish_nodes + (node,)
+            child.makespan = makespan
+            child._max_finish_nodes = self._max_finish_nodes + (node,)
         else:
-            mfn = self._max_finish_nodes
+            child.makespan = makespan
+            child._max_finish_nodes = self._max_finish_nodes
         # Scheduling `node` can only ready its own successors: drop it
         # from the ready set and admit each successor whose parents are
         # now all scheduled.
-        mask = self.mask | (1 << node)
-        ready = self.ready_mask ^ (1 << node)
-        pmasks = self.graph.pred_masks
-        for s in self.graph.succs(node):
+        mask = self.mask | bit
+        ready = self.ready_mask ^ bit
+        pmasks = graph.pred_masks
+        for s in graph.succs(node):
             pm = pmasks[s]
             if pm & mask == pm:
                 ready |= 1 << s
+        # One-slot tuple updates via a list: half the cost of slicing.
         rt = self.ready_time
-        busy = self.busy_time
-        return PartialSchedule(
-            graph=self.graph,
-            system=self.system,
-            mask=mask,
-            ready_mask=ready,
-            ready_time=rt[:pe] + (finish,) + rt[pe + 1 :],
-            makespan=makespan,
-            num_scheduled=self.num_scheduled + 1,
-            zkey=_sig[1] if _sig is not None
-            else self.zkey ^ placement_key(node, pe, start),
-            used_pes=self.used_pes | (1 << pe),
-            remaining_weight=self.remaining_weight - self.graph.weight(node),
-            busy_time=busy[:pe] + (busy[pe] + (finish - start),) + busy[pe + 1 :],
-            total_idle=self.total_idle + (start - rt[pe]),
-            max_finish_nodes=mfn,
-            parent=self,
-            last_node=node,
-            last_pe=pe,
-            last_start=start,
-            last_finish=finish,
+        ready_time = list(rt)
+        ready_time[pe] = finish
+        busy = list(self.busy_time)
+        busy[pe] += finish - start
+        child.graph = graph
+        child.system = system
+        child.mask = mask
+        child.ready_mask = ready
+        child.ready_time = tuple(ready_time)
+        child.num_scheduled = self.num_scheduled + 1
+        child.last_node = node
+        child.last_pe = pe
+        child.last_start = start
+        child.last_finish = finish
+        child.zkey = (
+            self.zkey ^ placement_key(node, pe, start) if _sig is None else _sig[1]
         )
+        child.used_pes = self.used_pes | (1 << pe)
+        child.remaining_weight = self.remaining_weight - weight
+        child.busy_time = tuple(busy)
+        child.total_idle = self.total_idle + (start - rt[pe])
+        child._parent = self
+        child._pes = None
+        child._starts = None
+        child._finishes = None
+        child._sig = None
+        return child
 
     # -- identity ---------------------------------------------------------------
 

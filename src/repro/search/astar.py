@@ -163,6 +163,11 @@ def _best_first(
     ub_on = pruning.upper_bound
     status = "exhausted"
     schedule: Schedule | None = None
+    # Per-child names, bound once: the loop below runs for every child.
+    children = expander.children
+    h_of = cost_fn.h
+    pstats = stats.pruning
+    v = graph.num_nodes
 
     while order:
         if budget.exhausted(stats.states_expanded, stats.states_generated,
@@ -175,7 +180,7 @@ def _best_first(
             lower = floor
         stats.states_expanded += 1
 
-        if state.is_complete():
+        if state.num_scheduled == v:
             # The first goal popped is within order.factor of optimal
             # (Theorem 1 for A*, where the factor is 1).
             if trace is not None:
@@ -193,14 +198,14 @@ def _best_first(
         if trace is not None:
             trace.record_expansion(state, state.makespan + h, state.makespan, h)
 
-        for child in expander.children(state, seen if dup_on else None):
-            ch = cost_fn.h(child)
+        for child in children(state, seen if dup_on else None):
+            ch = h_of(child)
             cf = child.makespan + ch
             if ub_on and tol.gt(cf, upper):
-                stats.pruning.upper_bound_cuts += 1
+                pstats.upper_bound_cuts += 1
                 continue
             stats.states_generated += 1
-            if child.is_complete():
+            if child.num_scheduled == v:
                 # Track as incumbent for budget fallbacks and tighten U:
                 # a complete state's f equals its length.  A state cut
                 # against it has f above the incumbent's, and the

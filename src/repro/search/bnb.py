@@ -88,6 +88,11 @@ def bnb_schedule(
     stack: list[tuple[float, PartialSchedule]] = [(0.0, root)]
     visited = SignatureSet(verify=pruning.verify_signatures)
     dup_on = use_visited and pruning.duplicate_detection
+    # Per-child names, bound once: the loop below runs for every child.
+    children_of = expander.children
+    h_of = cost_fn.h
+    pstats = stats.pruning
+    v = graph.num_nodes
 
     while stack:
         if budget.exhausted(stats.states_expanded, stats.states_generated,
@@ -95,18 +100,17 @@ def bnb_schedule(
             proven = False
             break
         f, state = stack.pop()
-        # Re-check against the incumbent: it may have tightened since push.
-        # Drift-aware (repro.util.tolerance, shared with parallel_astar):
-        # an f that ties the incumbent up to rounding cannot improve it.
-        if tol.geq(f, best_len) and not state.is_complete():
-            stats.pruning.upper_bound_cuts += 1
-            continue
-
-        if state.is_complete():
+        if state.num_scheduled == v:
             stats.states_expanded += 1
             if state.makespan < best_len:
                 best_len = state.makespan
                 best_sched = state.to_schedule()
+            continue
+        # Re-check against the incumbent: it may have tightened since push.
+        # Drift-aware (repro.util.tolerance, shared with parallel_astar):
+        # an f that ties the incumbent up to rounding cannot improve it.
+        if tol.geq(f, best_len):
+            pstats.upper_bound_cuts += 1
             continue
 
         stats.states_expanded += 1
@@ -117,13 +121,14 @@ def bnb_schedule(
             probe.tick(stats.states_expanded, len(stack),
                        best_sched.length, 0.0)
         children: list[tuple[float, PartialSchedule]] = []
-        for child in expander.children(state, visited if dup_on else None):
-            ch = cost_fn.h(child)
+        for child in children_of(state, visited if dup_on else None):
+            ch = h_of(child)
             cf = child.makespan + ch
-            if tol.geq(cf, best_len) and not child.is_complete():
-                stats.pruning.upper_bound_cuts += 1
-                continue
-            if child.is_complete() and tol.geq(cf, best_len):
+            if tol.geq(cf, best_len):
+                # A complete child that cannot beat the incumbent is
+                # dropped silently; anything else counts as a cut.
+                if child.num_scheduled != v:
+                    pstats.upper_bound_cuts += 1
                 continue
             stats.states_generated += 1
             children.append((cf, child))

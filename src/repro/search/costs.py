@@ -233,14 +233,13 @@ class LoadBoundCost(CostFunction):
         items = sorted(zip(ps.ready_time, self._speeds))
         speed_sum = 0.0
         weighted_rt = 0.0
-        last = len(items) - 1
         m = 0.0
-        for k, (rt, speed) in enumerate(items):
+        for rt, speed in items:
+            if speed_sum and m <= rt:
+                break  # the previous candidate lands before this PE opens
             speed_sum += speed
             weighted_rt += speed * rt
             m = (w_rem + weighted_rt) / speed_sum
-            if k == last or m <= items[k + 1][0]:
-                break
         g = ps.makespan
         return m - g if m > g else 0.0
 

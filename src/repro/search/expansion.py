@@ -286,6 +286,11 @@ class StateExpander:
             rank = self._prio_rank
             pred_masks = self._pred_masks
         verify = seen is not None and seen.verify
+        # Per-candidate names, bound once per expansion.
+        stats = self.stats
+        child_signature = ps.child_signature
+        extend = ps.extend
+        check_add = seen.check_add if seen is not None else None
         for node in nodes:
             if commut:
                 # Partial-order reduction: if `node` was already ready
@@ -300,23 +305,23 @@ class StateExpander:
                 )
             for pe in pes:
                 if skip_other_pes and pe != last_pe:
-                    self.stats.commutation_skips += 1
+                    stats.commutation_skips += 1
                     continue
-                if seen is None:
-                    yield ps.extend(node, pe)
+                if check_add is None:
+                    yield extend(node, pe)
                     continue
-                key, start = ps.child_signature(node, pe)
+                key, start = child_signature(node, pe)
                 if verify:
-                    child = ps.extend(node, pe, _start=start, _sig=key)
-                    if seen.check_add(key, lambda c=child: c.signature):
-                        self.stats.duplicate_hits += 1
+                    child = extend(node, pe, _start=start, _sig=key)
+                    if check_add(key, lambda c=child: c.signature):
+                        stats.duplicate_hits += 1
                         continue
                     yield child
                     continue
-                if seen.check_add(key):
-                    self.stats.duplicate_hits += 1
+                if check_add(key):
+                    stats.duplicate_hits += 1
                     continue
-                yield ps.extend(node, pe, _start=start, _sig=key)
+                yield extend(node, pe, _start=start, _sig=key)
 
     # -- instrumentation -------------------------------------------------------
 

@@ -86,6 +86,11 @@ def idastar_schedule(
     threshold = root.makespan + cost_fn.h(root)
     incumbent = None  # rebound: best complete schedule *found here*
     use_table = transposition_limit > 0 and pruning.duplicate_detection
+    # Per-child names, bound once: the probes below run for every child.
+    children_of = expander.children
+    h_of = cost_fn.h
+    pstats = stats.pruning
+    v = graph.num_nodes
 
     while True:
         next_threshold = math.inf
@@ -119,7 +124,7 @@ def idastar_schedule(
                     timeline=probe.timeline() if probe is not None else (),
                 )
             f, state = stack.pop()
-            if state.is_complete():
+            if state.num_scheduled == v:
                 stats.states_expanded += 1
                 if goal_found is None or state.makespan < goal_found.length:
                     goal_found = state.to_schedule()
@@ -139,10 +144,10 @@ def idastar_schedule(
                         else math.inf),
                 )
             children: list[tuple[float, PartialSchedule]] = []
-            for child in expander.children(state):
-                cf = child.makespan + cost_fn.h(child)
+            for child in children_of(state):
+                cf = child.makespan + h_of(child)
                 if tol.gt(cf, upper):
-                    stats.pruning.upper_bound_cuts += 1
+                    pstats.upper_bound_cuts += 1
                     continue
                 if tol.gt(cf, threshold):
                     # Beyond this probe: remember the tightest overshoot.
@@ -153,7 +158,7 @@ def idastar_schedule(
                     sig = child.dedup_key
                     exact = (lambda c=child: c.signature) if verify else None
                     if table.seen(sig, exact):
-                        stats.pruning.duplicate_hits += 1
+                        pstats.duplicate_hits += 1
                         continue
                     if len(table) < transposition_limit:
                         table.add(sig, exact)

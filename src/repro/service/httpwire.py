@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any
+from typing import Any, NoReturn
 
 __all__ = [
     "MAX_BODY",
@@ -24,6 +24,7 @@ __all__ = [
     "READ_TIMEOUT",
     "STATUS_TEXT",
     "BadRequest",
+    "reject_nonfinite",
     "read_request",
     "render_response",
     "deliver_response",
@@ -45,6 +46,16 @@ STATUS_TEXT = {
     500: "Internal Server Error", 502: "Bad Gateway",
     503: "Service Unavailable", 504: "Gateway Timeout",
 }
+
+
+def reject_nonfinite(literal: str) -> NoReturn:
+    """``json.loads`` ``parse_constant`` hook of both listeners.
+
+    Python's parser accepts the non-standard ``NaN``/``Infinity``
+    literals; a request carrying one is refused as invalid JSON (a 400)
+    instead of reaching the model as a non-finite number.
+    """
+    raise ValueError(f"non-finite literal {literal} is not valid JSON")
 
 
 class BadRequest(Exception):

@@ -703,7 +703,7 @@ class ShardRouter:
     ) -> tuple[int, dict[str, Any] | str, str]:
         self._routing["requests"].inc()
         try:
-            obj = json.loads(body)
+            obj = json.loads(body, parse_constant=httpwire.reject_nonfinite)
             if not isinstance(obj, dict):
                 raise ValueError("request body must be a JSON object")
             loop = asyncio.get_running_loop()

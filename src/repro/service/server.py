@@ -418,8 +418,8 @@ class SolverServer:
         # fleet router must absorb (tests/chaos/test_router_chaos.py).
         faults.crash_point("shard-crash")
         try:
-            obj = json.loads(body)
-        except json.JSONDecodeError as exc:
+            obj = json.loads(body, parse_constant=httpwire.reject_nonfinite)
+        except ValueError as exc:  # JSONDecodeError or a non-finite literal
             return 400, {"error": f"invalid JSON body: {exc}"}
         if not isinstance(obj, dict):
             return 400, {"error": "request body must be a JSON object"}

@@ -15,6 +15,7 @@ baseline's path-matching bound targets.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Sequence
 from typing import Any
 
@@ -22,6 +23,11 @@ from repro.errors import SystemError_
 from repro.system import topology as topo
 
 __all__ = ["ProcessorSystem"]
+
+#: The largest finite float.  One comparison against it refuses NaN,
+#: infinities and ints too large for a float (which ``math.isfinite``
+#: would raise ``OverflowError`` on), as in the graph constructor.
+_FLOAT_MAX = sys.float_info.max
 
 Link = tuple[int, int]
 
@@ -87,6 +93,8 @@ class ProcessorSystem:
             for i, s in enumerate(speeds):
                 if not (s > 0):
                     raise SystemError_(f"PE {i} has non-positive speed {s!r}")
+                if not s <= _FLOAT_MAX:
+                    raise SystemError_(f"PE {i} has non-finite speed {s!r}")
             self._speeds = tuple(float(s) for s in speeds)
 
         neighbor_lists: list[set[int]] = [set() for _ in range(num_pes)]

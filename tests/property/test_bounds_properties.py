@@ -16,14 +16,18 @@ default wherever capacity binds, so its contract is load-bearing:
 
 The ``ImprovedCost`` fast path (scheduled-parent skip via
 ``pred_masks``) is pinned against a naive reimplementation of the
-original per-parent scan.
+original per-parent scan, and the ``LoadBoundCost`` sweep against its
+original indexed form.
 """
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.graph.taskgraph import TaskGraph
 from repro.schedule.partial import PartialSchedule
 from repro.schedule.partial_reference import ReferencePartialSchedule
 from repro.search.costs import (
@@ -33,7 +37,7 @@ from repro.search.costs import (
     PaperCost,
 )
 from repro.search.astar import astar_schedule
-from tests.strategies import paper_instances, scheduling_instances
+from tests.strategies import paper_instances, processor_systems, scheduling_instances
 
 _SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -201,3 +205,45 @@ def test_improved_cost_fast_path_identical(instance):
     cost = ImprovedCost(graph, system)
     for ps in _walk_states(graph, system):
         assert cost.h(ps) == _improved_h_reference(cost, ps)
+
+
+
+def _load_h_reference(ps, speeds):
+    """The original indexed capacity sweep of ``LoadBoundCost.h``."""
+    w_rem = ps.remaining_weight
+    if w_rem <= 0.0:
+        return 0.0
+    items = sorted(zip(ps.ready_time, speeds))
+    speed_sum = 0.0
+    weighted_rt = 0.0
+    last = len(items) - 1
+    m = 0.0
+    for k, (rt, speed) in enumerate(items):
+        speed_sum += speed
+        weighted_rt += speed * rt
+        m = (w_rem + weighted_rt) / speed_sum
+        if k == last or m <= items[k + 1][0]:
+            break
+    g = ps.makespan
+    return m - g if m > g else 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(processor_systems(max_pes=5), st.data())
+def test_load_bound_sweep_identical(system, data):
+    """The lookahead-free sweep must not change a single bit of any h
+    value relative to the indexed sweep.
+
+    Synthetic states reach every sweep exit: ready times with ties and
+    idle PEs, and a makespan at or below the latest ready time.
+    """
+    cost = LoadBoundCost(TaskGraph([1.0], {}), system)
+    times = st.sampled_from([0.0, 2.5, 7.0]) | st.floats(0.0, 100.0)
+    ready = tuple(data.draw(st.lists(times, min_size=system.num_pes,
+                                     max_size=system.num_pes)))
+    ps = SimpleNamespace(
+        remaining_weight=data.draw(st.sampled_from([0.0]) | st.floats(0.0, 500.0)),
+        ready_time=ready,
+        makespan=data.draw(st.floats(0.0, max(ready))),
+    )
+    assert repr(cost.h(ps)) == repr(_load_h_reference(ps, system.speeds))

@@ -76,6 +76,13 @@ class _ColossalCollisions(PartialSchedule):
         (mask, _z), start = super().child_signature(node, pe)
         return (mask, 0), start
 
+    def extend(self, node, pe, **kwargs):
+        # ``PartialSchedule.extend`` always builds a plain state; keep
+        # every state of the search in this class, not just the root.
+        child = super().extend(node, pe, **kwargs)
+        child.__class__ = _ColossalCollisions
+        return child
+
     @property
     def dedup_key(self):
         return (self.mask, 0)
@@ -98,3 +105,7 @@ class TestEngineUnderCollisions:
         # The degenerate key makes the verified run explore at least as
         # much as the honest one (collisions admit, never prune).
         assert verified.stats.states_generated >= truth.stats.states_generated
+        # The keys really collide below the root: without verification
+        # the same run prunes states the honest search keeps.
+        unverified = astar_schedule(graph, system, state_cls=_ColossalCollisions)
+        assert unverified.stats.states_generated < truth.stats.states_generated

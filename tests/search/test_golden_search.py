@@ -1,11 +1,11 @@
-"""Golden search table: the best-first engines replay recorded runs.
+"""Golden search table: the engines replay recorded runs.
 
-Each row runs ``astar``, ``wastar`` or ``focal`` on one §4.1 paper
-graph (v 8–12, CCR 0.1/1/10, 2 or 3 PEs, ε 0.1/0.5, ``paper`` or
+Each row runs ``astar``, ``wastar``, ``focal`` or ``bnb`` on one §4.1
+paper graph (v 8–12, CCR 0.1/1/10, 2 or 3 PEs, ε 0.1/0.5, ``paper`` or
 ``combined`` cost, with and without an expansion budget) and compares
-the result against ``golden_search.json``.  The table was recorded
-before A*, WA* and Aε* shared one best-first loop, so it pins that the
-loop reproduces the three engines it replaced:
+the result against ``golden_search.json``.  The A*/WA*/Aε* rows were
+recorded before the three engines shared one best-first loop, so they
+pin that the loop reproduces the engines it replaced:
 
 * A* rows are identical in every ``SearchStats`` counter, the
   placements, ``lower_bound``, ``algorithm`` and the probe timeline
@@ -18,7 +18,18 @@ loop reproduces the three engines it replaced:
   ``states_generated + upper_bound_cuts`` is conserved and
   ``states_generated`` and ``max_open_size`` may only shrink.
 
-Re-record (only on purpose, for a deliberate behaviour change)::
+* B&B rows are identical in every field, like the A* rows.
+* ``portfolio`` rows run the service ladder the way the daemon's cold
+  path does (v 12–16, 2 PEs, ``preprocess=True``, 2500 expansions, no
+  deadline) and pin each stage's algorithm, makespan and expansions
+  plus the answer and its counters.
+
+The B&B and portfolio rows were recorded before the per-child hot path
+(``extend``, ``child_signature``, the engine loops) was tuned, so they
+pin that the tuning changed no search.
+
+Record missing rows (existing rows are kept; delete a row's line to
+re-record it, only on purpose, for a deliberate behaviour change)::
 
     PYTHONPATH=src python -m tests.search.test_golden_search
 """
@@ -35,8 +46,10 @@ import pytest
 from repro.graph.generators.random_paper import PaperGraphSpec, paper_random_graph
 from repro.obs.probe import SearchProbe
 from repro.search.astar import astar_schedule
+from repro.search.bnb import bnb_schedule
 from repro.search.focal import focal_schedule
 from repro.search.weighted import weighted_astar_schedule
+from repro.service.portfolio import portfolio_schedule
 from repro.system.processors import ProcessorSystem
 from repro.util.timing import Budget
 
@@ -49,14 +62,18 @@ BUDGET_EXPANSIONS = 40
 #: Probe interval: a few samples per run on these sizes.
 PROBE_EVERY = 128
 
+#: Per-ladder expansion cap of the portfolio rows (the cold-solve
+#: request cap of the service benchmark).
+PORTFOLIO_EXPANSIONS = 2500
+
 
 def _rows() -> list[dict]:
-    """30 instances × 3 engines; the knobs rotate so every value of
+    """30 instances × 4 engines; the knobs rotate so every value of
     cost, ε and budget meets every engine."""
     rows = []
     instances = itertools.product((8, 9, 10, 11, 12), (0.1, 1.0, 10.0), (2, 3))
     for i, (v, ccr, pes) in enumerate(instances):
-        for engine in ("astar", "wastar", "focal"):
+        for engine in ("astar", "wastar", "focal", "bnb"):
             rows.append({
                 "engine": engine,
                 "v": v,
@@ -67,10 +84,17 @@ def _rows() -> list[dict]:
                 "epsilon": (0.1, 0.5)[(i // 2) % 2],
                 "budget": (None, BUDGET_EXPANSIONS)[(i // 4) % 2],
             })
+    for i, (v, ccr) in enumerate(itertools.product((12, 14, 16), (0.1, 1.0, 10.0))):
+        rows.append({
+            "engine": "portfolio", "v": v, "ccr": ccr, "pes": 2,
+            "seed": 2000 + 10 * v + i,
+        })
     return rows
 
 
 def _row_id(row: dict) -> str:
+    if row["engine"] == "portfolio":
+        return f"portfolio-v{row['v']}-ccr{row['ccr']:g}-p{row['pes']}"
     budget = "open" if row["budget"] is None else f"b{row['budget']}"
     return (f"{row['engine']}-v{row['v']}-ccr{row['ccr']:g}-p{row['pes']}"
             f"-{row['cost']}-eps{row['epsilon']:g}-{budget}")
@@ -81,6 +105,8 @@ def _run(row: dict) -> dict:
         PaperGraphSpec(num_nodes=row["v"], ccr=row["ccr"], seed=row["seed"])
     )
     system = ProcessorSystem.fully_connected(row["pes"])
+    if row["engine"] == "portfolio":
+        return _run_portfolio(graph, system)
     budget = None if row["budget"] is None else Budget(max_expanded=row["budget"])
     probe = SearchProbe(every=PROBE_EVERY)
     kw = {"cost": row["cost"], "budget": budget, "probe": probe}
@@ -88,8 +114,10 @@ def _run(row: dict) -> dict:
         res = astar_schedule(graph, system, **kw)
     elif row["engine"] == "wastar":
         res = weighted_astar_schedule(graph, system, row["epsilon"], **kw)
-    else:
+    elif row["engine"] == "focal":
         res = focal_schedule(graph, system, row["epsilon"], **kw)
+    else:
+        res = bnb_schedule(graph, system, **kw)
     stats = res.stats.as_dict()
     del stats["wall_seconds"]
     return {
@@ -103,6 +131,28 @@ def _run(row: dict) -> dict:
         "stats": stats,
         # wall_time dropped: the only machine-dependent field.
         "timeline": [list(s[1:]) for s in res.timeline],
+    }
+
+
+def _run_portfolio(graph, system) -> dict:
+    res = portfolio_schedule(
+        graph, system, max_expansions=PORTFOLIO_EXPANSIONS, preprocess=True,
+    )
+    stats = res.stats.as_dict()
+    del stats["wall_seconds"]
+    return {
+        "placements": [[t.node, t.pe, t.start] for t in res.schedule.tasks],
+        "length": res.length,
+        "lower_bound": res.lower_bound,
+        "algorithm": res.algorithm,
+        "winner": res.winner,
+        "optimal": res.optimal,
+        "bound": res.bound,
+        "interrupted": res.interrupted,
+        "stats": stats,
+        # seconds dropped: the only machine-dependent field.
+        "stages": [[st.stage, st.algorithm, st.makespan, st.expanded,
+                    st.improved, st.optimal] for st in res.stages],
     }
 
 
@@ -126,7 +176,7 @@ def test_table_shape():
 def test_replays_golden_row(row):
     want = _golden()[_row_id(row)]
     got = _run(row)
-    if row["engine"] == "astar":
+    if row["engine"] in ("astar", "bnb", "portfolio"):
         assert got == want
         return
     for key in ("placements", "length", "lower_bound", "algorithm",
@@ -150,6 +200,12 @@ def test_replays_golden_row(row):
 
 if __name__ == "__main__":
     # One row per line keeps the file small and its diffs readable.
-    lines = [f"{json.dumps(_row_id(r))}: {json.dumps(_run(r))}" for r in ROWS]
+    # Recorded rows are kept as they are: the older ones pin engines
+    # that no longer exist in their recorded form.
+    known = _golden() if GOLDEN.exists() else {}
+    lines = []
+    for r in ROWS:
+        rid = _row_id(r)
+        lines.append(f"{json.dumps(rid)}: {json.dumps(known.get(rid) or _run(r))}")
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
-    print(f"wrote {len(ROWS)} rows to {GOLDEN}")
+    print(f"recorded {len(ROWS) - len(known)} new rows; {GOLDEN} holds {len(ROWS)}")
