@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+import sys
 import time
 from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
@@ -118,6 +119,11 @@ _SOLVE_KEYS = (
 #: bodies must not be able to fork an arbitrary number of processes.
 _MAX_SOLVER_WORKERS = 16
 
+#: The largest finite float.  One comparison against it refuses
+#: infinities (``1e999`` parses as ``inf``) and integers too large for
+#: a float, which would otherwise reach a solver as a limit.
+_FLOAT_MAX = sys.float_info.max
+
 #: Seconds a finished job waits for its cache write before completing
 #: anyway (the put keeps running on the cache thread and may land
 #: later).  Without this bound a wedged store would keep the job
@@ -175,17 +181,20 @@ def _validate_options(options: dict[str, Any]) -> None:
         )
     deadline = options["deadline"]
     if deadline is not None:
-        if not isinstance(deadline, (int, float)) or not deadline > 0:
-            raise ValueError(f"deadline must be a positive number, got {deadline!r}")
+        if not isinstance(deadline, (int, float)) \
+                or not 0 < deadline <= _FLOAT_MAX:
+            raise ValueError(
+                f"deadline must be a positive finite number, got {deadline!r}")
     epsilon = options["epsilon"]
-    if not isinstance(epsilon, (int, float)) or epsilon < 0:
-        raise ValueError(f"epsilon must be a number >= 0, got {epsilon!r}")
+    if not isinstance(epsilon, (int, float)) or not 0 <= epsilon <= _FLOAT_MAX:
+        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
     expansions = options["max_expansions"]
     if expansions is not None:
         if not isinstance(expansions, int) or isinstance(expansions, bool) \
-                or expansions < 1:
+                or not 1 <= expansions <= _FLOAT_MAX:
             raise ValueError(
-                f"max_expansions must be a positive integer, got {expansions!r}")
+                "max_expansions must be a positive integer at most "
+                f"{_FLOAT_MAX:g}, got {expansions!r}")
     workers = options["solver_workers"]
     if not isinstance(workers, int) or isinstance(workers, bool) \
             or not 1 <= workers <= _MAX_SOLVER_WORKERS:
@@ -195,9 +204,9 @@ def _validate_options(options: dict[str, Any]) -> None:
     memory = options["max_memory_mb"]
     if memory is not None:
         if not isinstance(memory, (int, float)) or isinstance(memory, bool) \
-                or not memory > 0:
+                or not 0 < memory <= _FLOAT_MAX:
             raise ValueError(
-                f"max_memory_mb must be a positive number, got {memory!r}")
+                f"max_memory_mb must be a positive finite number, got {memory!r}")
     options["require_proven"] = bool(options["require_proven"])
     options["preprocess"] = bool(options["preprocess"])
 

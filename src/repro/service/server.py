@@ -54,6 +54,7 @@ import functools
 import json
 import signal
 import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any
@@ -65,7 +66,7 @@ from repro.parallel.mp_backend import SolverPool
 from repro.service import httpwire
 from repro.service.cache import ResultCache
 from repro.service.httpwire import BadRequest as _BadRequest
-from repro.service.jobs import Draining, JobManager, QueueFull
+from repro.service.jobs import Draining, JobManager, PreparedRequest, QueueFull
 from repro.testing import faults
 
 __all__ = ["SolverServer"]
@@ -76,6 +77,60 @@ _READ_TIMEOUT = httpwire.READ_TIMEOUT
 #: Seconds the drain waits for the cache thread to flush and close
 #: before abandoning a wedged store (see SolverServer.drain).
 _CACHE_CLOSE_GRACE = 10.0
+
+#: Bounds of the prepared-request memo (see :class:`_PreparedMemo`):
+#: entries held, total body bytes held, and the largest body that is
+#: memoized at all (a bigger one is prepared afresh every time).
+_MEMO_ENTRIES = 256
+_MEMO_BYTES = 16 * 1024 * 1024
+_MEMO_MAX_BODY = 1024 * 1024
+
+
+class _PreparedMemo:
+    """LRU from a ``POST /v1/solve`` body to its prepared request.
+
+    A byte-identical repeat skips JSON parse, graph build, cost
+    selection and fingerprinting, and the executor hop they run
+    behind.  Only the event-loop thread touches it, so it needs no
+    lock.  Bounded by entry count and by total body bytes, both
+    evicting oldest-first; a body over :data:`_MEMO_MAX_BODY` is never
+    stored.
+    """
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[bytes, tuple[PreparedRequest, bool]] = (
+            OrderedDict()
+        )
+        #: Sum of the stored bodies' lengths.
+        self.nbytes = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, body: bytes) -> bool:
+        return body in self._entries
+
+    def get(self, body: bytes) -> tuple[PreparedRequest, bool] | None:
+        """The prepared request and ``wait`` flag for ``body``, or
+        ``None``.  The options mapping is a fresh copy on every hit, so
+        no two jobs share it."""
+        hit = self._entries.get(body)
+        if hit is None:
+            return None
+        self._entries.move_to_end(body)
+        prepared, wait = hit
+        return prepared._replace(options=dict(prepared.options)), wait
+
+    def put(self, body: bytes, prepared: PreparedRequest, wait: bool) -> None:
+        size = len(body)
+        if size > _MEMO_MAX_BODY or body in self._entries:
+            return
+        options = dict(prepared.options)  # the first job keeps its own
+        self._entries[body] = (prepared._replace(options=options), wait)
+        self.nbytes += size
+        while len(self._entries) > _MEMO_ENTRIES or self.nbytes > _MEMO_BYTES:
+            old, _ = self._entries.popitem(last=False)
+            self.nbytes -= len(old)
 
 
 def _cache_barrier_noop() -> None:
@@ -165,6 +220,7 @@ class SolverServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
         self._drained = False
+        self._memo = _PreparedMemo()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -417,26 +473,34 @@ class SolverServer:
         # in-tree stand-in for an OOM-killed or SIGKILLed shard the
         # fleet router must absorb (tests/chaos/test_router_chaos.py).
         faults.crash_point("shard-crash")
+        # A byte-identical repeat reuses the request prepared for the
+        # first copy; the cache lookup and admit() run on every request.
+        hit = self._memo.get(body)
+        if hit is None:
+            try:
+                obj = json.loads(body, parse_constant=httpwire.reject_nonfinite)
+            except ValueError as exc:  # JSONDecodeError or a non-finite literal
+                return 400, {"error": f"invalid JSON body: {exc}"}
+            if not isinstance(obj, dict):
+                return 400, {"error": "request body must be a JSON object"}
+            wait = obj.get("wait", True)
+            if not isinstance(wait, bool):
+                return 400, {"error": f"wait must be a boolean, got {wait!r}"}
         try:
-            obj = json.loads(body, parse_constant=httpwire.reject_nonfinite)
-        except ValueError as exc:  # JSONDecodeError or a non-finite literal
-            return 400, {"error": f"invalid JSON body: {exc}"}
-        if not isinstance(obj, dict):
-            return 400, {"error": "request body must be a JSON object"}
-        wait = obj.get("wait", True)
-        if not isinstance(wait, bool):
-            return 400, {"error": f"wait must be a boolean, got {wait!r}"}
-        try:
-            # prepare() is pure CPU (graph parse + WL-refinement
-            # fingerprint — seconds for very large graphs) and runs on
-            # a thread so the loop keeps serving /healthz and friends;
-            # the cache lookup runs on the dedicated cache thread for
-            # the same reason; admit() touches shared state and stays
-            # on the loop.
-            loop = asyncio.get_running_loop()
-            prepared = await loop.run_in_executor(
-                None, self.manager.prepare, obj
-            )
+            if hit is None:
+                # prepare() is pure CPU (graph parse + WL-refinement
+                # fingerprint — seconds for very large graphs) and runs
+                # on a thread so the loop keeps serving /healthz and
+                # friends; the cache lookup runs on the dedicated cache
+                # thread for the same reason; admit() touches shared
+                # state and stays on the loop.
+                loop = asyncio.get_running_loop()
+                prepared = await loop.run_in_executor(
+                    None, self.manager.prepare, obj
+                )
+                self._memo.put(body, prepared, wait)
+            else:
+                prepared, wait = hit
             cached = await self.manager.cache_lookup(prepared)
             job = self.manager.admit(prepared, cached=cached)
         except Draining as exc:

@@ -209,6 +209,49 @@ class TestShardCrashFault:
             doomed.terminate()
             steady.terminate()
 
+    @pytest.mark.timeout(300)
+    def test_prepared_memo_hit_still_reaches_the_crash_point(self, tmp_path):
+        """``shard-crash@2`` on the owner, then one body sent twice.
+        The repeat is byte-identical, so the owner would answer it from
+        its prepared-request memo — but the crash point comes first:
+        the owner dies on it, and the router fails over and answers."""
+        store = f"shared:{tmp_path / 'fleet.db'}"
+        doomed = spawn_shard("s0", env={"REPRO_FAULTS": "shard-crash@2"},
+                             cache=store, max_expansions=50_000)
+        steady = spawn_shard("s1", cache=store, max_expansions=50_000)
+        router = ShardRouter(
+            [Shard("s0", doomed.host, doomed.port),
+             Shard("s1", steady.host, steady.port)],
+            port=0, probe_interval=0.2, reset_timeout=0.2,
+            max_reset_timeout=2.0,
+        )
+        thread = router.serve_in_thread()
+        try:
+            body = None
+            for seed in range(40, 140):
+                candidate = {"graph": graph_to_dict(graph_for(seed)), "pes": 3}
+                if router.ring.owner(router._routing_key(candidate)) == "s0":
+                    body = candidate
+                    break
+            assert body is not None
+            client = ServerClient(port=router.port, timeout=120,
+                                  retries=5, backoff=0.1)
+            status, first = client.request("POST", "/v1/solve", body)
+            assert status == 200 and first["id"].startswith("s0:")
+            assert doomed.alive
+            status, second = client.request("POST", "/v1/solve", body)
+            assert status == 200 and second["id"].startswith("s1:")
+            assert second["result"]["makespan"] == first["result"]["makespan"]
+            assert not doomed.alive  # the repeat killed the owner
+            m = router.metrics()
+            assert m["shards"]["s0"]["errors"] >= 1
+            assert m["routing"]["failovers"] >= 1
+        finally:
+            router.shutdown()
+            thread.join(timeout=30)
+            doomed.terminate()
+            steady.terminate()
+
 
 class TestDrainRejoinDrill:
     @pytest.mark.timeout(300)

@@ -13,7 +13,13 @@ an integer too large for a float makes ``float()`` raise
   that reached the model through a permissive parser — is a
   ``ReproError``, which both listeners answer with a 400.
 
-No hostile body may get a 500, reach a solver, or leave a cache entry.
+The per-request solver limits (``deadline``, ``epsilon``,
+``max_expansions``, ``max_memory_mb``) are range-checked against the
+largest finite float by the daemon's option validation, so ``1e999``
+or a 400-digit integer there is a 400 too — which the router passes on.
+
+No hostile body may get a 500, reach a solver, leave a cache entry, or
+be memoized as a prepared request.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from repro.graph.validate import validate_graph
 from repro.parallel.mp_backend import system_to_args
 from repro.service import httpwire
 from repro.service.batch import item_from_request
+from repro.service.jobs import JobManager
 from repro.service.server import SolverServer
 from repro.system.processors import ProcessorSystem
 from tests.service.test_router import StubShard, make_router, ok_shard, solve_via
@@ -69,6 +76,19 @@ OVERFLOWS = [
     ("cost", _HUGE_INT), ("weight", _HUGE_INT), ("speed", _HUGE_INT),
 ]
 HOSTILE = LITERALS + OVERFLOWS
+
+
+#: Per-request solver limits, each sent as a number too large for a float.
+OPTION_FIELDS = ("deadline", "epsilon", "max_expansions", "max_memory_mb")
+OPTION_OVERFLOWS = [
+    (field, literal) for field in OPTION_FIELDS for literal in ("1e999", _HUGE_INT)
+]
+
+
+def _option_body(field: str, literal: str) -> bytes:
+    """A valid request carrying ``field`` with the number ``literal``."""
+    text = json.dumps({"graph": graph_to_dict(_GRAPH), "pes": 2, field: "__hostile__"})
+    return text.replace(_HOLE, literal).encode()
 
 
 def _id(case: tuple[str, str]) -> str:
@@ -161,3 +181,45 @@ def test_router_answers_hostile_bodies_with_400_and_never_forwards():
                 await router.drain()
 
     asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("case", OPTION_OVERFLOWS, ids=_id)
+def test_prepare_refuses_overflowing_solver_limits(case):
+    obj = json.loads(_option_body(*case))
+    item_from_request(obj)  # the instance itself is fine
+    with pytest.raises(ValueError, match=case[0]):
+        JobManager(None).prepare(obj)
+
+
+def test_live_server_answers_overflowing_limits_with_400(server):
+    before = server.manager.metrics()
+    memoized = len(server._memo)
+    for case in OPTION_OVERFLOWS:
+        body = _option_body(*case)
+        status, payload = _post(server.port, body)
+        assert status == 400, (case, payload)
+        assert case[0] in payload["error"], (case, payload)
+        assert body not in server._memo
+    after = server.manager.metrics()
+    assert after["jobs"]["submitted"] == before["jobs"]["submitted"]
+    assert after["cache"]["stored_entries"] == before["cache"]["stored_entries"]
+    assert len(server._memo) == memoized
+
+
+def test_router_passes_the_daemons_400_on_for_overflowing_limits(server):
+    async def scenario():
+        router = await make_router(server)
+        try:
+            for case in OPTION_OVERFLOWS:
+                status, _, data = await solve_via(router, _option_body(*case))
+                assert status == 400, (case, data)
+                assert case[0].encode() in data, (case, data)
+            assert router.metrics()["shards"]["s0"]["errors"] == 0
+        finally:
+            await router.drain()
+
+    before = server.manager.metrics()
+    asyncio.run(scenario())
+    after = server.manager.metrics()
+    assert after["jobs"]["submitted"] == before["jobs"]["submitted"]
+    assert after["cache"]["stored_entries"] == before["cache"]["stored_entries"]
