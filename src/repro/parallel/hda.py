@@ -19,13 +19,14 @@ among the workers, determined by hashing its duplicate key
   round-robin sharing phase (§3.3's listing) is needed.
 * **Asynchronous communication.**  Children owned elsewhere travel in
   batches over per-worker :mod:`multiprocessing` queues as
-  ``(f, h, wire)`` records.  The wire form is the snapshot
+  ``(f, h, wire)`` records.  The wire form, for the seeds and for
+  every transfer, is the snapshot
   :meth:`~repro.schedule.partial.PartialSchedule.to_wire` — one O(v)
   reconstruction on the owner instead of replaying the delta chain
-  with :meth:`~repro.schedule.partial.PartialSchedule.inflate`
-  (measured ~10x cheaper per transfer; the O(depth) ``compact`` form
-  still carries the seeds' ancestry-free payloads and the final result
-  back to the parent).  ``f``/``h`` travel along so the owner never
+  placement by placement (measured ~10x cheaper per transfer).  Only
+  the final result travels back to the parent, in the O(depth)
+  :meth:`~repro.schedule.partial.PartialSchedule.compact` form.
+  ``f``/``h`` travel along so the owner never
   re-runs the cost function, and the duplicate key is readable off the
   wire tuple so duplicates die *before* paying the reconstruction.
 * **Shared incumbent.**  The one global datum is the best known

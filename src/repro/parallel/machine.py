@@ -13,7 +13,7 @@ with the processing time for states expansion".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SystemError_
 from repro.system import topology as topo
@@ -99,19 +99,6 @@ class PPENetwork:
     def group(self, ppe: int) -> tuple[int, ...]:
         """The communication group of a PPE: itself plus its neighbours."""
         return (ppe, *self.neighbors[ppe])
-
-
-@dataclass
-class _ClockStats:
-    """Per-run simulated-time accounting (internal to the simulator)."""
-
-    makespan: float = 0.0
-    expansion_units: float = 0.0
-    comm_units: float = 0.0
-    idle_units: float = 0.0
-    phases: int = 0
-    messages: int = 0
-    per_ppe_expansions: list[int] = field(default_factory=list)
 
 
 def _near_square(q: int) -> tuple[int, int]:

@@ -515,9 +515,9 @@ class PartialSchedule:
         Sorted by ``(start, node)`` — a valid replay order (the
         append-only EST rule makes same-PE placement order equal start
         order, and every parent finishes strictly before its child
-        starts).  O(d) to build via the parent chain; the multiprocessing
-        backend ships these across process boundaries instead of pickling
-        state objects (which would drag the whole ancestor chain along).
+        starts).  O(d) to build via the parent chain.  HDA* sends its
+        final result back to the parent process in this form; seeds and
+        transferred states travel as :meth:`to_wire` snapshots.
         """
         items = [(node, pe, start) for node, pe, start, _finish in self.placements()]
         items.sort(key=lambda t: (t[2], t[0]))
@@ -527,12 +527,11 @@ class PartialSchedule:
         """Full-fidelity snapshot for cross-process transfer: every
         aggregate plus the materialized arrays, as one picklable tuple.
 
-        :meth:`compact` stays the encoding of choice when the receiver
-        replays anyway (seeds of the static-partition backend, final
-        results); this snapshot is the HDA* hot-path format — rebuilding
-        via :meth:`from_wire` is one O(v) construction instead of an
-        O(depth) :meth:`extend` replay with its per-step EST scans
-        (measured ~10x cheaper at §4.1 depths, see DESIGN.md).
+        The HDA* transfer format, for the seeds and for every child sent
+        to its owner: rebuilding via :meth:`from_wire` is one O(v)
+        construction instead of an O(depth) :meth:`extend` replay with
+        its per-step EST scans (measured ~10x cheaper at §4.1 depths,
+        see DESIGN.md).  :meth:`compact` carries only the final result.
         """
         if self._pes is None:
             self._materialize()
@@ -589,23 +588,6 @@ class PartialSchedule:
             starts=starts,
             finishes=finishes,
         )
-
-    @classmethod
-    def inflate(
-        cls,
-        graph: TaskGraph,
-        system: ProcessorSystem,
-        payload: Iterable[tuple[int, int, float]],
-    ) -> "PartialSchedule":
-        """Rebuild a state from :meth:`compact` output by replaying it.
-
-        The replay recomputes identical starts, finishes, and Zobrist
-        signature (EST is deterministic given the placements).
-        """
-        state = cls.empty(graph, system)
-        for node, pe, _start in payload:
-            state = state.extend(node, pe)
-        return state
 
     def to_schedule(self) -> Schedule:
         """Materialize a complete :class:`Schedule`.

@@ -66,9 +66,8 @@ class StateExpander:
             self._prio_rank[n] = rank
 
         # node -> equivalence-class id, and class id -> members.
-        self._equiv_classes = node_equivalence_classes(graph)
         self._equiv_id = [0] * graph.num_nodes
-        for cid, members in enumerate(self._equiv_classes):
+        for cid, members in enumerate(node_equivalence_classes(graph)):
             for n in members:
                 self._equiv_id[n] = cid
 
@@ -322,15 +321,3 @@ class StateExpander:
                     stats.duplicate_hits += 1
                     continue
                 yield extend(node, pe, _start=start, _sig=key)
-
-    # -- instrumentation -------------------------------------------------------
-
-    @property
-    def equivalence_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Node equivalence classes (Definition 3) of this instance."""
-        return self._equiv_classes
-
-    @property
-    def pe_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Structural PE isomorphism classes (Definition 2) of this instance."""
-        return self._pe_classes

@@ -359,7 +359,7 @@ def run_batch(
         if cache is None:
             continue
         entry = cache.get(fp, require_proven=require_proven)
-        if entry is not None and len(entry.assignment) == items[rep].graph.num_nodes:
+        if entry is not None and entry.fits(items[rep].graph):
             entries[fp] = entry
             cache_hit_fps.add(fp)
             tr.event("cache.hit", attrs={"fingerprint": fp})
@@ -424,9 +424,14 @@ def run_batch(
             if cache is not None and not cache.put(entry):
                 # The store already held something better (possible when
                 # require_proven re-solved a stale entry under a tighter
-                # budget): serve that instead of the fresh, worse result.
+                # budget): serve that instead of the fresh, worse result,
+                # unless it does not cover this instance.
                 better = cache.get(fp)
-                if better is not None and better.better_than(entry):
+                if (
+                    better is not None
+                    and better.better_than(entry)
+                    and better.fits(rep.graph)
+                ):
                     entries[fp] = better
                     winners.pop(fp, None)
 

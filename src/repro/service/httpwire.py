@@ -1,22 +1,27 @@
-"""Shared HTTP/1.1 wire helpers for the daemon and the fleet router.
+"""The HTTP/1.1 front-end shell shared by the daemon and the fleet router.
 
 The solver daemon (:mod:`repro.service.server`) and the shard router
 (:mod:`repro.service.router`) speak the same deliberately-minimal
 dialect: stdlib asyncio streams, one request per connection, JSON (or
 pre-rendered Prometheus text) out, ``Connection: close`` always.  This
 module is that dialect in one place — request parsing with the same
-limits and error statuses on both listeners, response rendering, and
-the tiny async client the router uses to forward requests and probe
-shard health.
+limits and error statuses on both listeners, response rendering, the
+tiny async client the router uses to forward requests and probe shard
+health — and :class:`HttpService`, the listener lifecycle, request loop
+and endpoint table both front-ends subclass.
 
-Nothing here knows about jobs, shards, or solving; it is framing only.
+Nothing here knows about jobs, shards, or solving: the subclasses fill
+in what each endpoint means.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, NoReturn
+import signal
+import threading
+from typing import Any, Awaitable, Callable, NoReturn
+from urllib.parse import parse_qs
 
 __all__ = [
     "MAX_BODY",
@@ -29,6 +34,8 @@ __all__ = [
     "render_response",
     "deliver_response",
     "fetch",
+    "Reply",
+    "HttpService",
 ]
 
 #: Largest accepted request body (a v=1000 dense graph is ~10 MB).
@@ -210,3 +217,182 @@ async def fetch(
                 pass  # response already read; peer reset on close
 
     return await asyncio.wait_for(_roundtrip(), timeout=timeout)
+
+
+#: One answer: status, JSON body (or pre-rendered text), and a
+#: pre-formatted CRLF-terminated block of extra headers (usually "").
+Reply = tuple[int, dict[str, Any] | str, str]
+
+
+class HttpService:
+    """The listener shell of both front-ends.
+
+    It owns the lifecycle, the per-connection loop and the four
+    endpoints both services expose — ``/healthz[?deep=1]``,
+    ``/metrics[?format=json|prometheus]``, ``/v1/jobs/<ref>`` and
+    ``/v1/solve`` — with one set of 405/404/400 rules.  A subclass
+    supplies the hooks declared below.
+    """
+
+    # -- what a subclass supplies ----------------------------------------------
+    # The connection callback start() binds.  Each subclass pins
+    # ``_handle = HttpService._serve`` in its own body: the benchmark
+    # harness times a front-end by replacing the ``_handle`` in that
+    # class's ``__dict__``, and start() reads ``self._handle`` so the
+    # replacement is what the listener calls.
+    _handle: Callable[..., Awaitable[None]]
+    _open: Callable[[], Awaitable[None]]  # start up, before the bind
+    _quiesce: Callable[[], Awaitable[None]]  # first drain step
+    _retry_after_hint: Callable[[], int]  # seconds, for 429/503
+    metrics: Callable[[], dict[str, Any]]  # /metrics JSON, drain report
+    _prometheus: Callable[[], Awaitable[str]]  # /metrics?format=prometheus
+    _health: Callable[[bool], Awaitable[Reply]]  # /healthz[?deep=1]
+    _job: Callable[[str], Awaitable[Reply]]  # GET /v1/jobs/<ref>
+    _solve: Callable[[bytes], Awaitable[Reply]]  # POST /v1/solve
+
+    def __init__(self, host: str, port: int) -> None:
+        self.host = host
+        self.port = port  # rebound to the real port after bind (port=0)
+        self.ready = threading.Event()
+        self._server: asyncio.AbstractServer | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._stop: asyncio.Event | None = None
+        self._drained = False
+
+    async def _release(self) -> None:
+        """Last drain step, after the listener has closed."""
+
+    def _extra_route(self, method: str, path: str) -> Reply:
+        """Routes beyond the shared four; the default has none."""
+        return 404, {"error": f"no route {method} {path}"}, ""
+
+    # -- lifecycle -------------------------------------------------------------
+
+    async def start(self) -> None:
+        """Start the service's machinery, then bind the listener."""
+        self._loop = asyncio.get_running_loop()
+        if self._stop is None:
+            self._stop = asyncio.Event()
+        await self._open()
+        self._server = await asyncio.start_server(
+            self._handle, self.host, self.port
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+        self.ready.set()
+
+    async def drain(self) -> None:
+        """Graceful stop: quiesce, close the listener, release."""
+        if self._drained:
+            return
+        self._drained = True
+        await self._quiesce()
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+        await self._release()
+        self.ready.clear()
+
+    async def _main(self, *, install_signals: bool) -> None:
+        # The handlers go in before start() sets ``ready``: a supervisor
+        # may signal the moment it reads the readiness line, and that
+        # SIGTERM must drain the service, not kill it mid-start.
+        self._stop = asyncio.Event()
+        if install_signals:
+            loop = asyncio.get_running_loop()
+            for sig in (signal.SIGTERM, signal.SIGINT):
+                try:
+                    loop.add_signal_handler(sig, self._stop.set)
+                except (NotImplementedError, ValueError, RuntimeError):
+                    pass  # non-main thread or unsupported platform
+        await self.start()
+        await self._stop.wait()
+        await self.drain()
+
+    def run(self, *, install_signals: bool = True) -> dict[str, Any]:
+        """Serve until :meth:`shutdown` or SIGTERM/SIGINT, then drain.
+
+        Returns the final metrics snapshot (the drain report).
+        """
+        asyncio.run(self._main(install_signals=install_signals))
+        return self.metrics()
+
+    def serve_in_thread(self) -> threading.Thread:
+        """Start :meth:`run` on a daemon thread; block until ready."""
+        thread = threading.Thread(
+            target=self.run, kwargs={"install_signals": False}, daemon=True
+        )
+        thread.start()
+        if not self.ready.wait(timeout=30):
+            raise RuntimeError(
+                f"{type(self).__name__} failed to become ready within 30s"
+            )
+        return thread
+
+    def shutdown(self) -> None:
+        """Request drain + stop from any thread (idempotent)."""
+        loop, stop = self._loop, self._stop
+        if loop is not None and stop is not None and loop.is_running():
+            loop.call_soon_threadsafe(stop.set)
+
+    # -- the request loop ------------------------------------------------------
+
+    async def _serve(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """One connection: read, route, answer, close."""
+        try:
+            status, payload, headers = await self._respond(reader)
+        except Exception as exc:  # noqa: BLE001 - never kill the acceptor
+            status, payload, headers = (
+                500, {"error": f"{type(exc).__name__}: {exc}"}, ""
+            )
+        # Backpressure answers say when to come back, so well-behaved
+        # clients (ServerClient included) retry instead of hammering or
+        # giving up.  A hint passed on from upstream (a shard's, through
+        # the router) wins over the service's own.
+        if status in (429, 503) and "retry-after" not in headers.lower():
+            headers += f"Retry-After: {self._retry_after_hint()}\r\n"
+        await deliver_response(
+            writer, render_response(status, payload, extra_headers=headers)
+        )
+
+    async def _respond(self, reader: asyncio.StreamReader) -> Reply:
+        """Read one request under :data:`READ_TIMEOUT` and route it."""
+        try:
+            method, path, body = await asyncio.wait_for(
+                read_request(reader), timeout=READ_TIMEOUT
+            )
+        except asyncio.TimeoutError:
+            return 408, {"error": f"request not received in {READ_TIMEOUT}s"}, ""
+        except BadRequest as exc:
+            return exc.status, {"error": str(exc)}, ""
+        except (ConnectionError, asyncio.IncompleteReadError,
+                asyncio.LimitOverrunError, ValueError):
+            # ValueError covers StreamReader's oversized-line (64 KiB)
+            # conversion of LimitOverrunError inside readline().
+            return 400, {"error": "unreadable request"}, ""
+        return await self._route(method, path, body)
+
+    async def _route(self, method: str, path: str, body: bytes) -> Reply:
+        """The shared endpoint table; anything else is :meth:`_extra_route`."""
+        path, _, query = path.partition("?")
+        if path == "/v1/solve":
+            if method != "POST":
+                return 405, {"error": "use POST"}, ""
+            return await self._solve(body)
+        job = path.startswith("/v1/jobs/")
+        if not job and path not in ("/healthz", "/metrics"):
+            return self._extra_route(method, path)
+        if method != "GET":
+            return 405, {"error": "use GET"}, ""
+        if job:
+            return await self._job(path.removeprefix("/v1/jobs/"))
+        if path == "/healthz":
+            deep = parse_qs(query).get("deep", ["0"])[-1]
+            return await self._health(deep in ("1", "true"))
+        fmt = parse_qs(query).get("format", ["json"])[-1]
+        if fmt == "prometheus":
+            return 200, await self._prometheus(), ""
+        if fmt != "json":
+            return 400, {"error": f"unknown format {fmt!r}"}, ""
+        return 200, self.metrics(), ""

@@ -518,7 +518,7 @@ class JobManager:
                 "cache.get",
                 attrs={"id": job_id, "hit": entry is not None},
             )
-            if entry is not None and len(entry.assignment) == item.graph.num_nodes:
+            if entry is not None and entry.fits(item.graph):
                 try:
                     self._finish(job, entry, via="cache", seconds=0.0, winner="")
                 except Exception:  # noqa: BLE001 - entry unusable after all
@@ -716,7 +716,7 @@ class JobManager:
             if (
                 better is not None
                 and better.better_than(entry)
-                and len(better.assignment) == item.graph.num_nodes
+                and better.fits(item.graph)
             ):
                 entry = better
         self._finish(

@@ -14,8 +14,10 @@ deployment adds is *amortization* and *backpressure*:
 * SIGTERM drains gracefully — accepted jobs finish, new submissions get
   503, the cache is flushed — so a rolling restart never loses results.
 
-The HTTP layer is stdlib-only (``asyncio.start_server`` plus a minimal
-HTTP/1.1 parser): one request per connection, JSON in, JSON out.
+The HTTP layer is stdlib-only: the listener lifecycle, request loop
+and endpoint table are :class:`repro.service.httpwire.HttpService`,
+shared with the fleet router; one request per connection, JSON in,
+JSON out.
 
 API
 ---
@@ -52,30 +54,24 @@ from __future__ import annotations
 import asyncio
 import functools
 import json
-import signal
-import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any
-from urllib.parse import parse_qs
 
 from repro.errors import ReproError
 from repro.obs.trace import Tracer
 from repro.parallel.mp_backend import SolverPool
 from repro.service import httpwire
 from repro.service.cache import ResultCache
-from repro.service.httpwire import BadRequest as _BadRequest
+from repro.service.httpwire import Reply
 from repro.service.jobs import Draining, JobManager, PreparedRequest, QueueFull
 from repro.testing import faults
 
 __all__ = ["SolverServer"]
 
-#: Seconds an idle or trickling client may take to deliver one request
-#: before the connection is dropped (bounds handler-task lifetime).
-_READ_TIMEOUT = httpwire.READ_TIMEOUT
 #: Seconds the drain waits for the cache thread to flush and close
-#: before abandoning a wedged store (see SolverServer.drain).
+#: before abandoning a wedged store (see SolverServer._release).
 _CACHE_CLOSE_GRACE = 10.0
 
 #: Bounds of the prepared-request memo (see :class:`_PreparedMemo`):
@@ -138,7 +134,7 @@ def _cache_barrier_noop() -> None:
     is still responsive without touching the cache itself."""
 
 
-class SolverServer:
+class SolverServer(httpwire.HttpService):
     """The daemon: owns the pool, the cache, the manager, the listener.
 
     Typical embedded use (tests, benchmarks, notebooks)::
@@ -175,8 +171,7 @@ class SolverServer:
         shard_id: str | None = None,
         cache_capacity: int | None = None,
     ) -> None:
-        self.host = host
-        self.port = port  # rebound to the real port after bind (port=0)
+        super().__init__(host, port)
         # Identity within a sharded fleet (repro.service.router); also
         # printed on the readiness line so the router / soak harness
         # can scrape it together with the advertised address.
@@ -215,17 +210,12 @@ class SolverServer:
         self.pool: SolverPool | None = None
         self.manager: JobManager | None = None
         self._cache_thread: ThreadPoolExecutor | None = None
-        self.ready = threading.Event()
-        self._server: asyncio.AbstractServer | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._drained = False
         self._memo = _PreparedMemo()
 
-    # -- lifecycle -----------------------------------------------------------
+    # -- lifecycle (the shell in httpwire.HttpService runs these) ------------
 
-    async def start(self) -> None:
-        """Bind the listener and start the pool + runners."""
+    async def _open(self) -> None:
+        """Start the cache thread, the pool and the job runners."""
         # All ResultCache I/O goes through this single-worker executor
         # (construction included), so a slow or stalled file-backed
         # store can never wedge the event loop — /healthz keeps
@@ -260,25 +250,16 @@ class SolverServer:
             **self._solver_defaults,
         )
         self.manager.start()
-        self._loop = asyncio.get_running_loop()
-        if self._stop is None:
-            self._stop = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self.ready.set()
 
-    async def drain(self) -> None:
-        """Graceful stop: finish accepted jobs, flush, release resources."""
-        if self._drained:
-            return
-        self._drained = True
+    async def _quiesce(self) -> None:
+        """Finish every accepted job while the listener still answers:
+        new solves get 503 and ``/healthz`` says ``draining``."""
         assert self.manager is not None and self.pool is not None
         await self.manager.drain()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+
+    async def _release(self) -> None:
+        """Close the pool, the cache thread (bounded) and the tracer."""
+        assert self.pool is not None
         self.pool.close()
         if self._cache_thread is not None:
             # Final cache-thread barrier, bounded: closing an owned
@@ -307,153 +288,52 @@ class SolverServer:
             self._cache_thread = None
         if self.tracer is not None:
             self.tracer.close()
-        self.ready.clear()
 
-    async def _main(self, *, install_signals: bool) -> None:
-        # The handlers go in before start() sets ``ready``: a supervisor
-        # may signal the moment it reads the readiness line, and that
-        # SIGTERM must drain the daemon, not kill it mid-start.
-        self._stop = asyncio.Event()
-        if install_signals:
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(sig, self._stop.set)
-                except (NotImplementedError, ValueError, RuntimeError):
-                    pass  # non-main thread or unsupported platform
-        await self.start()
-        await self._stop.wait()
-        await self.drain()
+    # -- the endpoints -------------------------------------------------------
 
-    def run(self, *, install_signals: bool = True) -> dict[str, Any]:
-        """Serve until :meth:`shutdown` or SIGTERM/SIGINT, then drain.
+    # Defined in this class's own body, not inherited: the benchmark
+    # harness times the daemon by replacing SolverServer.__dict__["_handle"].
+    _handle = httpwire.HttpService._serve
 
-        Returns the final metrics snapshot (the drain report).
-        """
-        asyncio.run(self._main(install_signals=install_signals))
+    def _retry_after_hint(self) -> int:
+        # Adaptive: queue depth times recent solve time, so a rejected
+        # burst does not re-arrive while the queue is still full.
+        assert self.manager is not None
+        return self.manager.retry_after_hint()
+
+    def metrics(self) -> dict[str, Any]:
+        """The job manager's ``GET /metrics`` JSON."""
         assert self.manager is not None
         return self.manager.metrics()
 
-    def serve_in_thread(self) -> threading.Thread:
-        """Start :meth:`run` on a daemon thread; block until ready."""
-        thread = threading.Thread(
-            target=self.run, kwargs={"install_signals": False}, daemon=True
-        )
-        thread.start()
-        if not self.ready.wait(timeout=30):
-            raise RuntimeError("server failed to become ready within 30s")
-        return thread
-
-    def shutdown(self) -> None:
-        """Request drain + stop from any thread (idempotent)."""
-        loop, stop = self._loop, self._stop
-        if loop is not None and stop is not None and loop.is_running():
-            loop.call_soon_threadsafe(stop.set)
-
-    # -- the HTTP layer ------------------------------------------------------
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            status, payload = await self._respond(reader)
-        except Exception as exc:  # noqa: BLE001 - never kill the acceptor
-            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-        # Backpressure responses advertise when to come back, so
-        # well-behaved clients (ServerClient included) retry instead of
-        # hammering or giving up.  The hint is adaptive: queue depth
-        # times recent solve time, not a fixed constant that would have
-        # the whole rejected burst re-arrive while the queue is still
-        # full (see JobManager.retry_after_hint).
-        retry_after = ""
-        if status in (429, 503):
-            hint = (
-                self.manager.retry_after_hint() if self.manager is not None
-                else 1
-            )
-            retry_after = f"Retry-After: {hint}\r\n"
-        await httpwire.deliver_response(
-            writer,
-            httpwire.render_response(
-                status, payload, extra_headers=retry_after
-            ),
-        )
-
-    async def _respond(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[int, dict[str, Any] | str]:
-        """Parse one request and route it; returns (status, JSON body)."""
-        try:
-            method, path, body = await asyncio.wait_for(
-                self._read_request(reader), timeout=_READ_TIMEOUT
-            )
-        except asyncio.TimeoutError:
-            return 408, {"error": f"request not received in {_READ_TIMEOUT}s"}
-        except _BadRequest as exc:
-            return exc.status, {"error": str(exc)}
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError, ValueError):
-            # ValueError covers StreamReader's oversized-line (64 KiB)
-            # conversion of LimitOverrunError inside readline().
-            return 400, {"error": "unreadable request"}
-        return await self._route(method, path, body)
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, bytes]:
-        """Read one HTTP/1.1 request (shared wire dialect)."""
-        return await httpwire.read_request(reader)
-
-    async def _route(
-        self, method: str, path: str, body: bytes
-    ) -> tuple[int, dict[str, Any] | str]:
+    async def _prometheus(self) -> str:
         assert self.manager is not None
-        path, _, query = path.partition("?")
-        if path == "/healthz":
-            if method != "GET":
-                return 405, {"error": "use GET"}
-            status = "draining" if self.manager.draining else "ok"
-            deep = parse_qs(query).get("deep", ["0"])[-1]
-            if deep in ("1", "true"):
-                return await self._deep_health(status)
-            return 200, {"status": status}
-        if path == "/metrics":
-            if method != "GET":
-                return 405, {"error": "use GET"}
-            fmt = parse_qs(query).get("format", ["json"])[-1]
-            if fmt == "prometheus":
-                return 200, self.manager.prometheus()
-            if fmt != "json":
-                return 400, {"error": f"unknown format {fmt!r}"}
-            return 200, self.manager.metrics()
-        if path.startswith("/v1/jobs/"):
-            if method != "GET":
-                return 405, {"error": "use GET"}
-            job = self.manager.get(path.removeprefix("/v1/jobs/"))
-            if job is None:
-                return 404, {"error": "unknown job id"}
-            return 200, job.snapshot()
-        if path == "/v1/solve":
-            if method != "POST":
-                return 405, {"error": "use POST"}
-            return await self._solve(body)
-        return 404, {"error": f"no route {method} {path}"}
+        return self.manager.prometheus()
 
-    async def _deep_health(
-        self, status: str
-    ) -> tuple[int, dict[str, Any]]:
-        """``/healthz?deep=1``: readiness, not mere liveness.
+    async def _job(self, ref: str) -> Reply:
+        assert self.manager is not None
+        job = self.manager.get(ref)
+        if job is None:
+            return 404, {"error": "unknown job id"}, ""
+        return 200, job.snapshot(), ""
 
-        The shallow probe proves the event loop answers; this one
-        proves the daemon can *do its job* — the solver pool's worker
-        processes are alive (non-blocking inspection, so a busy pool
-        stays green) and the result store accepts writes (a scratch
-        write on the cache thread, bounded so a wedged disk reads as
-        unhealthy).  A draining daemon is deep-unhealthy by definition:
-        it answers but accepts no work, which is exactly what the fleet
-        router needs to know to stop routing here.
+    async def _health(self, deep: bool) -> Reply:
+        """``/healthz``: liveness, 200 even while draining.
+
+        ``?deep=1`` is readiness, not mere liveness.  The shallow probe
+        proves the event loop answers; the deep one proves the daemon
+        can *do its job* — the solver pool's worker processes are alive
+        (non-blocking inspection, so a busy pool stays green) and the
+        result store accepts writes (a scratch write on the cache
+        thread, bounded so a wedged disk reads as unhealthy).  A
+        draining daemon is deep-unhealthy by definition: it answers but
+        accepts no work, which is exactly what the fleet router needs to
+        know to stop routing here.
         """
         assert self.manager is not None
+        status = "draining" if self.manager.draining else "ok"
+        if not deep:
+            return 200, {"status": status}, ""
         checks = await self.manager.deep_checks()
         if status != "ok":
             verdict = status  # draining
@@ -464,9 +344,9 @@ class SolverServer:
         payload: dict[str, Any] = {"status": verdict, "checks": checks}
         if self.shard_id is not None:
             payload["shard"] = self.shard_id
-        return (200 if verdict == "ok" else 503), payload
+        return (200 if verdict == "ok" else 503), payload, ""
 
-    async def _solve(self, body: bytes) -> tuple[int, dict[str, Any]]:
+    async def _solve(self, body: bytes) -> Reply:
         assert self.manager is not None
         # Chaos hook: a whole-shard hard death (os._exit, no cleanup)
         # at the moment a request is being accepted — the closest
@@ -480,12 +360,12 @@ class SolverServer:
             try:
                 obj = json.loads(body, parse_constant=httpwire.reject_nonfinite)
             except ValueError as exc:  # JSONDecodeError or a non-finite literal
-                return 400, {"error": f"invalid JSON body: {exc}"}
+                return 400, {"error": f"invalid JSON body: {exc}"}, ""
             if not isinstance(obj, dict):
-                return 400, {"error": "request body must be a JSON object"}
+                return 400, {"error": "request body must be a JSON object"}, ""
             wait = obj.get("wait", True)
             if not isinstance(wait, bool):
-                return 400, {"error": f"wait must be a boolean, got {wait!r}"}
+                return 400, {"error": f"wait must be a boolean, got {wait!r}"}, ""
         try:
             if hit is None:
                 # prepare() is pure CPU (graph parse + WL-refinement
@@ -504,14 +384,14 @@ class SolverServer:
             cached = await self.manager.cache_lookup(prepared)
             job = self.manager.admit(prepared, cached=cached)
         except Draining as exc:
-            return 503, {"error": str(exc)}
+            return 503, {"error": str(exc)}, ""
         except QueueFull as exc:
-            return 429, {"error": str(exc)}
+            return 429, {"error": str(exc)}, ""
         except (ReproError, ValueError, KeyError, TypeError) as exc:
-            return 400, {"error": f"bad request: {type(exc).__name__}: {exc}"}
+            return 400, {"error": f"bad request: {type(exc).__name__}: {exc}"}, ""
         if wait:
             await job.done.wait()
             if job.state == "failed":
-                return 500, job.snapshot()
-            return 200, job.snapshot()
-        return 202, job.snapshot()
+                return 500, job.snapshot(), ""
+            return 200, job.snapshot(), ""
+        return 202, job.snapshot(), ""

@@ -35,9 +35,13 @@ from __future__ import annotations
 import abc
 import json
 import sqlite3
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.graph.taskgraph import TaskGraph
 
 __all__ = [
     "CacheEntry",
@@ -65,6 +69,15 @@ class CacheEntry:
     def proven(self) -> bool:
         """True when the cached schedule carries an optimality proof."""
         return self.certificate == "proven"
+
+    def fits(self, graph: TaskGraph) -> bool:
+        """True when the entry places every node of ``graph``.
+
+        Every site that serves a stored entry checks this first: an
+        entry that does not cover the instance (a fingerprint collision
+        or a mangled row) must never be replayed onto it.
+        """
+        return len(self.assignment) == graph.num_nodes
 
     def better_than(self, other: "CacheEntry") -> bool:
         """Replacement order: proof first, then makespan."""
@@ -204,20 +217,31 @@ class SQLiteBackend(CacheBackend):
             check_same_thread=False,
             timeout=self._BUSY_TIMEOUT_S if shared else 5.0,
         )
-        try:
-            if shared:
-                self._db.execute("PRAGMA journal_mode=WAL")
-            self._db.execute(
-                "CREATE TABLE IF NOT EXISTS results ("
-                " fingerprint TEXT PRIMARY KEY,"
-                " payload TEXT NOT NULL,"
-                " makespan REAL NOT NULL,"
-                " proven INTEGER NOT NULL,"
-                " created REAL NOT NULL)"
-            )
-            self._db.commit()
-        except sqlite3.DatabaseError as exc:
-            raise CacheBackendError(f"cannot open store {self.path}: {exc}") from exc
+        # Switching a fresh file to WAL does not wait out the busy
+        # timeout: when several processes open one new store at once,
+        # the losers get "database is locked" straight away.  Retry
+        # those, for no longer than the busy timeout itself.
+        give_up = time.monotonic() + self._BUSY_TIMEOUT_S
+        while True:
+            try:
+                if shared:
+                    self._db.execute("PRAGMA journal_mode=WAL")
+                self._db.execute(
+                    "CREATE TABLE IF NOT EXISTS results ("
+                    " fingerprint TEXT PRIMARY KEY,"
+                    " payload TEXT NOT NULL,"
+                    " makespan REAL NOT NULL,"
+                    " proven INTEGER NOT NULL,"
+                    " created REAL NOT NULL)"
+                )
+                self._db.commit()
+                return
+            except sqlite3.DatabaseError as exc:
+                if "locked" in str(exc) and time.monotonic() < give_up:
+                    time.sleep(0.01)
+                    continue
+                raise CacheBackendError(
+                    f"cannot open store {self.path}: {exc}") from exc
 
     @property
     def connection(self) -> sqlite3.Connection | None:

@@ -135,16 +135,6 @@ class Budget:
         """Which limit tripped (set by the first failing check)."""
         return self._reason
 
-    def remaining_seconds(self) -> float | None:
-        """Wall-clock budget left, or ``None`` when untimed.
-
-        Clamped at zero so callers can hand the remainder straight to a
-        follow-up stage's ``max_seconds``.
-        """
-        if self.max_seconds is None:
-            return None
-        return max(0.0, self.max_seconds - (time.perf_counter() - self._start))
-
     def expansions_exhausted(self, expanded: int) -> bool:
         """True when the expansion budget is spent."""
         return self.max_expanded is not None and expanded >= self.max_expanded

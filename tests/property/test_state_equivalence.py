@@ -220,24 +220,6 @@ def test_state_fields_track_reference(instance):
 
 @_SETTINGS
 @given(scheduling_instances())
-def test_compact_inflate_roundtrip(instance):
-    """compact() -> inflate() reproduces the state bit for bit."""
-    graph, system = instance
-    state = PartialSchedule.empty(graph, system)
-    p = system.num_pes
-    for i, node in enumerate(graph.topological_order):
-        state = state.extend(node, (i * 2 + 1) % p)
-    clone = PartialSchedule.inflate(graph, system, state.compact())
-    assert clone.dedup_key == state.dedup_key
-    assert clone.signature == state.signature
-    assert clone.ready_time == state.ready_time
-    assert clone.makespan == state.makespan
-    assert clone == state
-    assert hash(clone) == hash(state)
-
-
-@_SETTINGS
-@given(scheduling_instances())
 def test_wire_roundtrip(instance):
     """to_wire() -> from_wire() preserves identity, behaviour, and —
     unlike compact() — survives *further extension*: a snapshot root's
@@ -298,6 +280,8 @@ def test_zobrist_order_independence(instance):
     for node, pe in placements:
         forward = forward.extend(node, pe)
     # Replay in the (start, node) order compact() certifies as valid.
-    shuffled = PartialSchedule.inflate(graph, system, forward.compact())
+    shuffled = PartialSchedule.empty(graph, system)
+    for node, pe, _start in forward.compact():
+        shuffled = shuffled.extend(node, pe)
     assert shuffled.dedup_key == forward.dedup_key
     assert shuffled.zkey == forward.zkey

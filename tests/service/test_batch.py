@@ -18,7 +18,7 @@ from repro.service.batch import (
     load_items,
     run_batch,
 )
-from repro.service.cache import ResultCache
+from repro.service.cache import CacheEntry, ResultCache
 from repro.system.processors import ProcessorSystem
 from tests.service.test_fingerprint import permuted
 
@@ -97,6 +97,22 @@ class TestCacheIntegration:
         assert fixed.outcomes[0].certificate == "proven"
         assert cache.stale >= 1
         cache.close()
+
+    def test_refused_put_never_serves_an_entry_that_does_not_fit(self):
+        """A stored entry that wins the replacement order but covers
+        fewer nodes than the instance is not served: the fresh result
+        is (the cache-hit pass applies the same rule)."""
+        item = make_item("x")
+        fresh = run_batch([item], max_expansions=50_000).outcomes[0]
+        cache = ResultCache(None)
+        cache.put(CacheEntry(
+            fingerprint=fresh.fingerprint, assignment=((0, 0.0),),
+            makespan=0.5, certificate="proven", bound=0.5, algorithm="x",
+        ))
+        out = run_batch([item], cache=cache, max_expansions=50_000).outcomes[0]
+        assert not out.cached
+        assert out.makespan == pytest.approx(fresh.makespan)
+        validate_schedule(out.schedule)
 
 
 class TestWorkers:

@@ -96,16 +96,6 @@ class TestEndpoints:
         status, data = client.request("POST", "/v1/solve", [1, 2, 3])
         assert status == 400
 
-    def test_negative_content_length_400(self, client):
-        import socket
-
-        with socket.create_connection((client.host, client.port),
-                                      timeout=30) as sock:
-            sock.sendall(b"POST /v1/solve HTTP/1.1\r\n"
-                         b"Content-Length: -1\r\n\r\n")
-            response = sock.recv(4096).decode()
-        assert response.startswith("HTTP/1.1 400")
-
     def test_bad_solver_options_400(self, client):
         body = client.solve_request(graph_for(seed=26), pes=3,
                                     solver_workers=500)

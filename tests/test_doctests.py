@@ -10,11 +10,9 @@ import pytest
 
 import repro.parallel.partition
 import repro.search.pruning
-import repro.util.bitset
 import repro.util.timing
 
 MODULES = [
-    repro.util.bitset,
     repro.util.timing,
     repro.parallel.partition,
     repro.search.pruning,

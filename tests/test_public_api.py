@@ -47,7 +47,9 @@ class TestPublicSurface:
         assert not hasattr(repro, "multiprocessing_astar_schedule")
         assert not hasattr(repro.util, "LazyPQ")
         assert not hasattr(repro.util, "AddressablePQ")
-        for module in ("repro.util.pqueue", "repro.service.fingerprint"):
+        assert not hasattr(repro.util, "bit_count")
+        for module in ("repro.util.pqueue", "repro.util.bitset",
+                       "repro.service.fingerprint"):
             with pytest.raises(ModuleNotFoundError):
                 importlib.import_module(module)
 
