@@ -11,7 +11,7 @@ daemon, where the seed repo's worst bugs historically lived:
     update, reproduces only under load, and is invisible to tests that
     run the serial path.  Shared state must go through the sanctioned
     channels (``multiprocessing`` queues/values, ``SharedIncumbent``,
-    ``WorkerBoard``, ``Outbox``).
+    ``WorkerBoard``, ``Links``, ``Outbox``).
 
     Worker entry points are found by name (``_worker``/``*_loop``/
     ``*_main`` and friends), by being passed as ``target=`` to a

@@ -18,17 +18,22 @@ among the workers, determined by hashing its duplicate key
   expansion's children uniformly across workers, so no explicit
   round-robin sharing phase (§3.3's listing) is needed.
 * **Asynchronous communication.**  Children owned elsewhere travel in
-  batches over per-worker :mod:`multiprocessing` queues as
-  ``(f, h, wire)`` records.  The wire form, for the seeds and for
-  every transfer, is the snapshot
-  :meth:`~repro.schedule.partial.PartialSchedule.to_wire` — one O(v)
-  reconstruction on the owner instead of replaying the delta chain
-  placement by placement (measured ~10x cheaper per transfer).  Only
-  the final result travels back to the parent, in the O(depth)
+  batches over one one-way pipe per ordered worker pair
+  (:class:`~repro.parallel.shared.Links`), written by the worker's own
+  thread — no queue feeder thread — and only while the pipe's credit
+  window has room, so no write blocks and every message (≤ 16 KiB) is
+  one ``write``.  A record is ``(f, h, wire)`` with ``wire`` the packed
+  :meth:`~repro.schedule.partial.PartialSchedule.to_wire` form:
+  duplicate key first, scalar aggregates, then one ``bytes`` blob of
+  the per-task and per-PE arrays.  The sender builds a remote child's
+  wire by patching the blob of the parent it is expanding
+  (:func:`~repro.schedule.partial.child_wire`); the owner checks the
+  duplicate key and the bound straight off the tuple, keeps survivors
+  packed on OPEN, and decodes one only when it pops it.  ``f``/``h``
+  travel along so the owner never re-runs the cost function.  Seeds
+  travel in the same form; only the final result travels back to the
+  parent, in the O(depth)
   :meth:`~repro.schedule.partial.PartialSchedule.compact` form.
-  ``f``/``h`` travel along so the owner never
-  re-runs the cost function, and the duplicate key is readable off the
-  wire tuple so duplicates die *before* paying the reconstruction.
 * **Shared incumbent.**  The one global datum is the best known
   complete-schedule length (:class:`~repro.parallel.shared.
   SharedIncumbent`), seeded with the §3.2 list-schedule bound (or a
@@ -38,7 +43,7 @@ among the workers, determined by hashing its duplicate key
   forwards in the same signature set as its own states, so the 80-90%
   of candidates that are transposition duplicates generated *by the
   same worker* die at the sender — before the cost function, the
-  compact encoding, and the queue.
+  encoding, and the pipe.
 
 Termination is quiescence, not a goal pop: workers prune with
 ``(1+ε)·f ≥ U`` (tolerance-aware, :mod:`repro.util.tolerance`), so
@@ -55,6 +60,7 @@ from __future__ import annotations
 import heapq
 import math
 import multiprocessing as mp
+import pickle
 import queue as queue_mod
 import time
 from typing import Any
@@ -65,8 +71,10 @@ from repro.heuristics.listsched import fast_upper_bound_schedule
 from repro.obs.probe import SearchProbe
 from repro.obs.trace import Tracer
 from repro.parallel.mp_backend import pool_context, system_from_args, system_to_args
-from repro.parallel.shared import Outbox, SharedIncumbent, WorkerBoard, owner_of
-from repro.schedule.partial import PartialSchedule
+from repro.parallel.shared import (
+    Links, Outbox, SharedIncumbent, WorkerBoard, owner_of,
+)
+from repro.schedule.partial import PartialSchedule, child_wire, widest_wire
 from repro.schedule.schedule import Schedule
 from repro.search.costs import make_cost_function
 from repro.search.dedup import SignatureSet
@@ -80,15 +88,14 @@ from repro.util.timing import Budget, process_rss_mb
 
 __all__ = ["hda_astar_schedule"]
 
-#: States per queue message (amortizes pickling and pipe writes).
-_BATCH_SIZE = 64
-#: Inbox depth in batches — back pressure so a fast producer cannot
-#: buffer unbounded states at a drowning consumer (see Outbox).
-_QUEUE_DEPTH = 64
-#: Expansions between inbox drains in the worker loop.
+#: Expansions between inbound-pipe drains in the worker loop.
 _CHUNK = 128
-#: Worker sleep while idle, and the parent's monitor poll period.
-_IDLE_SLEEP = 0.0005
+#: How long an idle worker blocks on its inbound pipes before it beats
+#: and checks ``stop`` again; a worker whose batch waits on a full
+#: credit window retries its flush sooner.
+_IDLE_WAIT = 0.005
+_RETRY_WAIT = 0.0005
+#: The parent's monitor poll period.
 _MONITOR_SLEEP = 0.002
 #: Seconds the parent waits for worker results/joins after stop.
 _SHUTDOWN_GRACE = 10.0
@@ -151,7 +158,12 @@ def hda_astar_schedule(
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`.  Workers buffer
         span/event records locally and ship them back over the results
-        queue; the coordinator absorbs them under its current span.
+        queue; the coordinator absorbs them under its current span and
+        attaches each worker's transfer counters to its ``hda.worker``
+        span: states/batches/bytes sent and received, and seconds spent
+        encoding (pickle + write per outgoing batch), decoding (read +
+        unpickle + admission per incoming batch) and idle (blocked on
+        the inbound pipes).
 
     Returns the same :class:`SearchResult` contract as the serial
     engines; ``algorithm`` is ``hda(workers=N)`` and ``optimal`` is
@@ -340,7 +352,7 @@ def hda_astar_schedule(
     board = WorkerBoard(ctx, workers)
     stop = ctx.Event()
     flags = ctx.Value("i", 0)
-    inboxes = [ctx.Queue(maxsize=_QUEUE_DEPTH) for _ in range(workers)]
+    links = Links(ctx, workers)
     results_q = ctx.Queue()
 
     # Remaining *global* expansion/generation budgets — workers check
@@ -384,7 +396,7 @@ def hda_astar_schedule(
     procs = [
         ctx.Process(
             target=_hda_worker,
-            args=(wid, job, seed_buckets[wid], inboxes, results_q,
+            args=(wid, job, seed_buckets[wid], links, results_q,
                   stop, inc, board, flags),
             daemon=True,
         )
@@ -436,21 +448,19 @@ def hda_astar_schedule(
         time.sleep(_MONITOR_SLEEP)
     stop.set()
 
-    # -- shutdown: drain until every worker exited, then collect -------------
-    # The parent must keep draining ALL inboxes while ANY worker is
-    # alive: worker exit joins its queue feeders (see the worker-side
-    # truncation note), and a feeder blocked on a full pipe can only
-    # finish if someone keeps reading it.
+    # -- shutdown: collect results until every worker exited ----------------
+    # No worker write can block on a peer (credit windows), so nothing
+    # but the results queue needs reading while the workers wind down.
     records: dict[int, dict[str, Any]] = {}
     if dirty:
-        # A hard-dead worker may have been killed mid-write, leaving a
-        # TRUNCATED message in any pipe.  Reading one blocks forever
-        # inside Connection._recv (the header promised more bytes than
-        # exist), so the parent must not touch the queues at all here —
-        # and live peers may already be wedged on the same truncated
-        # data, so they get a terminate, not a drain.  The incumbent in
-        # hand (seed phase + fallback) stays the answer; the portfolio
-        # recovers exactness by retrying / falling back to serial.
+        # A hard-dead worker may have been killed mid-write to the
+        # results queue, leaving a TRUNCATED message in its pipe.
+        # Reading one blocks forever inside Connection._recv (the
+        # header promised more bytes than exist), so the parent must
+        # not read from it at all here; the live peers get a terminate.
+        # The incumbent in hand (seed phase + fallback) stays the
+        # answer; the portfolio recovers exactness by retrying /
+        # falling back to serial.
         for p in procs:
             p.terminate()
         terminated = True
@@ -467,12 +477,6 @@ def hda_astar_schedule(
         grace = 2.0 if cause == "worker-stall" else _SHUTDOWN_GRACE
         deadline = time.monotonic() + grace
         while time.monotonic() < deadline and any(p.is_alive() for p in procs):
-            for q in inboxes:
-                try:
-                    while True:
-                        q.get_nowait()
-                except queue_mod.Empty:
-                    pass
             try:
                 rec = results_q.get(timeout=0.02)
                 records[rec["wid"]] = rec
@@ -496,6 +500,7 @@ def hda_astar_schedule(
                 records[rec["wid"]] = rec
         except queue_mod.Empty:
             pass
+    links.close()
     if len(records) < workers:
         failed = True
 
@@ -520,7 +525,11 @@ def hda_astar_schedule(
             "pruning": rec["pruning"],
         })
         if tracer is not None:
-            tracer.absorb(rec.get("trace"))
+            trace = rec.get("trace") or []
+            for record in trace:
+                if record["kind"] == "span_start" and record["name"] == "hda.worker":
+                    record["attrs"] = {**record.get("attrs", {}), **rec["transfer"]}
+            tracer.absorb(trace)
         if probe is not None and rec.get("timeline"):
             for off, exp, open_size, blen in rec["timeline"]:
                 worker_samples.append((off, rec["wid"], exp, open_size, blen))
@@ -562,11 +571,21 @@ def hda_astar_schedule(
 # -- worker side (top-level: picklable under spawn) ---------------------------
 
 
+def _record_bytes(v: int, p: int) -> int:
+    """Upper bound on the pickled size of one ``(f, h, wire)`` record
+    inside a message, for ``v`` tasks on ``p`` PEs: the widest record
+    pickled alone, plus slack for the memo references a batch may put
+    in place of tuples its records share."""
+    big = 1.7976931348623157e308
+    record = (big, big, widest_wire(v, p))
+    return len(pickle.dumps(record, pickle.HIGHEST_PROTOCOL)) + 8
+
+
 def _hda_worker(
     wid: int,
     job: dict[str, Any],
     seeds: list[tuple[float, float, tuple]],
-    inboxes: list[Any],
+    links: Links,
     results_q: Any,
     stop: Any,
     inc: SharedIncumbent,
@@ -576,7 +595,7 @@ def _hda_worker(
     """One HDA* worker: owns the states that hash to ``wid``."""
     try:
         _hda_worker_loop(
-            wid, job, seeds, inboxes, results_q, stop, inc, board, flags
+            wid, job, seeds, links, results_q, stop, inc, board, flags
         )
     except Exception as exc:  # pragma: no cover - crash path
         with flags.get_lock():
@@ -596,7 +615,7 @@ def _hda_worker_loop(
     wid: int,
     job: dict[str, Any],
     seeds: list[tuple[float, float, tuple]],
-    inboxes: list[Any],
+    links: Links,
     results_q: Any,
     stop: Any,
     inc: SharedIncumbent,
@@ -623,6 +642,7 @@ def _hda_worker_loop(
     # Per-child names, bound once: the loop below runs for every child.
     children = expander.children
     h_of = cost_fn.h
+    from_wire = PartialSchedule.from_wire
     v = graph.num_nodes
     seen = SignatureSet(verify=verify)
     for key, sigs in job["closed_keys"]:
@@ -632,15 +652,27 @@ def _hda_worker_loop(
         else:
             seen.add(key)
 
-    inbox = inboxes[wid]
-    outbox = Outbox(wid, inboxes, board, batch_size=_BATCH_SIZE)
-    open_heap: list[tuple[float, float, int, PartialSchedule]] = []
+    outbox = Outbox(wid, links, board, _record_bytes(v, system.num_pes))
+    # A record too large for one message (thousands of tasks) cannot
+    # travel: every child then stays with the worker that generated it.
+    # Still exact — ownership only spares duplicate work.
+    share = outbox.per_message > 0
+    # OPEN holds built states (children generated here) and packed
+    # records (states received from peers, decoded when popped).
+    open_heap: list[tuple[float, float, int, Any]] = []
     seq = 0
     expanded = 0
     generated = 0
     max_open = 0
     best_len = math.inf
     best_compact: tuple | None = None
+    # Inbound transfer counters, updated per message; idle seconds per
+    # blocking wait.
+    recv_states = 0
+    recv_messages = 0
+    recv_bytes = 0
+    decode_s = 0.0
+    idle_s = 0.0
 
     # Worker-local telemetry buffers: convergence samples every
     # ``probe_every`` expansions and (optionally) trace records, both
@@ -656,19 +688,20 @@ def _hda_worker_loop(
         wspan.__enter__()
 
     def admit(f: float, h: float, wire: tuple) -> None:
-        """Dedup-check an arriving record; rebuild and enqueue survivors.
+        """Dedup- and bound-check an arriving record; queue survivors.
 
-        The duplicate key is read straight off the wire tuple (mask is
-        field 0, zobrist field 5), so duplicates and bound-dead states
-        never pay the state reconstruction.
+        The duplicate key is read straight off the wire tuple (fields 0
+        and 1), so duplicates and bound-dead states never pay the
+        decode; survivors wait on OPEN still packed.
         """
         nonlocal seq
-        key = (wire[0], wire[5])
-        state: PartialSchedule | None = None
+        key = (wire[0], wire[1])
+        item: Any = wire
         if dup_on:
             if verify:
-                state = PartialSchedule.from_wire(graph, system, wire)
-                if seen.check_add(key, lambda s=state: s.signature):
+                # Exact re-verification needs the signature: decode now.
+                item = from_wire(graph, system, wire)
+                if seen.check_add(key, lambda s=item: s.signature):
                     pstats.pruning.duplicate_hits += 1
                     return
             elif seen.check_add(key):
@@ -679,32 +712,37 @@ def _hda_worker_loop(
             # copy of this state is dead too.
             pstats.pruning.upper_bound_cuts += 1
             return
-        if state is None:
-            state = PartialSchedule.from_wire(graph, system, wire)
         seq += 1
-        heapq.heappush(open_heap, (f, h, seq, state))
+        heapq.heappush(open_heap, (f, h, seq, item))
 
     for f, h, wire in seeds:
         admit(f, h, wire)
 
     budget_flagged = False
+    wait_s = 0.0
     while not stop.is_set():
         # Liveness stamp every iteration (idle ones too): the parent's
         # stall detector keys off this, not off is_alive.
         board.heartbeat(wid)
-        drained = False
-        while True:
-            try:
-                batch = inbox.get_nowait()
-            except queue_mod.Empty:
-                break
+        t0 = time.perf_counter()
+        msgs = links.receive(wid, wait_s)
+        t1 = time.perf_counter()
+        if wait_s:
+            idle_s += t1 - t0
+        if msgs:
             board.set_idle(wid, False)
-            board.count_received(wid)
-            drained = True
-            for f, h, wire in batch:
-                admit(f, h, wire)
+            for msg in msgs:
+                board.count_received(wid)
+                batch = pickle.loads(msg)
+                recv_states += len(batch)
+                recv_messages += 1
+                recv_bytes += len(msg)
+                for f, h, wire in batch:
+                    admit(f, h, wire)
+            decode_s += time.perf_counter() - t1
 
         if open_heap and not budget_flagged:
+            wait_s = 0.0
             board.set_idle(wid, False)
             # Chaos hooks — inert unless REPRO_FAULTS arms them.
             faults.crash_point("hda-worker-crash")
@@ -732,9 +770,10 @@ def _hda_worker_loop(
                 # imbalanced worker can never strand the others' share
                 # the way a static split would (overshoot <= one chunk
                 # per worker).  On exhaustion raise the flag and coast
-                # (keep draining so peers never block) until the parent
-                # stops everyone; the idle flag stays clear — OPEN is
-                # not empty, so quiescence must not be reported.
+                # (keep draining so peers' windows keep moving) until
+                # the parent stops everyone; the idle flag stays clear
+                # — OPEN is not empty, so quiescence must not be
+                # reported.
                 board.publish_progress(wid, expanded, generated)
                 total_exp, total_gen = board.total_progress()
                 if (max_expanded is not None and total_exp >= max_expanded) or (
@@ -749,10 +788,18 @@ def _hda_worker_loop(
             n = 0
             while open_heap and n < _CHUNK:
                 upper = inc.value
-                f, h, _s, state = heapq.heappop(open_heap)
+                f, h, _s, item = heapq.heappop(open_heap)
                 if ub_on and tol.geq(relax * f, upper):
                     pstats.pruning.upper_bound_cuts += 1
                     continue
+                if type(item) is tuple:
+                    # A peer's packed record, decoded only now; its blob
+                    # is the patch base for this state's remote children.
+                    state = from_wire(graph, system, item)
+                    blob = item[-1]
+                else:
+                    state = item
+                    blob = None
                 n += 1
                 expanded += 1
                 if probe_every and expanded >= probe_next:
@@ -775,20 +822,27 @@ def _hda_worker_loop(
                         pstats.pruning.upper_bound_cuts += 1
                         continue
                     generated += 1
-                    dest = owner_of(child.dedup_key, workers)
-                    if dest == wid:
-                        seq += 1
-                        heapq.heappush(open_heap, (cf, ch, seq, child))
-                    else:
-                        outbox.send(dest, (cf, ch, child.to_wire()))
+                    if share:
+                        dest = owner_of(child.dedup_key, workers)
+                        if dest != wid:
+                            if blob is None:
+                                blob = state.to_wire()[-1]
+                            outbox.send(dest, (cf, ch, child_wire(child, blob)))
+                            continue
+                    seq += 1
+                    heapq.heappush(open_heap, (cf, ch, seq, child))
             if len(open_heap) > max_open:
                 max_open = len(open_heap)
             outbox.flush_all()
-        elif not drained:
+        else:
+            # Idle, or coasting past a budget flag: block on the inbound
+            # pipes until a message or the next beat.  A worker is idle
+            # only with OPEN empty and every batch shipped — a batch the
+            # credit window holds back keeps it busy.
             flushed = outbox.flush_all()
-            if not open_heap and flushed and not outbox.pending:
+            if not open_heap and flushed:
                 board.set_idle(wid, True)
-            time.sleep(_IDLE_SLEEP)
+            wait_s = _IDLE_WAIT if flushed else _RETRY_WAIT
 
     # -- shutdown -------------------------------------------------------------
     outbox.drop_all()
@@ -806,14 +860,23 @@ def _hda_worker_loop(
             "pruning": pstats.pruning.as_dict(),
             "timeline": samples if probe_every else None,
             "trace": wtracer.drain() if wtracer is not None else None,
+            "transfer": {
+                "states_sent": outbox.sent_states,
+                "batches_sent": outbox.sent_messages,
+                "bytes_sent": outbox.sent_bytes,
+                "states_received": recv_states,
+                "batches_received": recv_messages,
+                "bytes_received": recv_bytes,
+                "encode_s": outbox.encode_s,
+                "decode_s": decode_s,
+                "idle_s": idle_s,
+            },
         }
     )
-    # No cancel_join_thread here, deliberately: killing a feeder can
-    # truncate a message mid-pipe, and the *reader* of a truncated
-    # message blocks forever inside get_nowait's _recv_bytes (observed
-    # as a stuck worker surviving stop).  Process exit instead joins
-    # the feeders so every write completes; the parent guarantees the
-    # pipes keep draining until every worker has exited.
+    # No cancel_join_thread here, deliberately: killing the results
+    # queue's feeder can truncate the record mid-pipe.  Process exit
+    # joins the feeder instead, and the parent keeps reading the
+    # results queue until every worker has exited.
 
 
 # Downward registration (parallel -> search is a legal import): the

@@ -1,6 +1,6 @@
-"""Shared-memory coordination for the HDA* backend.
+"""Shared-memory coordination and transport for the HDA* backend.
 
-Three small primitives, each wrapping raw :mod:`multiprocessing`
+Four small primitives, each wrapping raw :mod:`multiprocessing`
 objects behind the exact protocol the search needs:
 
 * :class:`SharedIncumbent` — the one number every worker's §3.2
@@ -11,9 +11,12 @@ objects behind the exact protocol the search needs:
 * :class:`WorkerBoard` — per-worker idle flags plus sent/received
   message counters, each slot written by exactly one process, used for
   distributed quiescence detection (below).
-* :class:`Outbox` — per-destination batching of outgoing states so a
-  queue ``put`` (one pickle + one pipe write) amortizes over
-  ``batch_size`` states.
+* :class:`Links` — one one-way pipe per ordered worker pair, written
+  by the sending worker's own thread (no feeder thread), with a
+  *credit window* per pipe so no write can block (below).
+* :class:`Outbox` — per-destination batching of outgoing states so one
+  pickle and one pipe write amortize over every state that fits in a
+  :attr:`Links.cap`-byte message.
 
 Quiescence detection
 --------------------
@@ -21,24 +24,59 @@ Quiescence detection
 The search is done when every worker is idle (empty OPEN, empty inbox)
 and no message is in flight.  :meth:`WorkerBoard.quiescent` implements
 the classic counter protocol: workers increment their ``sent`` slot
-*before* putting a batch on a queue, and clear their idle flag *before*
-incrementing ``received`` after getting one.  The detector then reads
+*before* writing a batch to a pipe, and clear their idle flag *before*
+incrementing ``received`` after reading one.  The detector then reads
 ``idle → counters → idle → counters``; a batch in flight shows up as
 ``sum(sent) > sum(received)`` (sender counted first), and a batch
 consumed between the two scans shows up as a cleared idle flag or a
 counter change.  Only a stable double-read — all idle, sums equal,
-twice — reports quiescence.
+twice — reports quiescence.  A batch the credit window holds back stays
+in the sender's :class:`Outbox`, which keeps that worker non-idle
+(:attr:`Outbox.pending`), so held-back work can never look quiescent.
+
+Credit windows
+--------------
+
+Each pipe ``src → dst`` has a window: the bytes ``src`` has written
+minus the bytes ``dst`` has acknowledged in a shared counter only
+``dst`` writes.  ``src`` writes a message only when the window has room
+for it, and the window is sized so that everything it admits fits in
+the pipe's kernel buffer — so a write never blocks, and the
+bounded-buffer deadlock cycle (A blocked writing to B, B blocked
+writing to A) cannot form.  A message is at most :attr:`Links.cap`
+(≤ 16 KiB) bytes, which :class:`multiprocessing.connection.Connection`
+sends as *one* ``write``: a worker killed mid-send cannot leave half a
+message for its peer to block on.
 """
 
 from __future__ import annotations
 
-import queue
+import mmap
+import pickle
+import select
 import time
+from multiprocessing.connection import Connection, wait
 from typing import Any
 
 from repro.util.hashing import MASK64, splitmix64
 
-__all__ = ["SharedIncumbent", "WorkerBoard", "Outbox", "owner_of"]
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX
+    fcntl = None  # type: ignore[assignment]
+
+__all__ = ["SharedIncumbent", "WorkerBoard", "Links", "Outbox", "owner_of"]
+
+#: Largest message payload: ``Connection.send_bytes`` writes header and
+#: payload in one ``write`` up to this size and in two above it.
+MESSAGE_BYTES = 16384
+#: Kernel buffer requested per pipe (``F_SETPIPE_SZ``, Linux).
+_PIPE_BYTES = 1 << 20
+#: ``Connection.send_bytes`` prefixes every payload with a 4-byte length.
+_HEADER_BYTES = 4
+#: Pickle framing of a message's list, beyond its items (protocol 5:
+#: PROTO, FRAME, EMPTY_LIST, MEMOIZE, MARK, APPENDS, STOP).
+_LIST_BYTES = 16
 
 
 def owner_of(key: tuple[int, int], workers: int) -> int:
@@ -130,17 +168,8 @@ class WorkerBoard:
             self._beat[i] = now
 
     def count_sent(self, wid: int) -> None:
-        """Record one outgoing batch; call *before* the queue ``put``."""
+        """Record one outgoing batch; call *before* the pipe write."""
         self._sent[wid] += 1
-
-    def uncount_sent(self, wid: int) -> None:
-        """Roll back :meth:`count_sent` after a failed non-blocking put.
-
-        Safe for the protocol: the transient over-count can only make
-        the detector see ``sent > received`` — the no-termination
-        direction.
-        """
-        self._sent[wid] -= 1
 
     def count_received(self, wid: int) -> None:
         """Record one consumed batch; call *after* clearing idle."""
@@ -199,77 +228,195 @@ class WorkerBoard:
         return {"sent": sum(self._sent), "received": sum(self._received)}
 
 
+def _pipe_capacity(conn: Connection) -> int:
+    """Bytes the pipe behind write end ``conn`` buffers before a write
+    blocks: grown to ``_PIPE_BYTES`` where ``F_SETPIPE_SZ`` exists and
+    the grow is allowed, else the size the kernel reports, else the
+    ``PIPE_BUF`` capacity POSIX guarantees."""
+    get_size = getattr(fcntl, "F_GETPIPE_SZ", None)
+    if get_size is None:
+        return select.PIPE_BUF
+    fd = conn.fileno()
+    try:
+        return fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except OSError:
+        # EPERM/EBUSY past the per-user pipe quota: keep the kernel's size.
+        return fcntl.fcntl(fd, get_size)
+
+
+class Links:
+    """One one-way pipe per ordered worker pair, with credit windows.
+
+    Created by the parent before the workers fork; worker ``src`` writes
+    ``src → dst`` from its own thread and worker ``dst`` reads it.  The
+    ``_acked`` slot of a pipe is written only by its reader, and the
+    written-bytes tally lives in the sender's own process, so every
+    counter has one writer.
+
+    The window admits at most ``(capacity − 2·page) / 2`` bytes in
+    flight.  Linux stores pipe data in page-sized slots and starts a
+    write on a fresh slot when its tail does not fit the last one, so
+    each message can strand less than its own length at the end of a
+    slot; the reader's partly-consumed slot and the writer's open slot
+    strand at most a page each.  Everything the window admits therefore
+    fits the buffer, and no write blocks.
+    """
+
+    def __init__(self, ctx: Any, workers: int) -> None:
+        self.workers = workers
+        #: ``_writers[src][dst]`` / ``_readers[dst]`` = ``[(src, conn)]``.
+        self._writers: list[list[Connection | None]] = [
+            [None] * workers for _ in range(workers)
+        ]
+        self._readers: list[list[tuple[int, Connection]]] = [
+            [] for _ in range(workers)
+        ]
+        capacity = None
+        for src in range(workers):
+            for dst in range(workers):
+                if src == dst:
+                    continue
+                r, w = ctx.Pipe(duplex=False)
+                self._writers[src][dst] = w
+                self._readers[dst].append((src, r))
+                size = _pipe_capacity(w)
+                capacity = size if capacity is None else min(capacity, size)
+        page = mmap.PAGESIZE
+        #: Bytes allowed in flight per pipe (0: no message fits).
+        self.window = max(0, ((capacity or 0) - 2 * page) // 2)
+        #: Largest message payload, header excluded.
+        self.cap = max(0, min(MESSAGE_BYTES, self.window - _HEADER_BYTES))
+        self._acked = ctx.Array("q", workers * workers, lock=False)
+        self._written = [[0] * workers for _ in range(workers)]
+
+    def has_room(self, src: int, dst: int, nbytes: int) -> bool:
+        """Whether a ``nbytes``-payload message fits ``src → dst``'s window."""
+        in_flight = self._written[src][dst] - self._acked[src * self.workers + dst]
+        return in_flight + nbytes + _HEADER_BYTES <= self.window
+
+    def write(self, src: int, dst: int, msg: bytes) -> None:
+        """Send one message; the caller checked :meth:`has_room`."""
+        self._writers[src][dst].send_bytes(msg)  # type: ignore[union-attr]
+        self._written[src][dst] += len(msg) + _HEADER_BYTES
+
+    def receive(self, dst: int, timeout: float = 0.0) -> list[bytes]:
+        """Every message waiting for ``dst``, acknowledged to its senders.
+
+        Blocks up to ``timeout`` seconds for the first one.  A message
+        is one ``write``, so a readable pipe holds whole messages and
+        ``recv_bytes`` never waits mid-message.
+        """
+        readers = self._readers[dst]
+        ready = wait([conn for _src, conn in readers], timeout)
+        if not ready:
+            return []
+        out: list[bytes] = []
+        for src, conn in readers:
+            if conn not in ready:
+                continue
+            got = 0
+            while True:
+                msg = conn.recv_bytes()
+                out.append(msg)
+                got += len(msg) + _HEADER_BYTES
+                if not conn.poll():
+                    break
+            self._acked[src * self.workers + dst] += got
+        return out
+
+    def close(self) -> None:
+        """Close every pipe end this process holds."""
+        for row in self._writers:
+            for conn in row:
+                if conn is not None:
+                    conn.close()
+        for readers in self._readers:
+            for _src, conn in readers:
+                conn.close()
+
+
 class Outbox:
-    """Per-destination batches of outgoing states with flow control.
+    """Per-destination batches of outgoing states over :class:`Links`.
 
     States headed to worker ``j`` accumulate in ``self.batches[j]`` and
-    flush as one queue message when the batch fills (or on demand —
-    before the owner may go idle, an unflushed batch would deadlock the
-    quiescence protocol by hiding work from the counters).
+    ship as one message once ``per_message`` of them wait (or on demand
+    — before the owner may go idle, an unflushed batch would deadlock
+    the quiescence protocol by hiding work from the counters).  Every
+    item pickles to at most ``item_bytes``, so ``per_message`` items fit
+    one :attr:`Links.cap`-byte message.
 
-    Sends are **non-blocking**: the inbox queues are bounded (back
-    pressure — an unbounded queue lets a fast producer buffer millions
-    of states a drowning consumer will mostly discard as duplicates),
-    and a full destination simply keeps the batch local for a later
-    retry.  Nothing ever blocks on a peer, so the classic bounded-queue
-    deadlock (A blocked putting to B putting to A) cannot form; the
-    retry converges because every worker drains its inbox at each loop
-    iteration before expanding.
+    Sends never block: a message the destination's credit window has no
+    room for stays local for a later retry, and the batch keeps growing
+    meanwhile (flushes then ship it in ``per_message`` slices).  The
+    retry converges because every worker drains its inbound pipes at
+    each loop iteration before expanding.
     """
 
     def __init__(
-        self,
-        wid: int,
-        queues: list[Any],
-        board: WorkerBoard,
-        batch_size: int = 64,
+        self, wid: int, links: Links, board: WorkerBoard, item_bytes: int
     ) -> None:
         self.wid = wid
-        self.queues = queues
+        self.links = links
         self.board = board
-        self.batch_size = batch_size
-        self.batches: list[list[Any]] = [[] for _ in queues]
+        #: Items per message.  0 when one item alone exceeds the cap:
+        #: then nothing can be sent, and callers keep every item local.
+        self.per_message = max(0, (links.cap - _LIST_BYTES) // item_bytes)
+        self.batches: list[list[Any]] = [[] for _ in range(links.workers)]
+        # Transfer counters, updated per message: shipped states,
+        # messages and payload bytes, and seconds pickling and writing.
+        self.sent_states = 0
+        self.sent_messages = 0
+        self.sent_bytes = 0
+        self.encode_s = 0.0
 
     def send(self, dest: int, item: Any) -> None:
-        """Buffer ``item`` for ``dest``; try to flush when full.
-
-        The batch-size bound is soft: if the destination is full the
-        batch keeps growing locally and retries on the next flush.
-        """
+        """Buffer ``item`` for ``dest``; try to flush a full message."""
         batch = self.batches[dest]
         batch.append(item)
-        if len(batch) >= self.batch_size:
+        if len(batch) >= self.per_message:
             self.flush_one(dest)
 
     def flush_one(self, dest: int) -> bool:
-        """Try to ship ``dest``'s batch; False when the peer is full."""
+        """Ship ``dest``'s batch; False while its window is full."""
         batch = self.batches[dest]
-        if not batch:
-            return True
-        # Count before put: a detector that sees the queue still empty
-        # must already see sent > received (see module docstring).
-        self.board.count_sent(self.wid)
-        try:
-            self.queues[dest].put_nowait(batch)
-        except queue.Full:
-            self.board.uncount_sent(self.wid)
-            return False
-        self.batches[dest] = []
-        return True
+        links = self.links
+        per = self.per_message
+        sent = 0
+        while sent < len(batch):
+            # Conservative: room for a full-cap message, checked before
+            # pickling so a full window costs no pickle.
+            if not links.has_room(self.wid, dest, links.cap):
+                break
+            t0 = time.perf_counter()
+            part = batch[sent:sent + per]
+            msg = pickle.dumps(part, pickle.HIGHEST_PROTOCOL)
+            # Count before the write: a detector that sees the pipe still
+            # empty must already see sent > received (module docstring).
+            self.board.count_sent(self.wid)
+            links.write(self.wid, dest, msg)
+            sent += len(part)
+            self.sent_states += len(part)
+            self.sent_messages += 1
+            self.sent_bytes += len(msg)
+            self.encode_s += time.perf_counter() - t0
+        if sent:
+            del batch[:sent]
+        return not batch
 
     def flush_all(self) -> bool:
         """Try every pending batch; True when all of them shipped."""
         done = True
         for dest in range(len(self.batches)):
-            done &= self.flush_one(dest)
+            if self.batches[dest]:
+                done &= self.flush_one(dest)
         return done
 
     @property
     def pending(self) -> bool:
-        """True while any batch is waiting on a full destination."""
+        """True while any batch is waiting on a full window."""
         return any(self.batches)
 
     def drop_all(self) -> None:
         """Discard pending batches without sending (shutdown path)."""
-        for dest in range(len(self.batches)):
-            self.batches[dest] = []
+        for batch in self.batches:
+            batch.clear()

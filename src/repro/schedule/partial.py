@@ -40,6 +40,8 @@ Representation (delta encoding; see DESIGN.md):
 
 from __future__ import annotations
 
+import functools
+import struct
 from collections.abc import Iterable
 from typing import Any
 
@@ -52,7 +54,9 @@ from repro.util.hashing import PE64 as _PE64
 from repro.util.hashing import PHI64 as _PHI64
 from repro.util.hashing import splitmix64 as _splitmix64
 
-__all__ = ["PartialSchedule", "placement_key"]
+__all__ = [
+    "PartialSchedule", "child_wire", "placement_key", "widest_wire", "wire_struct",
+]
 
 
 def placement_key(node: int, pe: int, start: float) -> int:
@@ -73,6 +77,65 @@ def placement_key(node: int, pe: int, start: float) -> int:
     """
     return _splitmix64(
         (node + 1) * _PHI64 + (pe + 1) * _PE64 + (hash(start) & _MASK64)
+    )
+
+
+@functools.cache
+def wire_struct(v: int, p: int) -> struct.Struct:
+    """Layout of the :meth:`PartialSchedule.to_wire` blob for ``v``
+    tasks on ``p`` PEs: ``starts``, ``finishes``, ``ready_time`` and
+    ``busy_time`` as doubles, then ``pes`` as 32-bit ints (wide enough
+    for any PE count), native byte order, no padding."""
+    return struct.Struct(f"={2 * (v + p)}d{v}i")
+
+
+def widest_wire(v: int, p: int) -> tuple:
+    """A :meth:`PartialSchedule.to_wire` tuple with every field at its
+    widest for ``v`` tasks on ``p`` PEs — all-ones masks, a full 64-bit
+    Zobrist key, every task in ``max_finish_nodes`` — so its pickled
+    size bounds every real state's (HDA* sizes its messages by it)."""
+    big = 1.7976931348623157e308
+    full = (1 << v) - 1
+    return (full, _MASK64, full, big, v, (1 << p) - 1, big, big,
+            tuple(range(v)), bytes(wire_struct(v, p).size))
+
+
+_pack_double = struct.Struct("=d").pack_into
+_pack_int = struct.Struct("=i").pack_into
+
+
+def child_wire(child: "PartialSchedule", parent_blob: bytes) -> tuple:
+    """``child.to_wire()``, built from its parent's packed blob.
+
+    ``child`` must come from :meth:`PartialSchedule.extend` on the state
+    whose ``to_wire()`` blob is ``parent_blob``: the child's arrays
+    differ from the parent's in exactly the placed node's
+    ``starts``/``finishes``/``pes`` entries and the placed PE's
+    ``ready_time``/``busy_time`` entries, so five in-place stores replace
+    the O(v) materialization and full pack.  The result equals
+    ``child.to_wire()`` byte for byte (property-tested).
+    """
+    v = child.graph.num_nodes
+    p = len(child.ready_time)
+    n = child.last_node
+    pe = child.last_pe
+    buf = bytearray(parent_blob)
+    _pack_double(buf, 8 * n, child.last_start)
+    _pack_double(buf, 8 * (v + n), child.last_finish)
+    _pack_double(buf, 8 * (2 * v + pe), child.ready_time[pe])
+    _pack_double(buf, 8 * (2 * v + p + pe), child.busy_time[pe])
+    _pack_int(buf, 16 * (v + p) + 4 * n, pe)
+    return (
+        child.mask,
+        child.zkey,
+        child.ready_mask,
+        child.makespan,
+        child.num_scheduled,
+        child.used_pes,
+        child.remaining_weight,
+        child.total_idle,
+        child._max_finish_nodes,
+        bytes(buf),
     )
 
 
@@ -524,35 +587,40 @@ class PartialSchedule:
         return tuple(items)
 
     def to_wire(self) -> tuple:
-        """Full-fidelity snapshot for cross-process transfer: every
-        aggregate plus the materialized arrays, as one picklable tuple.
+        """Packed snapshot for cross-process transfer: the HDA* wire form.
 
-        The HDA* transfer format, for the seeds and for every child sent
-        to its owner: rebuilding via :meth:`from_wire` is one O(v)
-        construction instead of an O(depth) :meth:`extend` replay with
-        its per-step EST scans (measured ~10x cheaper at §4.1 depths,
-        see DESIGN.md).  :meth:`compact` carries only the final result.
+        A flat tuple, duplicate key first, then the scalar aggregates,
+        then one ``bytes`` blob::
+
+            (mask, zkey, ready_mask, makespan, num_scheduled, used_pes,
+             remaining_weight, total_idle, max_finish_nodes, blob)
+
+        ``blob`` packs ``starts``, ``finishes`` (v doubles each),
+        ``ready_time``, ``busy_time`` (p doubles each) and ``pes`` (v
+        32-bit ints) in that order (:func:`wire_struct`).  Every field
+        round-trips bit for bit, so a cost function evaluated on the
+        :meth:`from_wire` rebuild returns the sender's ``h``.  A receiver
+        reads the duplicate key as ``(wire[0], wire[1])`` without
+        unpacking anything; :func:`child_wire` builds a child's wire form
+        by patching its parent's blob.  Seeds and every transferred state
+        travel in this form; :meth:`compact` carries only the final result.
         """
         if self._pes is None:
             self._materialize()
-        # New aggregates append at the END: the HDA* workers read the
-        # duplicate key straight off the tuple as (wire[0], wire[5]) —
-        # those positions are part of the wire contract.
         return (
             self.mask,
+            self.zkey,
             self.ready_mask,
-            self.ready_time,
             self.makespan,
             self.num_scheduled,
-            self.zkey,
             self.used_pes,
-            self._max_finish_nodes,
-            self._pes,
-            self._starts,
-            self._finishes,
             self.remaining_weight,
-            self.busy_time,
             self.total_idle,
+            self._max_finish_nodes,
+            wire_struct(len(self._pes), len(self.ready_time)).pack(  # type: ignore[arg-type]
+                *self._starts, *self._finishes,  # type: ignore[misc]
+                *self.ready_time, *self.busy_time, *self._pes,  # type: ignore[misc]
+            ),
         )
 
     @classmethod
@@ -566,28 +634,38 @@ class PartialSchedule:
         simply has nothing to prune against it, and :meth:`placements`
         reads its nodes from the arrays.  Identity (``dedup_key``,
         ``signature``) and all search-visible behaviour are preserved.
+        Filled slot by slot, like :meth:`extend`'s children.
         """
-        (mask, ready_mask, ready_time, makespan, num_scheduled, zkey,
-         used_pes, max_finish_nodes, pes, starts, finishes,
-         remaining_weight, busy_time, total_idle) = wire
-        return cls(
-            graph=graph,
-            system=system,
-            mask=mask,
-            ready_mask=ready_mask,
-            ready_time=ready_time,
-            makespan=makespan,
-            num_scheduled=num_scheduled,
-            zkey=zkey,
-            used_pes=used_pes,
-            remaining_weight=remaining_weight,
-            busy_time=busy_time,
-            total_idle=total_idle,
-            max_finish_nodes=max_finish_nodes,
-            pes=pes,
-            starts=starts,
-            finishes=finishes,
-        )
+        (mask, zkey, ready_mask, makespan, num_scheduled, used_pes,
+         remaining_weight, total_idle, max_finish_nodes, blob) = wire
+        v = graph.num_nodes
+        p = system.num_pes
+        vals = wire_struct(v, p).unpack(blob)
+        rt_end = 2 * v + p
+        ps = object.__new__(cls)
+        ps.graph = graph
+        ps.system = system
+        ps.mask = mask
+        ps.ready_mask = ready_mask
+        ps.ready_time = vals[2 * v:rt_end]
+        ps.makespan = makespan
+        ps.num_scheduled = num_scheduled
+        ps.last_node = -1
+        ps.last_pe = -1
+        ps.last_start = -1.0
+        ps.last_finish = -1.0
+        ps.zkey = zkey
+        ps.used_pes = used_pes
+        ps.remaining_weight = remaining_weight
+        ps.busy_time = vals[rt_end:rt_end + p]
+        ps.total_idle = total_idle
+        ps._parent = None
+        ps._max_finish_nodes = max_finish_nodes
+        ps._pes = vals[rt_end + p:]
+        ps._starts = vals[:v]
+        ps._finishes = vals[v:2 * v]
+        ps._sig = None
+        return ps
 
     def to_schedule(self) -> Schedule:
         """Materialize a complete :class:`Schedule`.

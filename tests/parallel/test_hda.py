@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 
 from repro.graph.generators.random_paper import PaperGraphSpec, paper_random_graph
+from repro.obs.trace import Tracer
 from repro.parallel.hda import hda_astar_schedule
 from repro.parallel.mp_backend import pool_context
-from repro.parallel.shared import Outbox, SharedIncumbent, WorkerBoard, owner_of
+from repro.parallel.shared import SharedIncumbent, WorkerBoard, owner_of
 from repro.schedule.partial_reference import ReferencePartialSchedule
 from repro.schedule.validate import schedule_violations
 from repro.search.astar import astar_schedule
@@ -177,17 +178,61 @@ class TestHdaMatchesSerial:
         assert schedule_violations(result.schedule) == []
 
     def test_verify_signatures_mode_stays_exact(self):
+        """Verify mode decodes every arriving record at admission (the
+        exact signature needs the arrays): still exact, and states
+        really cross the pipes."""
         from repro.search.pruning import PruningConfig
 
         graph = paper_random_graph(PaperGraphSpec(num_nodes=12, ccr=1.0, seed=7))
         system = ProcessorSystem.fully_connected(3)
         serial = astar_schedule(graph, system)
+        tracer = Tracer()
         verified = hda_astar_schedule(
             graph, system, workers=2,
-            pruning=PruningConfig(verify_signatures=True),
+            pruning=PruningConfig(verify_signatures=True), tracer=tracer,
         )
         assert verified.optimal
         assert verified.length == serial.length
+        transfer = _transfer_totals(tracer)
+        assert transfer["states_sent"] > 0
+        assert transfer["states_sent"] == transfer["states_received"]
+
+    def test_three_workers_all_send_and_receive(self):
+        graph = paper_random_graph(PaperGraphSpec(num_nodes=12, ccr=1.0, seed=7))
+        system = ProcessorSystem.fully_connected(3)
+        serial = astar_schedule(graph, system)
+        tracer = Tracer()
+        parallel = hda_astar_schedule(graph, system, workers=3, tracer=tracer)
+        assert parallel.optimal
+        assert parallel.length == serial.length
+        workers = _worker_transfers(tracer)
+        assert sorted(w["wid"] for w in workers) == [0, 1, 2]
+        for w in workers:
+            assert w["states_sent"] > 0 and w["states_received"] > 0
+            assert w["batches_sent"] > 0 and w["bytes_sent"] > 0
+            assert min(w["encode_s"], w["decode_s"], w["idle_s"]) >= 0.0
+        transfer = _transfer_totals(tracer)
+        # Quiescence proves nothing was left in flight.
+        assert transfer["states_sent"] == transfer["states_received"]
+        assert transfer["batches_sent"] == transfer["batches_received"]
+        assert transfer["bytes_sent"] == transfer["bytes_received"]
+
+    def test_records_too_large_for_a_message_stay_local(self, monkeypatch):
+        """When not even one record fits a message, every child stays
+        with the worker that generated it: nothing is sent, and the
+        answer is still the proven optimum."""
+        from repro.parallel import shared
+
+        monkeypatch.setattr(shared, "MESSAGE_BYTES", 64)
+        graph = paper_random_graph(PaperGraphSpec(num_nodes=12, ccr=1.0, seed=7))
+        system = ProcessorSystem.fully_connected(3)
+        serial = astar_schedule(graph, system)
+        tracer = Tracer()
+        parallel = hda_astar_schedule(graph, system, workers=2, tracer=tracer)
+        assert parallel.optimal
+        assert parallel.length == serial.length
+        transfer = _transfer_totals(tracer)
+        assert transfer["states_sent"] == transfer["states_received"] == 0
 
     def test_generation_budget_is_enforced_in_workers(self):
         graph = paper_random_graph(PaperGraphSpec(num_nodes=16, ccr=1.0, seed=2))
@@ -209,6 +254,23 @@ class TestHdaMatchesSerial:
         assert approx.bound == 1.5
         assert approx.certificate == "epsilon"
         assert approx.length <= 1.5 * exact.length + 1e-9
+
+
+def _worker_transfers(tracer):
+    """The transfer counters the coordinator attached to each worker span."""
+    return [
+        r["attrs"] for r in tracer.buffer
+        if r["kind"] == "span_start" and r["name"] == "hda.worker"
+    ]
+
+
+def _transfer_totals(tracer):
+    totals: dict[str, float] = {}
+    for attrs in _worker_transfers(tracer):
+        for k, val in attrs.items():
+            if k != "wid":
+                totals[k] = totals.get(k, 0) + val
+    return totals
 
 
 @pytest.mark.slow
@@ -263,47 +325,3 @@ class TestSharedPrimitives:
         board.set_idle(1, True)
         assert board.quiescent()
         assert board.counters() == {"sent": 1, "received": 1}
-
-    def test_worker_board_uncount_sent_rolls_back(self):
-        ctx = pool_context()
-        board = WorkerBoard(ctx, 1)
-        board.set_idle(0, True)
-        board.count_sent(0)
-        assert not board.quiescent()
-        board.uncount_sent(0)  # failed non-blocking put
-        assert board.quiescent()
-
-    def test_outbox_batches_and_flow_control(self):
-
-        ctx = pool_context()
-        board = WorkerBoard(ctx, 2)
-        q0, q1 = ctx.Queue(maxsize=1), ctx.Queue(maxsize=1)
-        out = Outbox(0, [q0, q1], board, batch_size=2)
-        out.send(1, "a")
-        assert out.pending  # below batch size: buffered
-        out.send(1, "b")  # batch filled: flushed
-        for _ in range(100):  # mp.Queue puts are asynchronous
-            if not q1.empty():
-                break
-            import time
-
-            time.sleep(0.01)
-        assert q1.get(timeout=2.0) == ["a", "b"]
-        # Fill the destination, then overflow it: flush must not block.
-        q1.put("blocker")
-        out.send(1, "c")
-        out.send(1, "d")  # triggers a flush attempt against a full queue
-        assert out.pending
-        assert not out.flush_all()
-        assert q1.get(timeout=2.0) == "blocker"
-        for _ in range(100):
-            if out.flush_all():
-                break
-            import time
-
-            time.sleep(0.01)
-        assert not out.pending
-        assert q1.get(timeout=2.0) == ["c", "d"]
-        out.send(0, "e")
-        out.drop_all()
-        assert not out.pending
