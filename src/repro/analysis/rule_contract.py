@@ -10,13 +10,16 @@ its contract:
 * every engine returns a :class:`repro.search.result.SearchResult`
   with ``lower_bound`` and ``interrupted`` populated, so a
   budget-stopped run is a *certified-approximate* answer, not a shrug.
+  An engine that builds a :class:`repro.search.frame.SearchFrame`
+  reports through the frame's one exit, which constructs that result.
 
 This rule checks the statically-visible half: it collects engine
 registrations (``_ENGINE_LOADERS = {...}`` literals and
 ``register_engine("name", lambda: fn)`` calls) across the linted
 modules, resolves each loader to its function definition through the
 registry module's imports, and verifies the signature and that the
-defining module constructs ``SearchResult`` with both contract fields.
+defining module constructs ``SearchResult`` with both contract fields
+(itself, or through a ``SearchFrame`` whose module does).
 The dynamic half — real signatures after decorators, values actually
 populated — is pinned by the import-time conformance test
 (``tests/search/test_engine_registry.py``) parametrized over
@@ -34,6 +37,7 @@ __all__ = ["EngineContractRule"]
 
 _REQUIRED_KWONLY = ("budget", "incumbent", "probe")
 _REQUIRED_RESULT_FIELDS = ("lower_bound", "interrupted")
+_FRAME_MODULE = ("repro", "search", "frame")
 
 
 class EngineContractRule(Rule):
@@ -51,6 +55,8 @@ class EngineContractRule(Rule):
         self._functions: dict[tuple[tuple, str], set[str]] = {}
         #: modules that build SearchResult(..., lower_bound=, interrupted=)
         self._contract_ctors: set[tuple] = set()
+        #: modules that build a SearchFrame (and exit through it)
+        self._frame_users: set[tuple] = set()
         #: registry module -> {imported name: source module tuple}
         self._imports: dict[tuple, dict[str, tuple]] = {}
         self._linted_modules: set[tuple] = set()
@@ -129,8 +135,13 @@ class EngineContractRule(Rule):
             kw = {k.arg for k in node.keywords}
             if all(field in kw for field in _REQUIRED_RESULT_FIELDS):
                 self._contract_ctors.add(ctx.module)
+        elif name == "SearchFrame":
+            self._frame_users.add(ctx.module)
 
     def finish_run(self, report) -> None:
+        if (_FRAME_MODULE in self._contract_ctors
+                or _FRAME_MODULE not in self._linted_modules):
+            self._contract_ctors |= self._frame_users
         for engine, reg_module, display, line, func_name in self._registrations:
             target_module = self._imports.get(reg_module, {}).get(
                 func_name, reg_module

@@ -67,7 +67,6 @@ from typing import Any
 
 from repro.graph.io import graph_from_dict, graph_to_dict
 from repro.graph.taskgraph import TaskGraph
-from repro.heuristics.listsched import fast_upper_bound_schedule
 from repro.obs.probe import SearchProbe
 from repro.obs.trace import Tracer
 from repro.parallel.mp_backend import pool_context, system_from_args, system_to_args
@@ -79,6 +78,7 @@ from repro.schedule.schedule import Schedule
 from repro.search.costs import make_cost_function
 from repro.search.dedup import SignatureSet
 from repro.search.expansion import StateExpander
+from repro.search.frame import SearchFrame
 from repro.search.pruning import PruningConfig
 from repro.search.result import SearchResult, SearchStats
 from repro.system.processors import ProcessorSystem
@@ -171,8 +171,6 @@ def hda_astar_schedule(
     """
     from repro.search.astar import astar_schedule
 
-    if pruning is None:
-        pruning = PruningConfig.all()
     serial_fallback = (
         workers <= 1
         or state_cls is not PartialSchedule
@@ -193,19 +191,10 @@ def hda_astar_schedule(
             graph, system, pruning=pruning, cost=cost, budget=budget,
             incumbent=incumbent, state_cls=state_cls, probe=probe,
         )
-    if budget is None:
-        budget = Budget.unlimited()
-    budget.start()
-    t0 = time.perf_counter()
-
-    cost_fn = make_cost_function(cost, graph, system)
-    stats = SearchStats()
-    expander = StateExpander(graph, system, pruning, stats.pruning)
-
-    fallback = fast_upper_bound_schedule(graph, system)
-    if incumbent is not None and incumbent.length < fallback.length:
-        fallback = incumbent
-    upper = fallback.length if pruning.upper_bound else math.inf
+    frame = SearchFrame(graph, system, pruning=pruning, cost=cost, budget=budget,
+                        incumbent=incumbent, state_cls=state_cls, probe=probe)
+    budget, stats, pruning = frame.budget, frame.stats, frame.pruning
+    upper = frame.upper
     relax = 1.0 + epsilon
     label = (
         f"hda(workers={workers})"
@@ -217,7 +206,7 @@ def hda_astar_schedule(
     # Best-first expansion until the frontier is wide enough to feed
     # every worker (the paper's initial load-distribution phase).
     target = max(2, workers * max(1, oversubscribe))
-    root = state_cls.empty(graph, system)
+    root = frame.root
     frontier: list[tuple[float, float, int, PartialSchedule]] = [
         (0.0, 0.0, 0, root)
     ]
@@ -228,8 +217,8 @@ def hda_astar_schedule(
     dup_on = pruning.duplicate_detection
     ub_on = pruning.upper_bound
     # Per-child names, bound once: the loops below run for every child.
-    children = expander.children
-    h_of = cost_fn.h
+    children = frame.expander.children
+    h_of = frame.cost_fn.h
     v = graph.num_nodes
 
     # Anytime lower bound, same argument as serial A*: each popped
@@ -237,43 +226,16 @@ def hda_astar_schedule(
     # minimum) is a certified floor on the optimum.
     lower = 0.0
 
-    def _finish(
-        schedule: Schedule, proven: bool, algorithm: str,
-        interrupted: str | None = None,
-    ) -> SearchResult:
-        stats.wall_seconds = time.perf_counter() - t0
-        # += not =: the reduce step has already folded the workers'
-        # evaluation counts in; the parent's own are the seed phase's.
-        stats.cost_evaluations += cost_fn.evaluations
-        lb = (
-            schedule.length if proven and epsilon == 0.0
-            else min(
-                max(lower, schedule.length / relax) if proven else lower,
-                schedule.length,
-            )
-        )
-        if probe is not None:
-            probe.finish(stats.states_expanded, 0, schedule.length, lb)
-        return SearchResult(
-            schedule=schedule,
-            optimal=proven and epsilon == 0.0,
-            bound=relax if proven else math.inf,
-            stats=stats,
-            algorithm=algorithm,
-            lower_bound=lb,
-            interrupted=interrupted,
-            timeline=probe.timeline() if probe is not None else (),
-        )
-
     while frontier and len(frontier) < target:
         if len(frontier) > stats.max_open_size:
             stats.max_open_size = len(frontier)
         if budget.exhausted(stats.states_expanded, stats.states_generated,
                             len(frontier) + len(seen)):
-            best = best_goal if best_goal is not None else fallback
-            lower = max(lower, frontier[0][0])
-            return _finish(best, False, f"hda(budget,workers={workers})",
-                           interrupted=budget.reason or "budget")
+            return frame.finish(
+                best_goal, max(lower, frontier[0][0]),
+                algorithm=f"hda(budget,workers={workers})", optimal=False,
+                bound=math.inf, interrupted=frame.stop_reason,
+            )
         f, h, _s, state = heapq.heappop(frontier)
         if f > lower:
             lower = f
@@ -286,7 +248,11 @@ def hda_astar_schedule(
             )
         if state.num_scheduled == v:
             # A goal popped at the frontier minimum is already optimal.
-            return _finish(state.to_schedule(), True, f"hda(seed,workers={workers})")
+            return frame.finish(
+                state.to_schedule(), lower,
+                algorithm=f"hda(seed,workers={workers})",
+                optimal=epsilon == 0.0, bound=relax,
+            )
         for child in children(state, seen if dup_on else None):
             ch = h_of(child)
             cf = child.makespan + ch
@@ -310,9 +276,14 @@ def hda_astar_schedule(
             heapq.heappush(frontier, (cf, ch, seq, child))
             seq += 1
     if not frontier:
-        # Every candidate fell to the bound: the incumbent is optimal.
-        best = best_goal if best_goal is not None else fallback
-        return _finish(best, True, f"hda(seed,workers={workers})")
+        # Every candidate fell to the bound: the incumbent is optimal
+        # (within the 1+ε the cut relaxed by).
+        best = best_goal if best_goal is not None else frame.fallback
+        return frame.finish(
+            best, max(lower, best.length / relax),
+            algorithm=f"hda(seed,workers={workers})",
+            optimal=epsilon == 0.0, bound=relax,
+        )
 
     # -- deal seeds to their owners -----------------------------------------
     seed_buckets: list[list[tuple[float, float, tuple]]] = [
@@ -426,8 +397,8 @@ def hda_astar_schedule(
             cause = "budget"
             break
         if budget.max_seconds is not None and (
-            time.perf_counter() - t0
-        ) >= budget.max_seconds:
+            frame.elapsed() >= budget.max_seconds
+        ):
             cause = "time"
             break
         if any(not p.is_alive() for p in procs):
@@ -505,7 +476,7 @@ def hda_astar_schedule(
         failed = True
 
     # -- reduce ---------------------------------------------------------------
-    best = best_goal if best_goal is not None else fallback
+    best = best_goal if best_goal is not None else frame.fallback
     seed_expanded = stats.states_expanded
     worker_samples: list[tuple[float, int, int, int, float]] = []
     for rec in records.values():
@@ -560,12 +531,19 @@ def hda_astar_schedule(
         # label it so reports can't misdiagnose an error as exhaustion.
         # The best incumbent is still feasible (and carries the
         # deal-time lower bound), just not proven optimal.
-        return _finish(best, False, f"hda(failed,workers={workers})",
-                       interrupted=cause or "worker-failure")
+        return frame.finish(
+            best, lower, algorithm=f"hda(failed,workers={workers})",
+            optimal=False, bound=math.inf, interrupted=cause or "worker-failure",
+        )
     if not proven:
-        return _finish(best, False, f"hda(budget,workers={workers})",
-                       interrupted=cause or budget.reason or "budget")
-    return _finish(best, True, label)
+        return frame.finish(
+            best, lower, algorithm=f"hda(budget,workers={workers})",
+            optimal=False, bound=math.inf, interrupted=cause or frame.stop_reason,
+        )
+    return frame.finish(
+        best, max(lower, best.length / relax), algorithm=label,
+        optimal=epsilon == 0.0, bound=relax,
+    )
 
 
 # -- worker side (top-level: picklable under spawn) ---------------------------

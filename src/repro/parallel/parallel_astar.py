@@ -34,21 +34,19 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 from dataclasses import dataclass, field
 
 from repro.graph.taskgraph import TaskGraph
-from repro.heuristics.listsched import fast_upper_bound_schedule
 from repro.parallel.loadbalance import plan_round_robin_shares
 from repro.parallel.machine import MachineSpec, PPENetwork
 from repro.parallel.partition import distribute_seeds
 from repro.schedule.partial import PartialSchedule
 from repro.schedule.schedule import Schedule
-from repro.search.costs import CostFunction, make_cost_function
+from repro.search.costs import CostFunction
 from repro.search.dedup import SignatureSet
-from repro.search.expansion import StateExpander
+from repro.search.frame import SearchFrame
 from repro.search.pruning import PruningConfig
-from repro.search.result import SearchResult, SearchStats
+from repro.search.result import SearchResult
 from repro.system.processors import ProcessorSystem
 from repro.util import tolerance as tol
 from repro.util.timing import Budget
@@ -177,36 +175,23 @@ def parallel_astar_schedule(
     """
     if spec is None:
         spec = MachineSpec()
-    if pruning is None:
-        pruning = PruningConfig.all()
-    if isinstance(cost, str):
-        cost_fn = make_cost_function(cost, graph, system)
-    else:
-        cost_fn = cost
-    if budget is None:
-        budget = Budget.unlimited()
-    budget.start()
-
+    frame = SearchFrame(graph, system, pruning=pruning, cost=cost, budget=budget)
+    budget, stats, pruning = frame.budget, frame.stats, frame.pruning
     network = PPENetwork(spec)
     q = spec.num_ppes
-    stats = SearchStats()
-    expander = StateExpander(graph, system, pruning, stats.pruning)
-
-    fallback = fast_upper_bound_schedule(graph, system)
     relax = 1.0 + epsilon
     # The unrelaxed U stays valid for ε > 0: optimal-path states have
     # f ≤ f_opt ≤ U and survive, so the (1+ε)·global-min termination
     # test still fires (see repro.search.focal for the argument).
-    upper = fallback.length if pruning.upper_bound else math.inf
+    upper = frame.upper
     incumbent: Schedule | None = None
 
-    t0 = time.perf_counter()
     dup_on = pruning.duplicate_detection
     ub_on = pruning.upper_bound
     seq = 0
     # Per-child names, bound once: every PPE's loop runs for every child.
-    children = expander.children
-    h_of = cost_fn.h
+    children = frame.expander.children
+    h_of = frame.cost_fn.h
     v = graph.num_nodes
 
     def evaluate(child: PartialSchedule) -> _Entry | None:
@@ -229,7 +214,7 @@ def parallel_astar_schedule(
     # ---- seed phase: every PPE expands the empty state identically -------
     # (paper: "Every PPE initializes the OPEN list by expanding the
     # initial empty state"; Case 3 keeps expanding until k >= q.)
-    root = PartialSchedule.empty(graph, system)
+    root = frame.root
     seed_heap: list[_Entry] = [(0.0, 0.0, 0, root)]
     seed_seen = SignatureSet(verify=pruning.verify_signatures)
     seed_seen.add(root.dedup_key, lambda: root.signature)
@@ -389,19 +374,16 @@ def parallel_astar_schedule(
         # (c) Exponentially decreasing communication period.
         T = max(2, T // 2)
 
-    stats.wall_seconds = time.perf_counter() - t0
-    stats.cost_evaluations = cost_fn.evaluations
-    schedule = incumbent if incumbent is not None else fallback
     if optimal_proven:
         algorithm = "parallel-astar" if epsilon == 0.0 else f"parallel-focal(eps={epsilon})"
     else:
         algorithm = "parallel-astar(budget)"
-    result = SearchResult(
-        schedule=schedule,
+    # Every PPE's OPEN holds the unexplored rest of the space, so the
+    # last barrier's global minimum f is a proven floor on the optimum.
+    result = frame.finish(
+        incumbent, global_min_f, algorithm=algorithm,
         optimal=optimal_proven and epsilon == 0.0,
         bound=relax if optimal_proven else math.inf,
-        stats=stats,
-        algorithm=algorithm,
     )
     return ParallelResult(
         result=result,

@@ -14,14 +14,11 @@ Representation (delta encoding; see DESIGN.md):
   scheduled-set bitmask, a used-PE bitmask, per-PE ready times, the set
   of nodes attaining the maximum finish time (so the paper cost function
   stops scanning all v finishes), a 64-bit Zobrist signature over
-  the ``(node, pe, start)`` placement triples, and the load-bound
-  aggregates — remaining total node weight, per-PE committed busy time,
-  and total committed idle.  The composite lower bound
+  the ``(node, pe, start)`` placement triples, and the remaining total
+  node weight.  The composite lower bound
   (:class:`repro.search.costs.LoadBoundCost`) reads ``remaining_weight``
   and ``ready_time`` — O(P log P) per evaluation, never materializing
-  anything; ``busy_time``/``total_idle`` decompose the ready times for
-  reports and verification (``Σ busy + idle == Σ ready_time`` is
-  property-tested);
+  anything;
 * the full ``pes``/``starts``/``finishes`` arrays are materialized
   lazily by replaying the parent chain, and only for states that
   actually need them — i.e. states that get *expanded* (their children's
@@ -83,10 +80,10 @@ def placement_key(node: int, pe: int, start: float) -> int:
 @functools.cache
 def wire_struct(v: int, p: int) -> struct.Struct:
     """Layout of the :meth:`PartialSchedule.to_wire` blob for ``v``
-    tasks on ``p`` PEs: ``starts``, ``finishes``, ``ready_time`` and
-    ``busy_time`` as doubles, then ``pes`` as 32-bit ints (wide enough
-    for any PE count), native byte order, no padding."""
-    return struct.Struct(f"={2 * (v + p)}d{v}i")
+    tasks on ``p`` PEs: ``starts``, ``finishes`` and ``ready_time`` as
+    doubles, then ``pes`` as 32-bit ints (wide enough for any PE
+    count), native byte order, no padding."""
+    return struct.Struct(f"={2 * v + p}d{v}i")
 
 
 def widest_wire(v: int, p: int) -> tuple:
@@ -96,7 +93,7 @@ def widest_wire(v: int, p: int) -> tuple:
     size bounds every real state's (HDA* sizes its messages by it)."""
     big = 1.7976931348623157e308
     full = (1 << v) - 1
-    return (full, _MASK64, full, big, v, (1 << p) - 1, big, big,
+    return (full, _MASK64, full, big, v, (1 << p) - 1, big,
             tuple(range(v)), bytes(wire_struct(v, p).size))
 
 
@@ -111,8 +108,8 @@ def child_wire(child: "PartialSchedule", parent_blob: bytes) -> tuple:
     whose ``to_wire()`` blob is ``parent_blob``: the child's arrays
     differ from the parent's in exactly the placed node's
     ``starts``/``finishes``/``pes`` entries and the placed PE's
-    ``ready_time``/``busy_time`` entries, so five in-place stores replace
-    the O(v) materialization and full pack.  The result equals
+    ``ready_time`` entry, so four in-place stores replace the O(v)
+    materialization and full pack.  The result equals
     ``child.to_wire()`` byte for byte (property-tested).
     """
     v = child.graph.num_nodes
@@ -123,8 +120,7 @@ def child_wire(child: "PartialSchedule", parent_blob: bytes) -> tuple:
     _pack_double(buf, 8 * n, child.last_start)
     _pack_double(buf, 8 * (v + n), child.last_finish)
     _pack_double(buf, 8 * (2 * v + pe), child.ready_time[pe])
-    _pack_double(buf, 8 * (2 * v + p + pe), child.busy_time[pe])
-    _pack_int(buf, 16 * (v + p) + 4 * n, pe)
+    _pack_int(buf, 8 * (2 * v + p) + 4 * n, pe)
     return (
         child.mask,
         child.zkey,
@@ -133,7 +129,6 @@ def child_wire(child: "PartialSchedule", parent_blob: bytes) -> tuple:
         child.num_scheduled,
         child.used_pes,
         child.remaining_weight,
-        child.total_idle,
         child._max_finish_nodes,
         bytes(buf),
     )
@@ -161,8 +156,6 @@ class PartialSchedule:
         "zkey",
         "used_pes",
         "remaining_weight",
-        "busy_time",
-        "total_idle",
         "_parent",
         "_max_finish_nodes",
         "_pes",
@@ -184,8 +177,6 @@ class PartialSchedule:
         zkey: int,
         used_pes: int,
         remaining_weight: float,
-        busy_time: tuple[float, ...],
-        total_idle: float,
         max_finish_nodes: tuple[int, ...],
         parent: "PartialSchedule | None" = None,
         last_node: int = -1,
@@ -214,15 +205,10 @@ class PartialSchedule:
         self.last_finish = last_finish
         self.zkey = zkey
         self.used_pes = used_pes
-        # Load-bound aggregates (delta-maintained): total weight still
-        # to be placed (weight units) — read by LoadBoundCost together
-        # with ready_time — plus per-PE committed execution time and
-        # the total idle committed between same-PE placements (time
-        # units), which decompose the ready times for reports and
-        # verification: ``busy_time[p] + gaps on p == ready_time[p]``.
+        # Load-bound aggregate (delta-maintained): total weight still
+        # to be placed (weight units), read by LoadBoundCost together
+        # with ready_time.
         self.remaining_weight = remaining_weight
-        self.busy_time = busy_time
-        self.total_idle = total_idle
         self._parent = parent
         self._max_finish_nodes = max_finish_nodes
         self._pes = pes
@@ -250,8 +236,6 @@ class PartialSchedule:
             zkey=0,
             used_pes=0,
             remaining_weight=sum(graph.weights),
-            busy_time=(0.0,) * system.num_pes,
-            total_idle=0.0,
             max_finish_nodes=(),
             pes=(-1,) * v,
             starts=(-1.0,) * v,
@@ -414,14 +398,6 @@ class PartialSchedule:
                 drt = arrival
         return drt
 
-    def used_pes_mask(self) -> int:
-        """Bitmask of PEs with at least one scheduled task.
-
-        Maintained incrementally (:attr:`used_pes`); this accessor is
-        kept for the historical API.
-        """
-        return self.used_pes
-
     @property
     def max_finish_nodes(self) -> tuple[int, ...]:
         """All scheduled nodes attaining the maximum finish time.
@@ -513,11 +489,8 @@ class PartialSchedule:
             if pm & mask == pm:
                 ready |= 1 << s
         # One-slot tuple updates via a list: half the cost of slicing.
-        rt = self.ready_time
-        ready_time = list(rt)
+        ready_time = list(self.ready_time)
         ready_time[pe] = finish
-        busy = list(self.busy_time)
-        busy[pe] += finish - start
         child.graph = graph
         child.system = system
         child.mask = mask
@@ -533,8 +506,6 @@ class PartialSchedule:
         )
         child.used_pes = self.used_pes | (1 << pe)
         child.remaining_weight = self.remaining_weight - weight
-        child.busy_time = tuple(busy)
-        child.total_idle = self.total_idle + (start - rt[pe])
         child._parent = self
         child._pes = None
         child._starts = None
@@ -593,11 +564,11 @@ class PartialSchedule:
         then one ``bytes`` blob::
 
             (mask, zkey, ready_mask, makespan, num_scheduled, used_pes,
-             remaining_weight, total_idle, max_finish_nodes, blob)
+             remaining_weight, max_finish_nodes, blob)
 
         ``blob`` packs ``starts``, ``finishes`` (v doubles each),
-        ``ready_time``, ``busy_time`` (p doubles each) and ``pes`` (v
-        32-bit ints) in that order (:func:`wire_struct`).  Every field
+        ``ready_time`` (p doubles) and ``pes`` (v 32-bit ints) in that
+        order (:func:`wire_struct`).  Every field
         round-trips bit for bit, so a cost function evaluated on the
         :meth:`from_wire` rebuild returns the sender's ``h``.  A receiver
         reads the duplicate key as ``(wire[0], wire[1])`` without
@@ -615,11 +586,10 @@ class PartialSchedule:
             self.num_scheduled,
             self.used_pes,
             self.remaining_weight,
-            self.total_idle,
             self._max_finish_nodes,
             wire_struct(len(self._pes), len(self.ready_time)).pack(  # type: ignore[arg-type]
                 *self._starts, *self._finishes,  # type: ignore[misc]
-                *self.ready_time, *self.busy_time, *self._pes,  # type: ignore[misc]
+                *self.ready_time, *self._pes,  # type: ignore[misc]
             ),
         )
 
@@ -637,7 +607,7 @@ class PartialSchedule:
         Filled slot by slot, like :meth:`extend`'s children.
         """
         (mask, zkey, ready_mask, makespan, num_scheduled, used_pes,
-         remaining_weight, total_idle, max_finish_nodes, blob) = wire
+         remaining_weight, max_finish_nodes, blob) = wire
         v = graph.num_nodes
         p = system.num_pes
         vals = wire_struct(v, p).unpack(blob)
@@ -657,11 +627,9 @@ class PartialSchedule:
         ps.zkey = zkey
         ps.used_pes = used_pes
         ps.remaining_weight = remaining_weight
-        ps.busy_time = vals[rt_end:rt_end + p]
-        ps.total_idle = total_idle
         ps._parent = None
         ps._max_finish_nodes = max_finish_nodes
-        ps._pes = vals[rt_end + p:]
+        ps._pes = vals[rt_end:]
         ps._starts = vals[:v]
         ps._finishes = vals[v:2 * v]
         ps._sig = None

@@ -47,8 +47,6 @@ class ReferencePartialSchedule:
         "last_node",
         "last_pe",
         "remaining_weight",
-        "busy_time",
-        "total_idle",
         "_unsched_preds",
         "_sig",
     )
@@ -68,8 +66,6 @@ class ReferencePartialSchedule:
         last_node: int = -1,
         last_pe: int = -1,
         remaining_weight: float = 0.0,
-        busy_time: tuple[float, ...] = (),
-        total_idle: float = 0.0,
     ) -> None:
         self.graph = graph
         self.system = system
@@ -85,12 +81,10 @@ class ReferencePartialSchedule:
         # placement orders of the same partial schedule still collide.
         self.last_node = last_node
         self.last_pe = last_pe
-        # Load-bound aggregates, delta-maintained exactly like the
+        # Load-bound aggregate, delta-maintained exactly like the
         # production state so the floats stay bit-identical between the
         # two representations (the equivalence tests depend on it).
         self.remaining_weight = remaining_weight
-        self.busy_time = busy_time
-        self.total_idle = total_idle
         self._unsched_preds = unsched_preds
         self._sig: tuple | None = None
 
@@ -114,8 +108,6 @@ class ReferencePartialSchedule:
             num_scheduled=0,
             unsched_preds=tuple(len(graph.preds(n)) for n in range(v)),
             remaining_weight=sum(graph.weights),
-            busy_time=(0.0,) * system.num_pes,
-            total_idle=0.0,
         )
 
     # -- queries -------------------------------------------------------------
@@ -250,8 +242,6 @@ class ReferencePartialSchedule:
         for child in self.graph.succs(node):
             counts[child] -= 1
 
-        busy = list(self.busy_time)
-        busy[pe] = busy[pe] + (finish - start)
         child = ReferencePartialSchedule(
             graph=self.graph,
             system=self.system,
@@ -266,8 +256,6 @@ class ReferencePartialSchedule:
             last_node=node,
             last_pe=pe,
             remaining_weight=self.remaining_weight - self.graph.weight(node),
-            busy_time=tuple(busy),
-            total_idle=self.total_idle + (start - self.ready_time[pe]),
         )
         if _sig is not None:
             child._sig = _sig

@@ -4,6 +4,11 @@
   of §3.1 (Theorem 1) plus tighter/looser alternatives for ablation.
 * :mod:`repro.search.pruning` — the four §3.2 pruning techniques as
   independently-toggleable rules with hit counters.
+* :mod:`repro.search.frame` — the one search frame every engine starts,
+  bounds and reports through: defaults, stats and expander, the
+  list-schedule fallback and ``U``, the root, and the single exit that
+  applies the certificate rule and builds the :class:`SearchResult`.
+  Engines keep only their loop, their ``U``-cut test and their labels.
 * :mod:`repro.search.astar` — the serial A* scheduling algorithm, and
   the one best-first loop it shares with weighted A* and Aε* (each
   engine supplies only its OPEN order).

@@ -36,36 +36,22 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
-from typing import NamedTuple
 
 from repro.graph.taskgraph import TaskGraph
-from repro.heuristics.listsched import fast_upper_bound_schedule
 from repro.obs.probe import SearchProbe
 from repro.schedule.partial import PartialSchedule
 from repro.schedule.schedule import Schedule
-from repro.search.costs import CostFunction, make_cost_function
+from repro.search.costs import CostFunction
 from repro.search.dedup import SignatureSet
 from repro.search.diagnostics import SearchTrace
-from repro.search.expansion import StateExpander
+from repro.search.frame import SearchFrame
 from repro.search.pruning import PruningConfig
-from repro.search.result import SearchResult, SearchStats
+from repro.search.result import SearchResult
 from repro.system.processors import ProcessorSystem
 from repro.util import tolerance as tol
 from repro.util.timing import Budget
 
 __all__ = ["astar_schedule"]
-
-
-class _Outcome(NamedTuple):
-    """How :func:`_best_first` stopped; each engine labels it."""
-
-    status: str  # "goal", "budget" or "exhausted"
-    schedule: Schedule
-    lower_bound: float
-    stats: SearchStats
-    interrupted: str | None
-    timeline: tuple
 
 
 class _WeightedOrder:
@@ -103,50 +89,23 @@ class _WeightedOrder:
 
 
 def _best_first(
-    graph: TaskGraph,
-    system: ProcessorSystem,
-    order,
-    *,
-    pruning: PruningConfig | None,
-    cost: str | CostFunction,
-    budget: Budget | None,
-    state_cls: type,
-    incumbent: Schedule | None,
-    probe: SearchProbe | None,
+    frame: SearchFrame, order, name: str, epsilon: float | None = None,
     trace: SearchTrace | None = None,
-) -> _Outcome:
+) -> SearchResult:
     """Best-first search over the §3.2 state space, expanding in ``order``.
 
     ``order`` is the engine's OPEN.  It offers ``push(state, f, h)``,
     ``len()``, ``floor()`` — a proven lower bound on the optimum while
     OPEN is non-empty — ``pop() -> (state, h, floor)`` with the floor
     taken just before the pop, and ``factor``, the proven ratio of the
-    first goal it pops to the optimum.  Everything else is done here,
-    once: set-up and the list-schedule bound ``U``, budget/probe/trace
-    bookkeeping, child evaluation and the goal, budget and exhausted
-    exits.
+    first goal it pops to the optimum.  ``frame`` supplies the set-up
+    and the exit (:mod:`repro.search.frame`); this loop does the
+    budget/probe/trace bookkeeping, child evaluation and the A*-family
+    ``U`` cut, and labels the result ``name`` — an exact engine when
+    ``epsilon`` is None, else one proven within ``1 + epsilon``.
     """
-    if pruning is None:
-        pruning = PruningConfig.all()
-    if isinstance(cost, str):
-        cost_fn = make_cost_function(cost, graph, system)
-    else:
-        cost_fn = cost
-    if budget is None:
-        budget = Budget.unlimited()
-    budget.start()
-
-    stats = SearchStats()
-    expander = StateExpander(graph, system, pruning, stats.pruning)
-
-    # Upper-bound pruning cost U (§3.2) and fallback schedule.
-    fallback: Schedule = fast_upper_bound_schedule(graph, system)
-    if incumbent is not None and incumbent.length < fallback.length:
-        fallback = incumbent
-    upper = fallback.length if pruning.upper_bound else math.inf
-
-    t0 = time.perf_counter()
-    root = state_cls.empty(graph, system)
+    budget, stats, pruning = frame.budget, frame.stats, frame.pruning
+    probe, upper, root = frame.probe, frame.upper, frame.root
     push, pop = order.push, order.pop
     push(root, 0.0, 0.0)
     seen = SignatureSet(verify=pruning.verify_signatures)
@@ -164,10 +123,10 @@ def _best_first(
     status = "exhausted"
     schedule: Schedule | None = None
     # Per-child names, bound once: the loop below runs for every child.
-    children = expander.children
-    h_of = cost_fn.h
+    children = frame.expander.children
+    h_of = frame.cost_fn.h
     pstats = stats.pruning
-    v = graph.num_nodes
+    v = frame.graph.num_nodes
 
     while order:
         if budget.exhausted(stats.states_expanded, stats.states_generated,
@@ -222,22 +181,31 @@ def _best_first(
         if size > stats.max_open_size:
             stats.max_open_size = size
 
-    stats.wall_seconds = time.perf_counter() - t0
-    stats.cost_evaluations = cost_fn.evaluations
     if schedule is None:
-        schedule = best if best is not None else fallback
+        schedule = best if best is not None else frame.fallback
     if status == "exhausted":
         # OPEN ran dry without popping a goal, so no state beat U and
-        # the best schedule seen is optimal (see astar_schedule); the
-        # floor still claims no more than the order's guarantee.
+        # the best schedule seen is optimal (see below); the floor
+        # still claims no more than the order's guarantee.
         lower = max(lower, schedule.length / order.factor)
-    lower = min(lower, schedule.length)
-    if probe is not None:
-        probe.finish(stats.states_expanded, len(order), schedule.length, lower)
-    return _Outcome(
-        status, schedule, lower, stats,
-        (budget.reason or "budget") if status == "budget" else None,
-        probe.timeline() if probe is not None else (),
+    stopped = status == "budget"
+    if epsilon is None:
+        # "exhausted" is a proof too.  With upper-bound pruning enabled
+        # this can only happen when every optimal completion ties the
+        # bound exactly and was cut by a float-equal boundary — the
+        # drift-aware `tol.gt` cut prevents that; reaching it therefore
+        # means the incumbent (or fallback = the list schedule) is
+        # optimal.
+        algorithm = name if status == "goal" else f"{name}({status})"
+        optimal, bound = not stopped, 1.0
+    else:
+        tag = f"eps={epsilon}" if status == "goal" else f"eps={epsilon},{status}"
+        algorithm = f"{name}({tag})"
+        optimal, bound = status == "goal" and epsilon == 0.0, 1.0 + epsilon
+    return frame.finish(
+        schedule, lower, algorithm=algorithm, optimal=optimal,
+        bound=math.inf if stopped else bound, open_size=len(order),
+        interrupted=frame.stop_reason if stopped else None,
     )
 
 
@@ -289,22 +257,6 @@ def astar_schedule(
         ``result.optimal`` is True iff the search ran to completion, in
         which case ``result.schedule`` has provably minimal length.
     """
-    out = _best_first(
-        graph, system, _WeightedOrder(1.0), pruning=pruning, cost=cost,
-        budget=budget, state_cls=state_cls, incumbent=incumbent,
-        probe=probe, trace=trace,
-    )
-    # "exhausted" (OPEN ran dry without popping a goal) is a proof too.
-    # With upper-bound pruning enabled this can only happen when every
-    # optimal completion ties the bound exactly and was cut by a
-    # float-equal boundary — the drift-aware `tol.gt` cut prevents that;
-    # reaching it therefore means the incumbent (or fallback = the list
-    # schedule) is optimal.
-    proven = out.status != "budget"
-    return SearchResult(
-        schedule=out.schedule, optimal=proven,
-        bound=1.0 if proven else math.inf, stats=out.stats,
-        algorithm="astar" if out.status == "goal" else f"astar({out.status})",
-        lower_bound=out.lower_bound, interrupted=out.interrupted,
-        timeline=out.timeline,
-    )
+    frame = SearchFrame(graph, system, pruning=pruning, cost=cost, budget=budget,
+                        incumbent=incumbent, state_cls=state_cls, probe=probe)
+    return _best_first(frame, _WeightedOrder(1.0), "astar", trace=trace)

@@ -22,18 +22,16 @@ O(depth) open memory (plus the optional visited set).
 from __future__ import annotations
 
 import math
-import time
 
 from repro.graph.taskgraph import TaskGraph
-from repro.heuristics.listsched import fast_upper_bound_schedule
 from repro.obs.probe import SearchProbe
 from repro.schedule.partial import PartialSchedule
 from repro.schedule.schedule import Schedule
-from repro.search.costs import CostFunction, make_cost_function
+from repro.search.costs import CostFunction
 from repro.search.dedup import SignatureSet
-from repro.search.expansion import StateExpander
+from repro.search.frame import SearchFrame
 from repro.search.pruning import PruningConfig
-from repro.search.result import SearchResult, SearchStats
+from repro.search.result import SearchResult
 from repro.system.processors import ProcessorSystem
 from repro.util import tolerance as tol
 from repro.util.timing import Budget
@@ -62,35 +60,21 @@ def bnb_schedule(
     bound with a known-feasible schedule (portfolio stages pass their
     best-so-far), tightening the cut from the first expansion.
     """
-    if pruning is None:
-        pruning = PruningConfig.all()
-    if isinstance(cost, str):
-        cost_fn = make_cost_function(cost, graph, system)
-    else:
-        cost_fn = cost
-    if budget is None:
-        budget = Budget.unlimited()
-    budget.start()
-
-    stats = SearchStats()
-    expander = StateExpander(graph, system, pruning, stats.pruning)
-
-    best_sched: Schedule = fast_upper_bound_schedule(graph, system)
-    if incumbent is not None and incumbent.length < best_sched.length:
-        best_sched = incumbent
-    best_len = best_sched.length if pruning.upper_bound else math.inf
+    frame = SearchFrame(graph, system, pruning=pruning, cost=cost, budget=budget,
+                        incumbent=incumbent, state_cls=state_cls, probe=probe)
+    budget, stats, pruning = frame.budget, frame.stats, frame.pruning
+    best_sched = frame.fallback
+    best_len = frame.upper
     proven = True
 
-    t0 = time.perf_counter()
-    root = state_cls.empty(graph, system)
     # Stack of (f, state); children pushed worst-first so the best child
     # is explored first (LIFO).
-    stack: list[tuple[float, PartialSchedule]] = [(0.0, root)]
+    stack: list[tuple[float, PartialSchedule]] = [(0.0, frame.root)]
     visited = SignatureSet(verify=pruning.verify_signatures)
     dup_on = use_visited and pruning.duplicate_detection
     # Per-child names, bound once: the loop below runs for every child.
-    children_of = expander.children
-    h_of = cost_fn.h
+    children_of = frame.expander.children
+    h_of = frame.cost_fn.h
     pstats = stats.pruning
     v = graph.num_nodes
 
@@ -138,27 +122,14 @@ def bnb_schedule(
         if len(stack) > stats.max_open_size:
             stats.max_open_size = len(stack)
 
-    stats.wall_seconds = time.perf_counter() - t0
-    stats.cost_evaluations = cost_fn.evaluations
-    if proven:
-        lower = best_sched.length
-    else:
-        # Every subtree not on the stack was either explored to
-        # completion or cut against the incumbent, so the optimum is
-        # the incumbent itself or lies below some stacked state: its
-        # length is at least min(min stacked f, incumbent length).
-        frontier = min((f for f, _ in stack), default=math.inf)
-        lower = min(frontier, best_sched.length)
-    if probe is not None:
-        probe.finish(stats.states_expanded, len(stack),
-                     best_sched.length, lower)
-    return SearchResult(
-        schedule=best_sched,
-        optimal=proven,
-        bound=1.0 if proven else math.inf,
-        stats=stats,
-        algorithm="bnb" if proven else "bnb(budget)",
-        lower_bound=lower,
-        interrupted=None if proven else (budget.reason or "budget"),
-        timeline=probe.timeline() if probe is not None else (),
+    # Every subtree not on the stack was either explored to completion
+    # or cut against the incumbent, so the optimum is the incumbent
+    # itself or lies below some stacked state: its length is at least
+    # min(min stacked f, incumbent length).  A proven run's stack is
+    # empty, and the frame's exit pins its floor to the length.
+    return frame.finish(
+        best_sched, min((f for f, _ in stack), default=math.inf),
+        algorithm="bnb" if proven else "bnb(budget)", optimal=proven,
+        bound=1.0 if proven else math.inf, open_size=len(stack),
+        interrupted=None if proven else frame.stop_reason,
     )

@@ -38,6 +38,7 @@ from repro.schedule.partial import PartialSchedule
 from repro.schedule.schedule import Schedule
 from repro.search.astar import _best_first
 from repro.search.costs import CostFunction
+from repro.search.frame import SearchFrame
 from repro.search.pruning import PruningConfig
 from repro.search.result import SearchResult
 from repro.system.processors import ProcessorSystem
@@ -157,17 +158,8 @@ def focal_schedule(
     # optimal path have f ≤ f_opt ≤ U and therefore survive the cut, so
     # the termination argument (a goal within (1+ε)·f_min pops) is
     # untouched — and OPEN stays as small as exact A*'s.
-    out = _best_first(
-        graph, system, _FocalOrder(epsilon, graph.num_nodes), pruning=pruning,
-        cost=cost, budget=budget, state_cls=state_cls, incumbent=incumbent,
-        probe=probe,
-    )
-    tag = f"eps={epsilon}" if out.status == "goal" else f"eps={epsilon},{out.status}"
-    return SearchResult(
-        schedule=out.schedule,
-        optimal=out.status == "goal" and epsilon == 0.0,
-        bound=math.inf if out.status == "budget" else 1.0 + epsilon,
-        stats=out.stats, algorithm=f"focal({tag})",
-        lower_bound=out.lower_bound, interrupted=out.interrupted,
-        timeline=out.timeline,
+    frame = SearchFrame(graph, system, pruning=pruning, cost=cost, budget=budget,
+                        incumbent=incumbent, state_cls=state_cls, probe=probe)
+    return _best_first(
+        frame, _FocalOrder(epsilon, graph.num_nodes), "focal", epsilon,
     )

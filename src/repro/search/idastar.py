@@ -22,18 +22,16 @@ unchanged; duplicate detection maps onto the transposition table.
 from __future__ import annotations
 
 import math
-import time
 
 from repro.graph.taskgraph import TaskGraph
-from repro.heuristics.listsched import fast_upper_bound_schedule
 from repro.obs.probe import SearchProbe
 from repro.schedule.partial import PartialSchedule
 from repro.schedule.schedule import Schedule
-from repro.search.costs import CostFunction, make_cost_function
+from repro.search.costs import CostFunction
 from repro.search.dedup import SignatureSet
-from repro.search.expansion import StateExpander
+from repro.search.frame import SearchFrame
 from repro.search.pruning import PruningConfig
-from repro.search.result import SearchResult, SearchStats
+from repro.search.result import SearchResult
 from repro.system.processors import ProcessorSystem
 from repro.util import tolerance as tol
 from repro.util.timing import Budget
@@ -64,85 +62,49 @@ def idastar_schedule(
     Returns the same :class:`SearchResult` contract: ``optimal=True``
     iff the search ran to completion.
     """
-    if pruning is None:
-        pruning = PruningConfig.all()
-    if isinstance(cost, str):
-        cost_fn = make_cost_function(cost, graph, system)
-    else:
-        cost_fn = cost
-    if budget is None:
-        budget = Budget.unlimited()
-    budget.start()
-
-    stats = SearchStats()
-    expander = StateExpander(graph, system, pruning, stats.pruning)
-    fallback: Schedule = fast_upper_bound_schedule(graph, system)
-    if incumbent is not None and incumbent.length < fallback.length:
-        fallback = incumbent
-    upper = fallback.length if pruning.upper_bound else math.inf
-
-    t0 = time.perf_counter()
-    root = state_cls.empty(graph, system)
-    threshold = root.makespan + cost_fn.h(root)
-    incumbent = None  # rebound: best complete schedule *found here*
+    frame = SearchFrame(graph, system, pruning=pruning, cost=cost, budget=budget,
+                        incumbent=incumbent, state_cls=state_cls, probe=probe)
+    budget, stats, pruning = frame.budget, frame.stats, frame.pruning
+    upper, root = frame.upper, frame.root
+    threshold = root.makespan + frame.cost_fn.h(root)
+    # Rebound: the best complete schedule *found here*.  Only the probe
+    # that finds a goal ends the search, so it is None before that one.
+    incumbent = None
     use_table = transposition_limit > 0 and pruning.duplicate_detection
+    verify = pruning.verify_signatures
     # Per-child names, bound once: the probes below run for every child.
-    children_of = expander.children
-    h_of = cost_fn.h
+    children_of = frame.expander.children
+    h_of = frame.cost_fn.h
     pstats = stats.pruning
     v = graph.num_nodes
 
+    status = None
     while True:
         next_threshold = math.inf
         # Per-probe transposition table of duplicate keys (seen at or
         # below the current threshold).  Rebuilt each probe because the
         # admission condition depends on the threshold.
-        table = SignatureSet(verify=pruning.verify_signatures)
-        verify = pruning.verify_signatures
+        table = SignatureSet(verify=verify)
         stack: list[tuple[float, PartialSchedule]] = [(threshold, root)]
-        goal_found: Schedule | None = None
 
         while stack:
             if budget.exhausted(stats.states_expanded, stats.states_generated,
                                 len(stack) + len(table)):
-                best = incumbent if incumbent is not None else fallback
-                stats.wall_seconds = time.perf_counter() - t0
-                stats.cost_evaluations = cost_fn.evaluations
-                # Prior probes exhausted every state with f below the
-                # current threshold (and the first threshold is the
-                # admissible h(root)), so the threshold itself is a
-                # proven floor on the optimum.
-                bound = min(threshold, best.length)
-                if probe is not None:
-                    probe.finish(stats.states_expanded, len(stack),
-                                 best.length, bound)
-                return SearchResult(
-                    schedule=best, optimal=False, bound=math.inf,
-                    stats=stats, algorithm="idastar(budget)",
-                    lower_bound=bound,
-                    interrupted=budget.reason or "budget",
-                    timeline=probe.timeline() if probe is not None else (),
-                )
+                status = "budget"
+                break
             f, state = stack.pop()
             if state.num_scheduled == v:
                 stats.states_expanded += 1
-                if goal_found is None or state.makespan < goal_found.length:
-                    goal_found = state.to_schedule()
-                    # Also keep it as incumbent for budget exits mid-probe.
-                    if incumbent is None or goal_found.length < incumbent.length:
-                        incumbent = goal_found
+                if incumbent is None or state.makespan < incumbent.length:
+                    incumbent = state.to_schedule()
                 continue
             stats.states_expanded += 1
             if probe is not None:
                 # Prior probes exhausted everything below the current
                 # threshold, so the threshold is the running proven floor.
-                probe.tick(
-                    stats.states_expanded, len(stack),
-                    incumbent.length if incumbent is not None else math.inf,
-                    min(threshold,
-                        incumbent.length if incumbent is not None
-                        else math.inf),
-                )
+                best = incumbent.length if incumbent is not None else math.inf
+                probe.tick(stats.states_expanded, len(stack), best,
+                           min(threshold, best))
             children: list[tuple[float, PartialSchedule]] = []
             for child in children_of(state):
                 cf = child.makespan + h_of(child)
@@ -169,34 +131,28 @@ def idastar_schedule(
             if len(stack) > stats.max_open_size:
                 stats.max_open_size = len(stack)
 
-        if goal_found is not None:
+        if status == "budget":
+            break
+        if incumbent is not None:
             # The first threshold at which a goal appears is the optimal
             # cost: every state with f below it was exhausted.
-            stats.wall_seconds = time.perf_counter() - t0
-            stats.cost_evaluations = cost_fn.evaluations
-            if probe is not None:
-                probe.finish(stats.states_expanded, 0,
-                             goal_found.length, goal_found.length)
-            return SearchResult(
-                schedule=goal_found, optimal=True, bound=1.0,
-                stats=stats, algorithm="idastar",
-                lower_bound=goal_found.length,
-                timeline=probe.timeline() if probe is not None else (),
-            )
+            status = "goal"
+            break
         if next_threshold is math.inf:
-            # Space exhausted below the upper bound: the fallback (or a
-            # generated incumbent) is optimal — same reasoning as A*'s
-            # OPEN-exhaustion case.
-            stats.wall_seconds = time.perf_counter() - t0
-            stats.cost_evaluations = cost_fn.evaluations
-            best = incumbent if incumbent is not None else fallback
-            if probe is not None:
-                probe.finish(stats.states_expanded, 0,
-                             best.length, best.length)
-            return SearchResult(
-                schedule=best, optimal=True, bound=1.0,
-                stats=stats, algorithm="idastar(exhausted)",
-                lower_bound=best.length,
-                timeline=probe.timeline() if probe is not None else (),
-            )
+            # Space exhausted below the upper bound: the fallback is
+            # optimal — same reasoning as A*'s OPEN-exhaustion case.
+            status = "exhausted"
+            break
         threshold = next_threshold
+
+    # Prior probes exhausted every state with f below the current
+    # threshold (and the first threshold is the admissible h(root)), so
+    # the threshold itself is a proven floor on the optimum.
+    proven = status != "budget"
+    return frame.finish(
+        incumbent, threshold,
+        algorithm="idastar" if status == "goal" else f"idastar({status})",
+        optimal=proven, bound=1.0 if proven else math.inf,
+        interrupted=None if proven else frame.stop_reason,
+        open_size=len(stack),
+    )

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 # Unused here: perfbench's layer wrappers proxy and pin weighted.heapq by name.
 import heapq  # repro: ignore[unused-import]
-import math
 
 from repro.errors import SearchError
 from repro.graph.taskgraph import TaskGraph
@@ -27,6 +26,7 @@ from repro.schedule.partial import PartialSchedule
 from repro.schedule.schedule import Schedule
 from repro.search.astar import _best_first, _WeightedOrder
 from repro.search.costs import CostFunction
+from repro.search.frame import SearchFrame
 from repro.search.pruning import PruningConfig
 from repro.search.result import SearchResult
 from repro.system.processors import ProcessorSystem
@@ -63,16 +63,6 @@ def weighted_astar_schedule(
     w = 1.0 + epsilon
     # The unrelaxed upper bound stays valid (optimal-path states have
     # plain f ≤ f_opt ≤ U and survive the cut).
-    out = _best_first(
-        graph, system, _WeightedOrder(w), pruning=pruning, cost=cost,
-        budget=budget, state_cls=state_cls, incumbent=incumbent, probe=probe,
-    )
-    tag = f"eps={epsilon}" if out.status == "goal" else f"eps={epsilon},{out.status}"
-    return SearchResult(
-        schedule=out.schedule,
-        optimal=out.status == "goal" and epsilon == 0.0,
-        bound=math.inf if out.status == "budget" else w,
-        stats=out.stats, algorithm=f"wastar({tag})",
-        lower_bound=out.lower_bound, interrupted=out.interrupted,
-        timeline=out.timeline,
-    )
+    frame = SearchFrame(graph, system, pruning=pruning, cost=cost, budget=budget,
+                        incumbent=incumbent, state_cls=state_cls, probe=probe)
+    return _best_first(frame, _WeightedOrder(w), "wastar", epsilon)

@@ -29,7 +29,6 @@ overwrites the stale entry.
 
 from __future__ import annotations
 
-import sqlite3
 import time
 from collections import OrderedDict
 from dataclasses import replace
@@ -39,7 +38,6 @@ from repro.service.shardcache import (
     CacheBackend,
     CacheBackendError,
     CacheEntry,
-    SQLiteBackend,
     backend_from_spec,
 )
 from repro.testing import faults
@@ -91,17 +89,6 @@ class ResultCache:
     def backend(self) -> CacheBackend | None:
         """The durable tier (``None`` for memory-only caches)."""
         return self._backend
-
-    @property
-    def _db(self) -> sqlite3.Connection | None:
-        """Backward-compatible view of the SQLite handle.
-
-        Pre-refactor code (and its tests) used ``cache._db is None`` as
-        the closed/memory-only signal; keep that observable.
-        """
-        if isinstance(self._backend, SQLiteBackend):
-            return self._backend.connection
-        return None
 
     def _store_open(self) -> bool:
         """True while the durable tier can be used."""

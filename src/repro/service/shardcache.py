@@ -243,12 +243,6 @@ class SQLiteBackend(CacheBackend):
                 raise CacheBackendError(
                     f"cannot open store {self.path}: {exc}") from exc
 
-    @property
-    def connection(self) -> sqlite3.Connection | None:
-        """The live handle (``None`` once closed); exposed for the
-        cache's backward-compatible ``_db`` property."""
-        return self._db
-
     def _conn(self) -> sqlite3.Connection:
         if self._db is None:
             raise CacheBackendError(f"store {self.path} is closed")

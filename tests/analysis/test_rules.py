@@ -166,6 +166,15 @@ CONFORMING_ENGINE = (
     "                        lower_bound=0.0, interrupted=None)\n"
 )
 
+FRAME_ENGINE = (
+    "from repro.search.frame import SearchFrame\n"
+    "\n"
+    "def my_schedule(graph, system, *, budget=None, incumbent=None,\n"
+    "                probe=None):\n"
+    "    frame = SearchFrame(graph, system, budget=budget)\n"
+    "    return frame.finish(0.0, None)\n"
+)
+
 
 class TestEngineContract:
     RULE = ["engine-contract"]
@@ -226,6 +235,42 @@ class TestEngineContract:
         }
         hits, _ = rules_hit(tmp_path, files, self.RULE)
         assert hits == []
+
+    def test_tn_engine_exiting_through_the_frame(self, tmp_path):
+        files = {
+            "src/repro/search/frame.py": (
+                "from repro.search.result import SearchResult\n"
+                "class SearchFrame:\n"
+                "    def finish(self, lower, interrupted):\n"
+                "        return SearchResult(lower_bound=lower,\n"
+                "                            interrupted=interrupted)\n"
+            ),
+            "src/repro/search/myeng.py": FRAME_ENGINE,
+            "src/repro/search/__init__.py": (
+                "from repro.search.myeng import my_schedule\n"
+                "_ENGINE_LOADERS = {'my': lambda: my_schedule}\n"
+            ),
+        }
+        hits, _ = rules_hit(tmp_path, files, self.RULE)
+        assert hits == []
+
+    def test_tp_frame_without_contract_fields(self, tmp_path):
+        files = {
+            "src/repro/search/frame.py": (
+                "from repro.search.result import SearchResult\n"
+                "class SearchFrame:\n"
+                "    def finish(self):\n"
+                "        return SearchResult(schedule=None)\n"
+            ),
+            "src/repro/search/myeng.py": FRAME_ENGINE,
+            "src/repro/search/__init__.py": (
+                "from repro.search.myeng import my_schedule\n"
+                "_ENGINE_LOADERS = {'my': lambda: my_schedule}\n"
+            ),
+        }
+        hits, report = rules_hit(tmp_path, files, self.RULE)
+        assert hits == ["engine-contract"]
+        assert "lower_bound" in report.findings[0].message
 
     def test_tn_unresolvable_module_skipped(self, tmp_path):
         # Loader resolves to a module outside the lint set: no verdict.

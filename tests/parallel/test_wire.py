@@ -48,8 +48,8 @@ def _assert_exact_rebuild(state):
     clone = PartialSchedule.from_wire(graph, system, wire)
     assert (wire[0], wire[1]) == state.dedup_key
     for slot in ("mask", "zkey", "ready_mask", "makespan", "num_scheduled",
-                 "used_pes", "remaining_weight", "total_idle", "ready_time",
-                 "busy_time", "pes", "starts", "finishes", "max_finish_nodes"):
+                 "used_pes", "remaining_weight", "ready_time",
+                 "pes", "starts", "finishes", "max_finish_nodes"):
         assert getattr(clone, slot) == getattr(state, slot), slot
     assert clone.signature == state.signature
     assert clone.to_wire() == wire

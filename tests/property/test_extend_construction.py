@@ -46,8 +46,6 @@ def _constructed_child(ps: PartialSchedule, node: int, pe: int) -> PartialSchedu
         makespan, mfn = ps.makespan, ps.max_finish_nodes
     rt = list(ps.ready_time)
     rt[pe] = finish
-    busy = list(ps.busy_time)
-    busy[pe] = busy[pe] + (finish - start)
     return PartialSchedule(
         graph, system,
         mask=mask,
@@ -58,8 +56,6 @@ def _constructed_child(ps: PartialSchedule, node: int, pe: int) -> PartialSchedu
         zkey=ps.zkey ^ placement_key(node, pe, start),
         used_pes=ps.used_pes | (1 << pe),
         remaining_weight=ps.remaining_weight - graph.weight(node),
-        busy_time=tuple(busy),
-        total_idle=ps.total_idle + (start - ps.ready_time[pe]),
         max_finish_nodes=mfn,
         parent=ps,
         last_node=node,

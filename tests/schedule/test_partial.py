@@ -131,7 +131,7 @@ class TestCompletion:
     def test_used_pes_mask(self, fig1_graph, fig1_system):
         ps = PartialSchedule.empty(fig1_graph, fig1_system)
         ps = ps.extend(0, 0).extend(1, 2)
-        assert ps.used_pes_mask() == 0b101
+        assert ps.used_pes == 0b101
 
 
 @given(task_graphs(max_nodes=6))

@@ -1,0 +1,121 @@
+"""Every engine reports through the same exit contract.
+
+Each engine is driven to its goal, budget and exhausted exits, and each
+result must hold:
+
+* ``lower_bound <= length``;
+* a proven-optimal result has ``lower_bound == length``;
+* ``stats.cost_evaluations`` equals the ``evaluations`` count of the
+  :class:`CostFunction` instance passed in (every engine but ``hda``,
+  whose workers build their own cost function from its name);
+* where the engine takes a probe, the final timeline sample carries the
+  result's length and lower bound.
+
+The exhausted exit is forced with a cost function that puts every
+child above the list-schedule bound ``U``, so OPEN (or the stack) runs
+dry without a goal.  HDA* takes a cost *name*, so its exhausted exit is
+forced instead with the optimum as the incumbent: its ``f ≥ U`` cut
+then drops every state.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.graph.generators.random_paper import PaperGraphSpec, paper_random_graph
+from repro.obs.probe import SearchProbe
+from repro.parallel.hda import hda_astar_schedule
+from repro.parallel.machine import MachineSpec
+from repro.parallel.parallel_astar import parallel_astar_schedule
+from repro.search.astar import astar_schedule
+from repro.search.bnb import bnb_schedule
+from repro.search.costs import CostFunction, PaperCost
+from repro.search.focal import focal_schedule
+from repro.search.idastar import idastar_schedule
+from repro.search.weighted import weighted_astar_schedule
+from repro.system.processors import ProcessorSystem
+from repro.util.timing import Budget
+
+ENGINES = ("astar", "wastar", "focal", "bnb", "idastar", "parallel_astar", "hda")
+EXITS = ("goal", "budget", "exhausted")
+#: Engines that take a ``probe=``.
+PROBED = {"astar", "wastar", "focal", "bnb", "idastar", "hda"}
+
+
+class _AboveBound(CostFunction):
+    """Inadmissible on purpose: every incomplete state costs far more
+    than any schedule, so the upper-bound cut drops every child."""
+
+    name = "above-bound"
+
+    def h(self, ps) -> float:
+        self.evaluations += 1
+        return 0.0 if ps.num_scheduled == self.graph.num_nodes else 1e9
+
+
+def _instance():
+    graph = paper_random_graph(PaperGraphSpec(num_nodes=10, ccr=1.0, seed=77))
+    return graph, ProcessorSystem.fully_connected(2)
+
+
+def _solve(engine, graph, system, *, cost, budget, incumbent, probe):
+    kw = {"cost": cost, "budget": budget}
+    if engine == "parallel_astar":
+        return parallel_astar_schedule(
+            graph, system, MachineSpec(num_ppes=2), **kw,
+        ).result
+    kw.update(incumbent=incumbent, probe=probe)
+    if engine == "astar":
+        return astar_schedule(graph, system, **kw)
+    if engine == "wastar":
+        return weighted_astar_schedule(graph, system, 0.5, **kw)
+    if engine == "focal":
+        return focal_schedule(graph, system, 0.5, **kw)
+    if engine == "bnb":
+        return bnb_schedule(graph, system, **kw)
+    if engine == "idastar":
+        return idastar_schedule(graph, system, **kw)
+    return hda_astar_schedule(graph, system, workers=2, **kw)
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize("exit_", EXITS)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_exit_contract(engine, exit_):
+    graph, system = _instance()
+    budget = Budget(max_expanded=3) if exit_ == "budget" else None
+    incumbent = None
+    if engine == "hda":
+        cost_fn = None
+        cost = "paper"
+        if exit_ == "exhausted":
+            incumbent = astar_schedule(graph, system).schedule
+    else:
+        cls = _AboveBound if exit_ == "exhausted" else PaperCost
+        cost_fn = cost = cls(graph, system)
+    probe = SearchProbe(every=16) if engine in PROBED else None
+
+    res = _solve(engine, graph, system, cost=cost, budget=budget,
+                 incumbent=incumbent, probe=probe)
+
+    if exit_ == "budget":
+        assert not res.optimal
+        # The simulated machine has never named its stop reason; its
+        # golden rows pin that.
+        assert res.interrupted == (
+            None if engine == "parallel_astar" else "expansions"
+        )
+    else:
+        assert res.interrupted is None
+        assert res.certificate in ("proven", "epsilon")
+    if exit_ == "exhausted" and engine in ("astar", "wastar", "focal", "idastar"):
+        assert "exhausted" in res.algorithm
+    assert res.lower_bound <= res.length
+    if res.optimal:
+        assert res.lower_bound == res.length
+    if cost_fn is not None:
+        assert res.stats.cost_evaluations == cost_fn.evaluations
+    if probe is not None:
+        last = res.timeline[-1]
+        assert last.incumbent == res.length
+        assert last.lower_bound == res.lower_bound

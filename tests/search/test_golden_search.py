@@ -1,9 +1,10 @@
 """Golden search table: the engines replay recorded runs.
 
-Each row runs ``astar``, ``wastar``, ``focal`` or ``bnb`` on one §4.1
-paper graph (v 8–12, CCR 0.1/1/10, 2 or 3 PEs, ε 0.1/0.5, ``paper`` or
-``combined`` cost, with and without an expansion budget) and compares
-the result against ``golden_search.json``.  The A*/WA*/Aε* rows were
+Each row runs ``astar``, ``wastar``, ``focal``, ``bnb``, ``idastar`` or
+``parallel_astar`` on one §4.1 paper graph (v 8–12, CCR 0.1/1/10, 2 or
+3 PEs, ε 0.1/0.5, ``paper`` or ``combined`` cost, with and without an
+expansion budget) and compares the result against
+``golden_search.json``.  The A*/WA*/Aε* rows were
 recorded before the three engines shared one best-first loop, so they
 pin that the loop reproduces the engines it replaced:
 
@@ -19,6 +20,11 @@ pin that the loop reproduces the engines it replaced:
   ``states_generated`` and ``max_open_size`` may only shrink.
 
 * B&B rows are identical in every field, like the A* rows.
+* IDA* and simulated parallel A* rows were recorded before the engines
+  shared one set-up and exit (:mod:`repro.search.frame`) and are
+  identical in every field.  The parallel rows also pin the simulated
+  ``makespan_units``, ``phases`` and ``total_messages``; they hold no
+  ``lower_bound``, which that engine used to leave at 0.0.
 * ``portfolio`` rows run the service ladder the way the daemon's cold
   path does (v 12–16, 2 PEs, ``preprocess=True``, 2500 expansions, no
   deadline) and pin each stage's algorithm, makespan and expansions
@@ -45,9 +51,11 @@ import pytest
 
 from repro.graph.generators.random_paper import PaperGraphSpec, paper_random_graph
 from repro.obs.probe import SearchProbe
+from repro.parallel.parallel_astar import parallel_astar_schedule
 from repro.search.astar import astar_schedule
 from repro.search.bnb import bnb_schedule
 from repro.search.focal import focal_schedule
+from repro.search.idastar import idastar_schedule
 from repro.search.weighted import weighted_astar_schedule
 from repro.service.portfolio import portfolio_schedule
 from repro.system.processors import ProcessorSystem
@@ -62,18 +70,22 @@ BUDGET_EXPANSIONS = 40
 #: Probe interval: a few samples per run on these sizes.
 PROBE_EVERY = 128
 
+#: Engines of the instance grid, in row order.
+ENGINES = ("astar", "wastar", "focal", "bnb", "idastar", "parallel_astar")
+
 #: Per-ladder expansion cap of the portfolio rows (the cold-solve
 #: request cap of the service benchmark).
 PORTFOLIO_EXPANSIONS = 2500
 
 
 def _rows() -> list[dict]:
-    """30 instances × 4 engines; the knobs rotate so every value of
-    cost, ε and budget meets every engine."""
+    """30 instances × 6 engines; the knobs rotate so every value of
+    cost, ε and budget meets every engine.  ``parallel_astar`` rotates
+    its own ε through 0, 0.1 and 0.5 so its exact exit is pinned too."""
     rows = []
     instances = itertools.product((8, 9, 10, 11, 12), (0.1, 1.0, 10.0), (2, 3))
     for i, (v, ccr, pes) in enumerate(instances):
-        for engine in ("astar", "wastar", "focal", "bnb"):
+        for engine in ENGINES:
             rows.append({
                 "engine": engine,
                 "v": v,
@@ -81,7 +93,10 @@ def _rows() -> list[dict]:
                 "pes": pes,
                 "seed": 1000 + 10 * v + i,
                 "cost": ("paper", "combined")[i % 2],
-                "epsilon": (0.1, 0.5)[(i // 2) % 2],
+                "epsilon": (
+                    (0.0, 0.1, 0.5)[i % 3] if engine == "parallel_astar"
+                    else (0.1, 0.5)[(i // 2) % 2]
+                ),
                 "budget": (None, BUDGET_EXPANSIONS)[(i // 4) % 2],
             })
     for i, (v, ccr) in enumerate(itertools.product((12, 14, 16), (0.1, 1.0, 10.0))):
@@ -108,6 +123,8 @@ def _run(row: dict) -> dict:
     if row["engine"] == "portfolio":
         return _run_portfolio(graph, system)
     budget = None if row["budget"] is None else Budget(max_expanded=row["budget"])
+    if row["engine"] == "parallel_astar":
+        return _run_parallel(graph, system, row["cost"], row["epsilon"], budget)
     probe = SearchProbe(every=PROBE_EVERY)
     kw = {"cost": row["cost"], "budget": budget, "probe": probe}
     if row["engine"] == "astar":
@@ -116,6 +133,8 @@ def _run(row: dict) -> dict:
         res = weighted_astar_schedule(graph, system, row["epsilon"], **kw)
     elif row["engine"] == "focal":
         res = focal_schedule(graph, system, row["epsilon"], **kw)
+    elif row["engine"] == "idastar":
+        res = idastar_schedule(graph, system, **kw)
     else:
         res = bnb_schedule(graph, system, **kw)
     stats = res.stats.as_dict()
@@ -131,6 +150,29 @@ def _run(row: dict) -> dict:
         "stats": stats,
         # wall_time dropped: the only machine-dependent field.
         "timeline": [list(s[1:]) for s in res.timeline],
+    }
+
+
+def _run_parallel(graph, system, cost, epsilon, budget) -> dict:
+    par = parallel_astar_schedule(
+        graph, system, cost=cost, epsilon=epsilon, budget=budget,
+    )
+    res = par.result
+    stats = res.stats.as_dict()
+    del stats["wall_seconds"]
+    # lower_bound left out: the rows were recorded while this engine
+    # still reported the dataclass default 0.0 for it.
+    return {
+        "placements": [[t.node, t.pe, t.start] for t in res.schedule.tasks],
+        "length": res.length,
+        "algorithm": res.algorithm,
+        "optimal": res.optimal,
+        "bound": res.bound,
+        "interrupted": res.interrupted,
+        "stats": stats,
+        "makespan_units": par.makespan_units,
+        "phases": par.phases,
+        "total_messages": par.total_messages,
     }
 
 
@@ -172,11 +214,18 @@ def test_table_shape():
     assert any(v["interrupted"] == "expansions" for v in golden.values())
 
 
-@pytest.mark.parametrize("row", ROWS, ids=_row_id)
+def _param(row: dict):
+    # Unbudgeted IDA* re-expands every probe from the root; a few of
+    # its rows take tens of seconds, so they sit out the fast tier.
+    slow = row["engine"] == "idastar" and row["budget"] is None
+    return pytest.param(row, marks=pytest.mark.slow if slow else ())
+
+
+@pytest.mark.parametrize("row", [_param(r) for r in ROWS], ids=_row_id)
 def test_replays_golden_row(row):
     want = _golden()[_row_id(row)]
     got = _run(row)
-    if row["engine"] in ("astar", "bnb", "portfolio"):
+    if row["engine"] in ("astar", "bnb", "idastar", "parallel_astar", "portfolio"):
         assert got == want
         return
     for key in ("placements", "length", "lower_bound", "algorithm",

@@ -221,7 +221,7 @@ class TestLifecycle:
             with ResultCache(db) as cache:
                 assert cache.put(entry("aa"))
                 cache.put(bad)
-        assert cache._db is None  # __exit__ ran: no leaked connection
+        assert cache.backend.closed  # __exit__ ran: no leaked connection
         # The store is intact and still readable afterwards.
         with ResultCache(db) as reopened:
             assert reopened.get("aa").makespan == 10.0
@@ -240,7 +240,7 @@ class TestLifecycle:
         cache.put(entry("aa"))
         cache.close()
         cache.close()  # second close must not touch the dead handle
-        assert cache._db is None
+        assert cache.backend.closed
         with ResultCache(db) as reopened:
             assert reopened.get("aa").makespan == 10.0
 

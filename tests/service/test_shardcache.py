@@ -9,6 +9,7 @@ shard.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing as mp
 import sqlite3
 
@@ -93,9 +94,11 @@ class TestSQLiteBackend:
             backend.probe()
 
     def test_shared_mode_uses_wal(self, tmp_path):
-        with SQLiteBackend(tmp_path / "c.db", shared=True) as backend:
-            mode = backend.connection.execute(
-                "PRAGMA journal_mode").fetchone()[0]
+        path = tmp_path / "c.db"
+        with SQLiteBackend(path, shared=True):
+            # WAL is a property of the file: a second handle sees it.
+            with contextlib.closing(sqlite3.connect(path)) as db:
+                mode = db.execute("PRAGMA journal_mode").fetchone()[0]
             assert mode == "wal"
 
     def test_two_connections_see_each_others_writes(self, tmp_path):
