@@ -15,6 +15,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import signal
+import stat
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -69,14 +70,20 @@ _PARENT_POLL_S = 0.5
 
 
 def _worker_init() -> None:
-    """Give a freshly forked worker default stop-signal handling, and
-    make it exit with its parent.
+    """Give a freshly forked worker default stop-signal handling, drop
+    the sockets it inherited, and make it exit with its parent.
 
     Under ``fork`` a worker inherits the daemon's asyncio stop-signal
     handler and its wakeup fd.  A SIGTERM aimed at the worker (the
     executor terminates the survivors when one worker dies) would then
     leave the worker running and be relayed into the daemon's event
     loop, draining the daemon as if it had been signalled itself.
+
+    A worker forked while a client connection is open (the executor
+    forks lazily, on the first submit after a start or a rebuild) would
+    also hold that connection open, and a client reading to EOF would
+    hang until the worker exits.  The executor's own channels are
+    pipes, so every inherited socket is released.
 
     A parent that dies without shutting the executor down (SIGKILL,
     ``os._exit``) never tells its workers to stop, and an orphaned
@@ -88,10 +95,31 @@ def _worker_init() -> None:
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.default_int_handler)
+    _release_inherited_sockets()
     threading.Thread(
         target=_exit_with_parent, args=(os.getppid(),),
         name="exit-with-parent", daemon=True,
     ).start()
+
+
+def _release_inherited_sockets() -> None:
+    """Point every inherited socket fd at ``/dev/null``.
+
+    The fd numbers stay taken, so a stale socket object that closes its
+    fd later cannot close an unrelated file that reused the number.
+    """
+    if not os.path.isdir("/dev/fd"):
+        return  # no fd listing on this platform
+    # Checked while the listing is open, so its own fd is still valid.
+    with os.scandir("/dev/fd") as entries:
+        sockets = [int(e.name) for e in entries
+                   if stat.S_ISSOCK(os.fstat(int(e.name)).st_mode)]
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in sockets:
+            os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 def _exit_with_parent(parent: int) -> None:

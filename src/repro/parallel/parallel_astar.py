@@ -384,6 +384,7 @@ def parallel_astar_schedule(
         incumbent, global_min_f, algorithm=algorithm,
         optimal=optimal_proven and epsilon == 0.0,
         bound=relax if optimal_proven else math.inf,
+        interrupted=None if optimal_proven else frame.stop_reason,
     )
     return ParallelResult(
         result=result,

@@ -370,13 +370,18 @@ def run_batch(
     winners: dict[str, str] = {}
     interrupted = False
     if todo:
+        options = {
+            "deadline": deadline, "epsilon": epsilon,
+            "max_expansions": max_expansions, "mode": mode,
+            "solver_workers": solver_workers, "max_memory_mb": max_memory_mb,
+            "preprocess": preprocess,
+        }
         jobs = [
-            _job_for(items[rep_index[fp]], fp, deadline, epsilon,
-                     costs[rep_index[fp]], max_expansions, mode,
-                     solver_workers, max_memory_mb,
+            _job_for(items[rep_index[fp]], fp,
+                     {**options, "cost": costs[rep_index[fp]]},
                      trace=tr.enabled,
                      trace_root=tr.current_span_id() if tr.enabled else None,
-                     probe_every=probe_every, preprocess=preprocess)
+                     probe_every=probe_every)
             for fp in todo
         ]
         solved: list[dict[str, Any]] = []
@@ -400,40 +405,12 @@ def run_batch(
             interrupted = True
         for fp, payload in zip(todo, solved):
             tr.absorb(payload.get("trace_events"))
-            rep = items[rep_index[fp]]
-            order = orders[rep_index[fp]]
-            schedule = Schedule(
-                rep.graph, rep.system,
-                {
-                    int(n): (int(pe), float(st))
-                    for n, pe, st in payload["assignment"]
-                },
-            )
-            entry = CacheEntry(
-                fingerprint=fp,
-                assignment=canonical_assignment(schedule, order),
-                makespan=schedule.length,
-                certificate=payload["certificate"],
-                bound=payload["bound"],
-                algorithm=payload["algorithm"],
-                stats=payload["stats"],
-            )
-            entries[fp] = entry
+            rep = rep_index[fp]
+            entries[fp], fresh = _store_result(
+                payload, items[rep], fp, orders[rep], cache)
             solve_seconds[fp] = payload["seconds"]
-            winners[fp] = payload["winner"]
-            if cache is not None and not cache.put(entry):
-                # The store already held something better (possible when
-                # require_proven re-solved a stale entry under a tighter
-                # budget): serve that instead of the fresh, worse result,
-                # unless it does not cover this instance.
-                better = cache.get(fp)
-                if (
-                    better is not None
-                    and better.better_than(entry)
-                    and better.fits(rep.graph)
-                ):
-                    entries[fp] = better
-                    winners.pop(fp, None)
+            if fresh:
+                winners[fp] = payload["winner"]
 
     # Fan the unique results back out to every request.
     outcomes: list[ItemOutcome] = []
@@ -482,39 +459,73 @@ def run_batch(
 # -- worker side (top-level: picklable under spawn) --------------------------
 
 
+#: The solver options a job descriptor carries (the daemon validates
+#: them per request, and a dedupe follower must match them all).
+_SOLVE_KEYS = (
+    "deadline", "epsilon", "cost", "max_expansions", "mode",
+    "solver_workers", "max_memory_mb", "preprocess",
+)
+
+
 def _job_for(
     item: BatchItem,
     fingerprint: str,
-    deadline: float | None,
-    epsilon: float,
-    cost: str,
-    max_expansions: int | None,
-    mode: str,
-    solver_workers: int = 1,
-    max_memory_mb: float | None = None,
+    options: dict[str, Any],
     *,
     trace: bool = False,
     trace_root: str | None = None,
     probe_every: int | None = None,
-    preprocess: bool = False,
 ) -> dict[str, Any]:
-    """Plain-dict job descriptor: nothing but builtins crosses the pool."""
+    """Plain-dict job descriptor: nothing but builtins crosses the pool.
+
+    ``options`` supplies every :data:`_SOLVE_KEYS` entry (``cost``
+    already resolved); other keys are ignored.
+    """
     return {
         "fingerprint": fingerprint,
         "graph": graph_to_dict(item.graph),
         "system": system_to_args(item.system),
-        "deadline": deadline,
-        "epsilon": epsilon,
-        "cost": cost,
-        "max_expansions": max_expansions,
-        "mode": mode,
-        "solver_workers": solver_workers,
-        "max_memory_mb": max_memory_mb,
+        **{key: options[key] for key in _SOLVE_KEYS},
         "trace": trace,
         "trace_root": trace_root,
         "probe_every": probe_every,
-        "preprocess": preprocess,
     }
+
+
+def _store_result(
+    payload: dict[str, Any],
+    item: BatchItem,
+    fingerprint: str,
+    order: tuple[int, ...],
+    cache: ResultCache | None = None,
+) -> tuple[CacheEntry, bool]:
+    """Turn a worker payload into the cache entry to serve.
+
+    The entry is built in canonical node space and put into ``cache``.
+    When the store already held something better (possible when
+    ``require_proven`` re-solved a stale entry under a tighter budget),
+    that entry is served instead, unless it does not cover ``item``.
+    Returns the entry and whether it is the fresh one.
+    """
+    schedule = Schedule(
+        item.graph, item.system,
+        {int(n): (int(pe), float(st)) for n, pe, st in payload["assignment"]},
+    )
+    entry = CacheEntry(
+        fingerprint=fingerprint,
+        assignment=canonical_assignment(schedule, order),
+        makespan=schedule.length,
+        certificate=payload["certificate"],
+        bound=payload["bound"],
+        algorithm=payload["algorithm"],
+        stats=payload["stats"],
+    )
+    if cache is None or cache.put(entry):
+        return entry, True
+    better = cache.get(fingerprint)
+    if better is not None and better.better_than(entry) and better.fits(item.graph):
+        return better, False
+    return entry, True
 
 
 def _worker_solve(job: dict[str, Any]) -> dict[str, Any]:
@@ -528,8 +539,7 @@ def _worker_solve(job: dict[str, Any]) -> dict[str, Any]:
     system = system_from_args(job["system"])
     # Buffering tracer: spans accumulate in memory and ride back on the
     # result payload (pool workers cannot share the parent's file sink).
-    wtracer = Tracer(root=job.get("trace_root")) if job.get("trace") else None
-    probe_every = job.get("probe_every")
+    wtracer = Tracer(root=job["trace_root"]) if job["trace"] else None
     t0 = time.perf_counter()
     with (wtracer if wtracer is not None else null_tracer).span(
         "batch.item", attrs={"fingerprint": job["fingerprint"]}
@@ -538,10 +548,9 @@ def _worker_solve(job: dict[str, Any]) -> dict[str, Any]:
         res = solve(
             graph, system, deadline=job["deadline"], epsilon=job["epsilon"],
             cost=job["cost"], max_expansions=job["max_expansions"],
-            workers=job.get("solver_workers", 1),
-            max_memory_mb=job.get("max_memory_mb"),
-            tracer=wtracer, probe_every=probe_every,
-            preprocess=job.get("preprocess", False),
+            workers=job["solver_workers"], max_memory_mb=job["max_memory_mb"],
+            tracer=wtracer, probe_every=job["probe_every"],
+            preprocess=job["preprocess"],
         )
     return {
         "fingerprint": job["fingerprint"],

@@ -54,7 +54,14 @@ from repro.obs.trace import Tracer, null_tracer
 from repro.parallel.mp_backend import SolverPool
 from repro.schedule.schedule import Schedule
 from repro.search.costs import COST_FUNCTIONS
-from repro.service.batch import BatchItem, _job_for, _worker_solve, item_from_request
+from repro.service.batch import (
+    _SOLVE_KEYS,
+    BatchItem,
+    _job_for,
+    _store_result,
+    _worker_solve,
+    item_from_request,
+)
 from repro.service.cache import CacheEntry, ResultCache
 from repro.schedule.fingerprint import (
     assignment_from_canonical,
@@ -109,10 +116,6 @@ class PreparedRequest(NamedTuple):
 _OVERRIDE_KEYS = (
     "deadline", "epsilon", "cost", "max_expansions", "mode",
     "require_proven", "solver_workers", "max_memory_mb", "preprocess",
-)
-_SOLVE_KEYS = (
-    "deadline", "epsilon", "cost", "max_expansions", "mode",
-    "solver_workers", "max_memory_mb", "preprocess",
 )
 
 #: Cap on the per-request HDA* worker override: untrusted request
@@ -600,18 +603,13 @@ class JobManager:
             self._h_queue_wait.observe(job.started - job.submitted)
             self.tracer.event("job.start", attrs={"id": job.id})
             descriptor = _job_for(
-                job.item, job.fingerprint,
-                job.options["deadline"], job.options["epsilon"],
-                job.options["cost"], job.options["max_expansions"],
-                job.options["mode"], job.options["solver_workers"],
-                job.options["max_memory_mb"],
+                job.item, job.fingerprint, job.options,
                 trace=self.tracer.enabled,
                 trace_root=(
                     self.tracer.current_span_id()
                     if self.tracer.enabled else None
                 ),
                 probe_every=self.probe_every,
-                preprocess=job.options["preprocess"],
             )
             executor = self.pool.executor
             try:
@@ -649,20 +647,6 @@ class JobManager:
         :meth:`_cache_call`, so a slow store blocks only this runner
         coroutine — the loop keeps serving health checks and admissions.
         """
-        item = primary.item
-        schedule = Schedule(
-            item.graph, item.system,
-            {int(n): (int(pe), float(st)) for n, pe, st in payload["assignment"]},
-        )
-        entry = CacheEntry(
-            fingerprint=primary.fingerprint,
-            assignment=canonical_assignment(schedule, primary.order),
-            makespan=schedule.length,
-            certificate=payload["certificate"],
-            bound=payload["bound"],
-            algorithm=payload["algorithm"],
-            stats=payload["stats"],
-        )
         self._jobs_total["solved"].inc()
         algo = payload["algorithm"]
         self.registry.counter(
@@ -687,41 +671,30 @@ class JobManager:
         if expanded is not None:
             self._h_expansions.observe(expanded)
         self.tracer.absorb(payload.get("trace_events"))
-        stored = True
-        if self.cache is not None:
+        args = (payload, primary.item, primary.fingerprint, primary.order)
+        if self.cache is None:
+            entry, fresh = _store_result(*args)
+        else:
             self.tracer.event(
-                "cache.put", attrs={"fingerprint": entry.fingerprint}
+                "cache.put", attrs={"fingerprint": primary.fingerprint}
             )
             try:
-                stored = await asyncio.wait_for(
-                    self._cache_call(self.cache.put, entry),
+                entry, fresh = await asyncio.wait_for(
+                    self._cache_call(_store_result, *args, self.cache),
                     timeout=_CACHE_PUT_GRACE,
                 )
             except asyncio.TimeoutError:
                 # Wedged store: serve the fresh result now (the put may
                 # still land later on the cache thread) so neither the
                 # waiting client nor drain() hangs on storage.
-                stored = True
+                entry, fresh = _store_result(*args)
             except Exception:  # noqa: BLE001 - broken store: count it,
                 # serve the fresh result anyway; caching is best-effort.
                 self._jobs_total["cache_errors"].inc()
-                stored = True
-        if self.cache is not None and not stored:
-            # The store already held something better; serve that —
-            # unless it is structurally unusable for this graph (the
-            # same guard the admit cache-hit path applies), in which
-            # case the fresh result in hand wins.  The put just
-            # answered, so the store is healthy and this get is fast.
-            better = await self._cache_call(self.cache.get, primary.fingerprint)
-            if (
-                better is not None
-                and better.better_than(entry)
-                and better.fits(item.graph)
-            ):
-                entry = better
+                entry, fresh = _store_result(*args)
         self._finish(
-            primary, entry, via="solve",
-            seconds=payload["seconds"], winner=payload["winner"],
+            primary, entry, via="solve", seconds=payload["seconds"],
+            winner=payload["winner"] if fresh else "",
         )
         if "lower_bound" in payload:
             primary.result["lower_bound"] = payload["lower_bound"]

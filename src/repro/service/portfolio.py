@@ -27,20 +27,18 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.graph.analysis import graph_ccr
 from repro.graph.taskgraph import TaskGraph
 from repro.heuristics.listsched import fast_upper_bound_schedule
 from repro.obs.probe import SearchProbe
 from repro.obs.trace import Tracer, null_tracer
-from repro.schedule.partial import PartialSchedule
-from repro.schedule.preprocess import PreprocessResult, preprocess_instance
+from repro.schedule.preprocess import ChainPlan, PreprocessResult, preprocess_instance
 from repro.schedule.schedule import Schedule
 from repro.search import get_engine
 from repro.search.pruning import PruningConfig
 from repro.search.result import SearchResult, SearchStats
-from repro.search.weighted import weighted_astar_schedule
 from repro.system.processors import ProcessorSystem
 from repro.util.timing import Budget
 
@@ -75,7 +73,7 @@ _CONTRACT_PROBE_EXPANSIONS = 4_000
 class StageReport:
     """Provenance of one portfolio stage."""
 
-    stage: str  # "list" | "improve" | "exact"
+    stage: str  # "list" | "contract" | "improve" | "exact[-retry|-serial]"
     algorithm: str
     makespan: float
     improved: bool  # did this stage tighten the incumbent?
@@ -84,15 +82,7 @@ class StageReport:
     expanded: int = 0
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            "stage": self.stage,
-            "algorithm": self.algorithm,
-            "makespan": self.makespan,
-            "improved": self.improved,
-            "optimal": self.optimal,
-            "seconds": self.seconds,
-            "expanded": self.expanded,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -186,12 +176,48 @@ def select_cost(graph: TaskGraph, system: ProcessorSystem) -> str:
     return "combined"
 
 
-def _resolve_cost(cost: str | None, graph: TaskGraph,
-                  system: ProcessorSystem) -> str:
-    """Map the ``None``/``"auto"`` sentinel to a concrete registry name."""
+@dataclass(frozen=True)
+class _SetUp:
+    """What both entry points search: ``graph`` is the caller's instance
+    or its reduction, ``cost`` a resolved registry name."""
+
+    graph: TaskGraph
+    cost: str
+    pruning: PruningConfig | None
+    pre: PreprocessResult | None
+    tracer: Tracer
+    probe: SearchProbe | None
+
+    def restore(self, schedule: Schedule | None,
+                stats: SearchStats) -> Schedule | None:
+        """Map an answer back to the caller's node space and count the
+        reductions in ``stats``; the certificate carries over."""
+        if self.pre is None:
+            return schedule
+        stats.pruning.merge(self.pre.stats)
+        return None if schedule is None else self.pre.restore(schedule)
+
+
+def _set_up(
+    graph: TaskGraph, system: ProcessorSystem, *, cost: str | None,
+    preprocess: bool, tracer: Tracer | None, probe_every: int | None,
+) -> _SetUp:
+    """Preprocess (when asked), resolve the ``None``/``"auto"`` cost
+    sentinel on the searched instance, and pick the tracer and probe."""
+    pre = preprocess_instance(graph, system) if preprocess else None
+    if pre is not None:
+        graph = pre.graph
     if cost is None or cost == "auto":
-        return select_cost(graph, system)
-    return cost
+        cost = select_cost(graph, system)
+    return _SetUp(
+        graph=graph,
+        cost=cost,
+        pruning=(PruningConfig(root_symmetry=True)
+                 if pre is not None and pre.root_symmetry else None),
+        pre=pre,
+        tracer=tracer if tracer is not None else null_tracer,
+        probe=SearchProbe(probe_every) if probe_every else None,
+    )
 
 
 def _run_engine(
@@ -202,8 +228,7 @@ def _run_engine(
     budget: Budget,
     epsilon: float,
     cost: str,
-    state_cls: type,
-    incumbent: Schedule | None,
+    incumbent: Schedule | None = None,
     workers: int = 1,
     probe: SearchProbe | None = None,
     tracer: Tracer | None = None,
@@ -212,23 +237,14 @@ def _run_engine(
     """Dispatch one engine through the registry (the portfolio's
     inner call); per-engine extras are bound here."""
     engine = get_engine(name)  # raises ValueError on unknown names
+    common = {"cost": cost, "budget": budget, "pruning": pruning,
+              "incumbent": incumbent, "probe": probe}
     if name in ("astar", "bnb"):
-        return engine(
-            graph, system, cost=cost, budget=budget, pruning=pruning,
-            state_cls=state_cls, incumbent=incumbent, probe=probe,
-        )
+        return engine(graph, system, **common)
     if name == "wastar":
-        return engine(
-            graph, system, epsilon, cost=cost, budget=budget,
-            pruning=pruning, state_cls=state_cls, incumbent=incumbent,
-            probe=probe,
-        )
+        return engine(graph, system, epsilon, **common)
     if name == "hda":
-        return engine(
-            graph, system, workers=workers, cost=cost, budget=budget,
-            pruning=pruning, state_cls=state_cls, incumbent=incumbent,
-            probe=probe, tracer=tracer,
-        )
+        return engine(graph, system, workers=workers, tracer=tracer, **common)
     raise ValueError(f"engine {name!r} is not portfolio-dispatchable")
 
 
@@ -240,7 +256,6 @@ def solve_auto(
     epsilon: float = 0.25,
     cost: str | None = None,
     max_expansions: int | None = 500_000,
-    state_cls: type = PartialSchedule,
     workers: int = 1,
     max_memory_mb: float | None = None,
     tracer: Tracer | None = None,
@@ -262,37 +277,27 @@ def solve_auto(
     reduced instance (with symmetry normalization when eligible), and
     restores the answer to the caller's node space — makespan,
     optimality and lower bound carry over unchanged because every
-    applied reduction is equivalence-proven.
+    applied reduction is equivalence-proven.  The set-up and the
+    restore are the ladder's own (:func:`portfolio_schedule`).
     """
-    pre: PreprocessResult | None = None
-    pruning: PruningConfig | None = None
-    if preprocess:
-        pre = preprocess_instance(graph, system)
-        graph = pre.graph
-        if pre.root_symmetry:
-            pruning = PruningConfig(root_symmetry=True)
-    cost = _resolve_cost(cost, graph, system)
-    engine = select_engine(graph, system)
+    s = _set_up(graph, system, cost=cost, preprocess=preprocess,
+                tracer=tracer, probe_every=probe_every)
+    engine = select_engine(s.graph, system)
     # Only an A* selection upgrades: a "bnb" selection is the
     # high-CCR *memory* decision, and HDA* holds full OPEN/CLOSED
     # lists in every worker — exactly what that decision avoids.
-    if workers > 1 and engine == "astar" and graph.num_nodes > _HDA_MIN_V:
+    if workers > 1 and engine == "astar" and s.graph.num_nodes > _HDA_MIN_V:
         engine = "hda"
     budget = Budget(max_expanded=max_expansions, max_seconds=deadline,
                     max_memory_mb=max_memory_mb)
-    tr = tracer if tracer is not None else null_tracer
-    probe = SearchProbe(probe_every) if probe_every else None
-    with tr.span("portfolio.auto", attrs={"engine": engine, "cost": cost}):
+    with s.tracer.span("portfolio.auto", attrs={"engine": engine, "cost": s.cost}):
         res = _run_engine(
-            engine, graph, system, budget=budget, epsilon=epsilon,
-            cost=cost, state_cls=state_cls, incumbent=None, workers=workers,
-            probe=probe, tracer=tracer, pruning=pruning,
+            engine, s.graph, system, budget=budget, epsilon=epsilon,
+            cost=s.cost, workers=workers, probe=s.probe, tracer=s.tracer,
+            pruning=s.pruning,
         )
-        _emit_timeline(tr, res.timeline, label=engine)
-    if pre is not None:
-        if res.schedule is not None:
-            res.schedule = pre.restore(res.schedule)
-        res.stats.pruning.merge(pre.stats)
+        _emit_timeline(s.tracer, res.timeline, label=engine)
+    res.schedule = s.restore(res.schedule, res.stats)
     return res
 
 
@@ -304,7 +309,6 @@ def portfolio_schedule(
     epsilon: float = 0.25,
     cost: str | None = None,
     max_expansions: int | None = 500_000,
-    state_cls: type = PartialSchedule,
     workers: int = 1,
     max_memory_mb: float | None = None,
     tracer: Tracer | None = None,
@@ -332,8 +336,6 @@ def portfolio_schedule(
         exact-stage default wherever machine capacity can bind.
     max_expansions:
         Per-ladder expansion cap (the improver gets a quarter of it).
-    state_cls:
-        Search-state implementation, forwarded to every engine.
     workers:
         Worker processes for the exact stage; ``> 1`` hands instances
         with ``v > _HDA_MIN_V`` to the multiprocess HDA* engine (the
@@ -374,21 +376,15 @@ def portfolio_schedule(
 
     Guarantees: the returned makespan is never worse than the linear-time
     list schedule; ``optimal`` is True iff the exact stage ran to
-    completion; ``bound`` is the tightest proven sub-optimality factor
-    across stages (a completed improver proves ``1 + epsilon`` even when
-    the exact stage times out).
+    completion (or the improver already proved the incumbent, at ε = 0);
+    ``bound`` is the tightest proven sub-optimality factor across stages
+    (a completed improver proves ``1 + epsilon`` even when the exact
+    stage times out).
     """
     t0 = time.perf_counter()
-    pre: PreprocessResult | None = None
-    pruning: PruningConfig | None = None
-    if preprocess:
-        pre = preprocess_instance(graph, system)
-        graph = pre.graph
-        if pre.root_symmetry:
-            pruning = PruningConfig(root_symmetry=True)
-    cost = _resolve_cost(cost, graph, system)
-    tr = tracer if tracer is not None else null_tracer
-    probe = SearchProbe(probe_every) if probe_every else None
+    s = _set_up(graph, system, cost=cost, preprocess=preprocess,
+                tracer=tracer, probe_every=probe_every)
+    graph = s.graph
 
     def remaining() -> float | None:
         if deadline is None:
@@ -397,70 +393,86 @@ def portfolio_schedule(
 
     total = SearchStats()
     stages: list[StageReport] = []
-
-    # -- stage 1: linear-time incumbent (the §3.2 U-bound heuristic) -------
-    s0 = time.perf_counter()
-    with tr.span("portfolio.list"):
+    started = time.perf_counter()
+    # The linear-time incumbent (the §3.2 U-bound heuristic).
+    with s.tracer.span("portfolio.list"):
         best = fast_upper_bound_schedule(graph, system)
-    stages.append(
-        StageReport(
-            stage="list", algorithm="list(b-level)", makespan=best.length,
-            improved=True, optimal=False,
-            seconds=time.perf_counter() - s0,
-        )
-    )
-    winner = "list"
-    winner_algo = "list(b-level)"
+    winner, winner_algo = "list", "list(b-level)"
+    stages.append(StageReport(
+        stage="list", algorithm=winner_algo, makespan=best.length,
+        improved=True, optimal=False, seconds=time.perf_counter() - started,
+    ))
+
+    def run(stage: str, engine: str, budget: Budget, *,
+            attrs: dict[str, object], incumbent: Schedule | None = None,
+            plan: ChainPlan | None = None) -> SearchResult:
+        """The stage step: run one searched stage under its
+        ``portfolio.<stage>`` span with the shared probe, and fold its
+        answer in — a better schedule becomes the incumbent, a better or
+        proven one names the winner, the stats and report are kept.
+
+        With a chain ``plan`` the stage searches the contracted
+        companion instance: no probe and no result event (its
+        expansions are not the ladder's), and its answer unfolds into an
+        incumbent only.  A proof there proves nothing here: contraction
+        can exclude every optimal schedule (see the pinned
+        counterexamples).
+        """
+        nonlocal best, winner, winner_algo
+        started = time.perf_counter()
+        probe = s.probe if plan is None else None
+        with s.tracer.span(f"portfolio.{stage}", attrs=attrs):
+            res = _run_engine(
+                engine, graph if plan is None else plan.graph, system,
+                budget=budget, epsilon=epsilon, cost=s.cost,
+                incumbent=incumbent, workers=workers, probe=probe,
+                tracer=s.tracer, pruning=s.pruning,
+            )
+            if plan is None:
+                s.tracer.event("portfolio.stage.result", attrs={
+                    "stage": stage, "algorithm": res.algorithm,
+                    "makespan": res.length,
+                    "expanded": res.stats.states_expanded,
+                    "optimal": res.optimal, "interrupted": res.interrupted,
+                })
+        if probe is not None:
+            probe.rebase(res.stats.states_expanded)
+        found = res.schedule
+        if found is not None and plan is not None:
+            found = plan.unfold(found, graph)
+        improved = found is not None and found.length < best.length
+        proved = res.optimal and plan is None
+        if improved:
+            best = found
+        if improved or proved:
+            winner = stage.split("-")[0]
+            winner_algo = res.algorithm if plan is None else f"contract({res.algorithm})"
+        total.merge(res.stats)
+        stages.append(StageReport(
+            stage=stage, algorithm=res.algorithm, makespan=res.length,
+            improved=improved, optimal=proved,
+            seconds=time.perf_counter() - started,
+            expanded=res.stats.states_expanded,
+        ))
+        return res
+
     optimal = False
     bound = math.inf
     lower = 0.0  # tightest proven floor across stages
     interrupted: str | None = None
-    if pre is not None:
-        total.pruning.merge(pre.stats)
 
-    # -- stage 1b: chain-contraction warm-start probe ----------------------
-    # A short exact burst on the chain-contracted companion instance;
-    # its answer unfolds into a feasible schedule of the reduced
-    # instance with the same length.  Strictly an incumbent: optimality
-    # on the contracted instance proves nothing here (contraction can
-    # exclude every optimal schedule — see the pinned counterexamples),
-    # so ``optimal``/``bound``/``lower`` are deliberately untouched.
-    if pre is not None and pre.chain_plan is not None:
-        plan = pre.chain_plan
-        left = remaining()
-        if left is None or left > 0:
-            sp = time.perf_counter()
-            probe_budget = Budget(
-                max_expanded=(
-                    _CONTRACT_PROBE_EXPANSIONS if max_expansions is None
-                    else min(_CONTRACT_PROBE_EXPANSIONS, max_expansions // 8)
-                ),
-                max_seconds=None if left is None else left * _IMPROVER_SHARE,
-            )
-            with tr.span("portfolio.contract",
-                         attrs={"v": plan.graph.num_nodes, "cost": cost}):
-                res = _run_engine(
-                    "astar", plan.graph, system, budget=probe_budget,
-                    epsilon=epsilon, cost=cost, state_cls=state_cls,
-                    incumbent=None, pruning=pruning,
-                )
-            improved = False
-            if res.schedule is not None:
-                cand = plan.unfold(res.schedule, graph)
-                improved = cand.length < best.length
-                if improved:
-                    best = cand
-                    winner = "contract"
-                    winner_algo = f"contract({res.algorithm})"
-            total.merge(res.stats)
-            stages.append(
-                StageReport(
-                    stage="contract", algorithm=res.algorithm,
-                    makespan=res.length, improved=improved, optimal=False,
-                    seconds=time.perf_counter() - sp,
-                    expanded=res.stats.states_expanded,
-                )
-            )
+    # -- chain-contraction warm-start probe --------------------------------
+    # A short exact burst on the chain-contracted companion instance.
+    plan = s.pre.chain_plan if s.pre is not None else None
+    left = remaining()
+    if plan is not None and (left is None or left > 0):
+        run("contract", "astar", Budget(
+            max_expanded=(
+                _CONTRACT_PROBE_EXPANSIONS if max_expansions is None
+                else min(_CONTRACT_PROBE_EXPANSIONS, max_expansions // 8)
+            ),
+            max_seconds=None if left is None else left * _IMPROVER_SHARE,
+        ), attrs={"v": plan.graph.num_nodes, "cost": s.cost}, plan=plan)
 
     exact_engine = select_engine(graph, system)
     # A "bnb" selection is the deliberate high-CCR memory decision —
@@ -476,129 +488,53 @@ def portfolio_schedule(
         # Large exact searches go multiprocess: HDA* keeps per-worker
         # dedup exact and reads the stage incumbent as its shared bound.
         exact_engine = "hda"
-    run_improver = graph.num_nodes > _SMALL_V
 
-    # -- stage 2: weighted-A* improver -------------------------------------
+    # -- weighted-A* improver ----------------------------------------------
     left = remaining()
-    if run_improver and (left is None or left > 0):
-        s1 = time.perf_counter()
-        improver_budget = Budget(
+    if graph.num_nodes > _SMALL_V and (left is None or left > 0):
+        res = run("improve", "wastar", Budget(
             max_expanded=None if max_expansions is None else max_expansions // 4,
             max_seconds=None if left is None else left * _IMPROVER_SHARE,
-        )
-        with tr.span("portfolio.improve",
-                     attrs={"epsilon": epsilon, "cost": cost}):
-            res = weighted_astar_schedule(
-                graph, system, epsilon, cost=cost, pruning=pruning,
-                budget=improver_budget, state_cls=state_cls, probe=probe,
-            )
-            tr.event("portfolio.stage.result", attrs={
-                "stage": "improve", "algorithm": res.algorithm,
-                "makespan": res.length,
-                "expanded": res.stats.states_expanded,
-            })
-        if probe is not None:
-            probe.rebase(res.stats.states_expanded)
-        improved = res.schedule is not None and res.length < best.length
-        if improved:
-            best = res.schedule
-            winner = "improve"
-            winner_algo = res.algorithm
+        ), attrs={"epsilon": epsilon, "cost": s.cost})
         if math.isfinite(res.bound):
             bound = min(bound, res.bound)
         lower = max(lower, res.lower_bound)
-        total.merge(res.stats)
-        stages.append(
-            StageReport(
-                stage="improve", algorithm=res.algorithm, makespan=res.length,
-                improved=improved, optimal=res.optimal,
-                seconds=time.perf_counter() - s1,
-                expanded=res.stats.states_expanded,
-            )
-        )
-        if res.optimal:
-            # ε = 0 or a degenerate instance: the improver already proved
-            # optimality; skip the exact stage.
-            total.wall_seconds = time.perf_counter() - t0
-            timeline = probe.timeline() if probe is not None else ()
-            _emit_timeline(tr, timeline, label="improve")
-            if pre is not None:
-                best = pre.restore(best)
-            return PortfolioResult(
-                schedule=best, optimal=True, bound=1.0, stats=total,
-                algorithm=res.algorithm, winner="improve",
-                stages=tuple(stages), lower_bound=best.length,
-                timeline=timeline,
-            )
+        # ε = 0 (or a degenerate instance): the improver already proved
+        # the incumbent optimal and the exact stage has nothing to do.
+        optimal = res.optimal
 
-    # -- stage 3: exact engine seeded with the shared incumbent ------------
+    # -- exact engine seeded with the shared incumbent ---------------------
     # Worker-failure recovery: an HDA* attempt that lost a worker is
     # retried once with whatever deadline is left, then handed to the
     # serial engine — three attempts at most, each seeded with the
     # current incumbent.
-    serial_exact = "bnb" if memory_bound else "astar"
-    attempts = (
-        [("exact", exact_engine), ("exact-retry", exact_engine),
-         ("exact-serial", serial_exact)]
-        if exact_engine == "hda"
-        else [("exact", exact_engine)]
-    )
+    attempts = [("exact", exact_engine)]
+    if exact_engine == "hda":
+        attempts += [("exact-retry", "hda"), ("exact-serial", "astar")]
     for stage_name, engine_name in attempts:
         left = remaining()
-        if left is not None and left <= 0:
+        if optimal or (left is not None and left <= 0):
             break
-        s2 = time.perf_counter()
-        exact_budget = Budget(max_expanded=max_expansions, max_seconds=left,
-                              max_memory_mb=max_memory_mb)
-        with tr.span(f"portfolio.{stage_name}",
-                     attrs={"engine": engine_name, "cost": cost}):
-            res = _run_engine(
-                engine_name, graph, system, budget=exact_budget,
-                epsilon=epsilon, cost=cost, state_cls=state_cls,
-                incumbent=best, workers=workers, probe=probe, tracer=tracer,
-                pruning=pruning,
-            )
-            tr.event("portfolio.stage.result", attrs={
-                "stage": stage_name, "algorithm": res.algorithm,
-                "makespan": res.length,
-                "expanded": res.stats.states_expanded,
-                "optimal": res.optimal,
-                "interrupted": res.interrupted,
-            })
-        if probe is not None:
-            probe.rebase(res.stats.states_expanded)
-        improved = res.schedule is not None and res.length < best.length
-        if improved:
-            best = res.schedule
+        res = run(stage_name, engine_name, Budget(
+            max_expanded=max_expansions, max_seconds=left,
+            max_memory_mb=max_memory_mb,
+        ), attrs={"engine": engine_name, "cost": s.cost},
+            incumbent=best)
         lower = max(lower, res.lower_bound)
         interrupted = res.interrupted
-        if res.optimal:
-            # The exact stage proves the *shared* incumbent optimal even
-            # when it merely confirmed (rather than beat) it.
-            optimal = True
-            bound = 1.0
-            winner = "exact"
-            winner_algo = res.algorithm
-        elif improved:
-            winner = "exact"
-            winner_algo = res.algorithm
-        total.merge(res.stats)
-        stages.append(
-            StageReport(
-                stage=stage_name, algorithm=res.algorithm, makespan=res.length,
-                improved=improved, optimal=res.optimal,
-                seconds=time.perf_counter() - s2,
-                expanded=res.stats.states_expanded,
-            )
-        )
+        # The exact stage proves the *shared* incumbent optimal even
+        # when it merely confirmed (rather than beat) it.
+        optimal = res.optimal
         if res.interrupted not in ("worker-failure", "worker-stall"):
             break  # finished, proved, or a plain budget stop — no retry
 
+    if optimal:
+        bound = 1.0
     total.wall_seconds = time.perf_counter() - t0
-    timeline = probe.timeline() if probe is not None else ()
-    _emit_timeline(tr, timeline, label="portfolio")
-    if pre is not None:
-        best = pre.restore(best)
+    timeline = s.probe.timeline() if s.probe is not None else ()
+    _emit_timeline(s.tracer, timeline, label=(
+        "improve" if optimal and winner == "improve" else "portfolio"))
+    best = s.restore(best, total)
     return PortfolioResult(
         schedule=best, optimal=optimal, bound=bound, stats=total,
         algorithm=winner_algo, winner=winner, stages=tuple(stages),

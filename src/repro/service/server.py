@@ -165,7 +165,6 @@ class SolverServer(httpwire.HttpService):
         require_proven: bool = False,
         max_memory_mb: float | None = None,
         preprocess: bool = False,
-        warm: bool = True,
         obs_trace: str | Path | None = None,
         probe_every: int | None = None,
         shard_id: str | None = None,
@@ -179,7 +178,6 @@ class SolverServer(httpwire.HttpService):
         self._cache_capacity = cache_capacity
         self.solver_workers = solver_workers
         self.queue_limit = queue_limit
-        self.warm = warm
         self._solver_defaults = {
             "deadline": deadline,
             "epsilon": epsilon,
@@ -234,9 +232,11 @@ class SolverServer(httpwire.HttpService):
             self.cache = await loop.run_in_executor(
                 self._cache_thread, make_cache
             )
+        # Fork every worker before the bind: no client connection is
+        # open yet for a worker to inherit, and the first request pays
+        # no fork.
         self.pool = SolverPool(self.solver_workers)
-        if self.warm:
-            self.pool.warm()
+        self.pool.warm()
         if self._obs_trace is not None:
             self.tracer = Tracer(self._obs_trace)
         self.manager = JobManager(

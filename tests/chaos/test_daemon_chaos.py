@@ -18,12 +18,17 @@ armed at any time.
 
 from __future__ import annotations
 
+import json
+import os
+import signal
+import socket
 import time
 from contextlib import contextmanager
 
 import pytest
 
 from repro.graph.generators.random_paper import PaperGraphSpec, paper_random_graph
+from repro.graph.io import graph_to_dict
 from repro.service.cache import ResultCache
 from repro.service.client import ServerClient
 from repro.service.server import SolverServer
@@ -115,6 +120,47 @@ class TestWorkerCrash:
             assert m["failures"]["worker_error"] == 1
             assert m["jobs"]["pool_rebuilds"] == 0
             assert m["jobs"]["failed"] == 0
+            final = server.manager.metrics()
+        assert_drained(final)
+
+
+def solve_to_eof(server, graph, *, timeout: float = 5.0) -> dict:
+    """POST one solve over a raw socket and read until the daemon
+    closes the connection; a missing EOF raises ``TimeoutError``."""
+    body = json.dumps({"graph": graph_to_dict(graph), "pes": 3}).encode()
+    head = (f"POST /v1/solve HTTP/1.1\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n").encode()
+    with socket.create_connection((server.host, server.port),
+                                  timeout=timeout) as sock:
+        sock.sendall(head + body)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return json.loads(b"".join(chunks).partition(b"\r\n\r\n")[2])
+
+
+class TestRebuiltPoolSockets:
+    @pytest.mark.timeout(120)
+    def test_first_solve_after_a_rebuild_reaches_eof(self):
+        """The executor a rebuild swaps in forks its workers on the next
+        request, while that request's connection is open.  A worker
+        must not keep the connection alive: a client reading to EOF
+        gets it as soon as the daemon answers."""
+        with daemon() as (server, client):
+            assert solve_to_eof(server, graph_for(21))["status"] == "done"
+            for pid in list(server.pool.executor._processes):
+                os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while not server.pool.liveness():
+                assert time.monotonic() < deadline, "worker death unnoticed"
+                time.sleep(0.01)
+            victim = solve_to_eof(server, graph_for(22))
+            assert victim["result"]["certificate"] == "degraded"
+            for seed in (23, 24):
+                after = solve_to_eof(server, graph_for(seed))
+                assert after["result"]["certificate"] == "proven"
+            m = client.metrics()
+            assert m["jobs"]["pool_rebuilds"] == 1
             final = server.manager.metrics()
         assert_drained(final)
 

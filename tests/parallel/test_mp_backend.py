@@ -113,6 +113,21 @@ class TestSolverPool:
         assert inherited == -1
 
     @pytest.mark.timeout(60)
+    def test_workers_release_inherited_sockets(self):
+        """A worker forked while a connection is open must not hold it:
+        once the parent closes its end, the peer reads EOF at once."""
+        ours, peer = socket.socketpair()
+        try:
+            with SolverPool(1) as pool:
+                pool.submit(_warmup).result()  # forks with ``ours`` open
+                ours.close()
+                peer.settimeout(5.0)
+                assert peer.recv(1) == b""
+        finally:
+            ours.close()
+            peer.close()
+
+    @pytest.mark.timeout(60)
     def test_sigterm_stops_a_worker_of_a_parent_that_ignores_it(self):
         previous = signal.signal(signal.SIGTERM, signal.SIG_IGN)
         pool = SolverPool(1)

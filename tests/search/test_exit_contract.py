@@ -100,11 +100,7 @@ def test_exit_contract(engine, exit_):
 
     if exit_ == "budget":
         assert not res.optimal
-        # The simulated machine has never named its stop reason; its
-        # golden rows pin that.
-        assert res.interrupted == (
-            None if engine == "parallel_astar" else "expansions"
-        )
+        assert res.interrupted == "expansions"
     else:
         assert res.interrupted is None
         assert res.certificate in ("proven", "epsilon")

@@ -24,7 +24,9 @@ pin that the loop reproduces the engines it replaced:
   shared one set-up and exit (:mod:`repro.search.frame`) and are
   identical in every field.  The parallel rows also pin the simulated
   ``makespan_units``, ``phases`` and ``total_messages``; they hold no
-  ``lower_bound``, which that engine used to leave at 0.0.
+  ``lower_bound``, which that engine used to leave at 0.0.  Its
+  budgeted rows were re-recorded when it began naming its stop reason:
+  ``interrupted`` went from ``null`` to ``"expansions"``, nothing else.
 * ``portfolio`` rows run the service ladder the way the daemon's cold
   path does (v 12–16, 2 PEs, ``preprocess=True``, 2500 expansions, no
   deadline) and pin each stage's algorithm, makespan and expansions

@@ -187,8 +187,11 @@ class TestReport:
         agg = report.as_dict()
         assert agg["instances"] == 1 and agg["instances_per_second"] > 0
         # Both solve modes return one worker payload schema.
-        job = _job_for(make_item("a", v=6), "fp", None, 0.25, "paper",
-                       50_000, "portfolio")
+        job = _job_for(make_item("a", v=6), "fp", {
+            "deadline": None, "epsilon": 0.25, "cost": "paper",
+            "max_expansions": 50_000, "mode": "portfolio",
+            "solver_workers": 1, "max_memory_mb": None, "preprocess": False,
+        })
         keys = {
             mode: set(_worker_solve({**job, "mode": mode}))
             for mode in ("portfolio", "auto")

@@ -157,7 +157,6 @@ class TestSelection:
         bnb and hda: a greedy eps=2 run (195 on its own) and a run
         stopped after one expansion (the list schedule, 211) both come
         back no longer than the optimum handed in as incumbent."""
-        from repro.schedule.partial import PartialSchedule
         from repro.service.portfolio import _run_engine
         from repro.util.timing import Budget
 
@@ -167,8 +166,7 @@ class TestSelection:
         assert incumbent.length < fast_upper_bound_schedule(graph, system).length
         res = _run_engine(
             "wastar", graph, system, budget=Budget(max_expanded=max_expanded),
-            epsilon=2.0, cost="paper", state_cls=PartialSchedule,
-            incumbent=incumbent,
+            epsilon=2.0, cost="paper", incumbent=incumbent,
         )
         assert res.schedule.length <= incumbent.length
 
@@ -209,22 +207,19 @@ class TestDeadlineAccounting:
             clock["t"] += 1.0  # list stage burns 1s
             return sched
 
-        def slow_improver(g, s, eps, *, cost, budget, state_cls, probe=None,
-                          pruning=None):
-            assert budget.max_seconds == pytest.approx((10.0 - 1.0) * 0.25)
-            clock["t"] += 6.0  # overruns its 2.25s share by far
-            return self._stub_result()
-
         captured = {}
 
-        def capture_exact(name, g, s, *, budget, **kw):
-            captured["name"] = name
-            captured["max_seconds"] = budget.max_seconds
+        def engines(name, g, s, *, budget, **kw):
+            if name == "wastar":  # the improver
+                assert budget.max_seconds == pytest.approx((10.0 - 1.0) * 0.25)
+                clock["t"] += 6.0  # overruns its 2.25s share by far
+            else:
+                captured["name"] = name
+                captured["max_seconds"] = budget.max_seconds
             return self._stub_result()
 
         monkeypatch.setattr(pf, "fast_upper_bound_schedule", slow_list)
-        monkeypatch.setattr(pf, "weighted_astar_schedule", slow_improver)
-        monkeypatch.setattr(pf, "_run_engine", capture_exact)
+        monkeypatch.setattr(pf, "_run_engine", engines)
 
         result = pf.portfolio_schedule(graph, system, deadline=10.0)
         # The exact stage gets deadline - elapsed = 10 - 1 - 6 = 3, not
@@ -241,16 +236,13 @@ class TestDeadlineAccounting:
         graph = paper_random_graph(PaperGraphSpec(num_nodes=16, ccr=1.0, seed=3))
         system = ProcessorSystem.fully_connected(4)
 
-        def slow_improver(g, s, eps, *, cost, budget, state_cls, probe=None,
-                          pruning=None):
-            clock["t"] += 60.0  # blows way past the whole deadline
+        def engines(name, *a, **kw):
+            if name != "wastar":  # pragma: no cover - the bug
+                raise AssertionError("exact stage ran past the deadline")
+            clock["t"] += 60.0  # the improver blows way past the deadline
             return self._stub_result()
 
-        def exact_must_not_run(*a, **kw):  # pragma: no cover - the bug
-            raise AssertionError("exact stage ran past the deadline")
-
-        monkeypatch.setattr(pf, "weighted_astar_schedule", slow_improver)
-        monkeypatch.setattr(pf, "_run_engine", exact_must_not_run)
+        monkeypatch.setattr(pf, "_run_engine", engines)
 
         result = pf.portfolio_schedule(graph, system, deadline=10.0)
         assert [s.stage for s in result.stages] == ["list", "improve"]
@@ -264,12 +256,11 @@ class TestDeadlineAccounting:
         captured = {}
 
         def capture(name, g, s, *, workers=1, **kw):
-            captured["name"] = name
-            captured["workers"] = workers
+            if name != "wastar":  # the improver is not the exact stage
+                captured["name"] = name
+                captured["workers"] = workers
             return self._stub_result()
 
-        monkeypatch.setattr(pf, "weighted_astar_schedule",
-                            lambda *a, **kw: self._stub_result())
         monkeypatch.setattr(pf, "_run_engine", capture)
         pf.portfolio_schedule(graph, system, workers=3)
         assert captured == {"name": "hda", "workers": 3}

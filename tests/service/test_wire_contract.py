@@ -55,7 +55,7 @@ class _StubShard:
 def service(request):
     stub = None
     if request.param == "daemon":
-        svc = SolverServer(port=0, solver_workers=1, warm=False)
+        svc = SolverServer(port=0, solver_workers=1)
     else:
         stub = _StubShard()
         svc = ShardRouter([Shard("s0", "127.0.0.1", stub.port)], port=0,
