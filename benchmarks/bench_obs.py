@@ -250,7 +250,7 @@ def evaluate(row: dict, *, smoke: bool) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
-                        help="small budget, no 3% gate (CI mode); the "
+                        help="small budget, no 3%% gate (CI mode); the "
                              "replica-equivalence assertions still run")
     parser.add_argument("--repeats", type=int, default=None,
                         help="timing repetitions (min is reported)")

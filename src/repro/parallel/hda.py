@@ -75,6 +75,7 @@ from repro.parallel.shared import (
 )
 from repro.schedule.partial import PartialSchedule, child_wire, widest_wire
 from repro.schedule.schedule import Schedule
+from repro.search.astar import _best_first, _WeightedOrder, astar_schedule
 from repro.search.costs import make_cost_function
 from repro.search.dedup import SignatureSet
 from repro.search.expansion import StateExpander
@@ -169,8 +170,6 @@ def hda_astar_schedule(
     engines; ``algorithm`` is ``hda(workers=N)`` and ``optimal`` is
     True only for proven ε = 0 runs.
     """
-    from repro.search.astar import astar_schedule
-
     serial_fallback = (
         workers <= 1
         or state_cls is not PartialSchedule
@@ -193,8 +192,7 @@ def hda_astar_schedule(
         )
     frame = SearchFrame(graph, system, pruning=pruning, cost=cost, budget=budget,
                         incumbent=incumbent, state_cls=state_cls, probe=probe)
-    budget, stats, pruning = frame.budget, frame.stats, frame.pruning
-    upper = frame.upper
+    budget, stats = frame.budget, frame.stats
     relax = 1.0 + epsilon
     label = (
         f"hda(workers={workers})"
@@ -203,123 +201,47 @@ def hda_astar_schedule(
     )
 
     # -- serial seed phase ---------------------------------------------------
-    # Best-first expansion until the frontier is wide enough to feed
-    # every worker (the paper's initial load-distribution phase).
-    target = max(2, workers * max(1, oversubscribe))
-    root = frame.root
-    frontier: list[tuple[float, float, int, PartialSchedule]] = [
-        (0.0, 0.0, 0, root)
-    ]
-    seen = SignatureSet(verify=pruning.verify_signatures)
-    seen.add(root.dedup_key, lambda: root.signature)
-    seq = 1
-    best_goal: Schedule | None = None
-    dup_on = pruning.duplicate_detection
-    ub_on = pruning.upper_bound
-    # Per-child names, bound once: the loops below run for every child.
-    children = frame.expander.children
-    h_of = frame.cost_fn.h
-    v = graph.num_nodes
-
-    # Anytime lower bound, same argument as serial A*: each popped
-    # frontier minimum (and, once dealt, the deal-time frontier
-    # minimum) is a certified floor on the optimum.
-    lower = 0.0
-
-    while frontier and len(frontier) < target:
-        if len(frontier) > stats.max_open_size:
-            stats.max_open_size = len(frontier)
-        if budget.exhausted(stats.states_expanded, stats.states_generated,
-                            len(frontier) + len(seen)):
-            return frame.finish(
-                best_goal, max(lower, frontier[0][0]),
-                algorithm=f"hda(budget,workers={workers})", optimal=False,
-                bound=math.inf, interrupted=frame.stop_reason,
-            )
-        f, h, _s, state = heapq.heappop(frontier)
-        if f > lower:
-            lower = f
-        stats.states_expanded += 1
-        if probe is not None:
-            probe.tick(
-                stats.states_expanded, len(frontier),
-                best_goal.length if best_goal is not None else math.inf,
-                lower,
-            )
-        if state.num_scheduled == v:
-            # A goal popped at the frontier minimum is already optimal.
-            return frame.finish(
-                state.to_schedule(), lower,
-                algorithm=f"hda(seed,workers={workers})",
-                optimal=epsilon == 0.0, bound=relax,
-            )
-        for child in children(state, seen if dup_on else None):
-            ch = h_of(child)
-            cf = child.makespan + ch
-            complete = child.num_scheduled == v
-            # Raw `<` is deliberate: a complete child is only exempted
-            # from the cut when it *strictly* beats the incumbent bound,
-            # mirroring the serial engines' exact goal-improvement test
-            # so the equivalence suites stay byte-identical.
-            if ub_on and tol.geq(relax * cf, upper) and not (
-                complete
-                and child.makespan < upper  # repro: ignore[float-compare]
-            ):
-                stats.pruning.upper_bound_cuts += 1
-                continue
-            stats.states_generated += 1
-            if complete:
-                if best_goal is None or child.makespan < best_goal.length:
-                    best_goal = child.to_schedule()
-                    if ub_on:
-                        upper = min(upper, best_goal.length)
-            heapq.heappush(frontier, (cf, ch, seq, child))
-            seq += 1
-    if not frontier:
-        # Every candidate fell to the bound: the incumbent is optimal
-        # (within the 1+ε the cut relaxed by).
-        best = best_goal if best_goal is not None else frame.fallback
+    # The kernel's best-first loop, stopped once the frontier is wide
+    # enough to feed every worker (the paper's initial load-distribution
+    # phase).  Its cut is serial A*'s `f > U`: a state that ties U is
+    # dealt and cut by its owner's `admit`.
+    order = _WeightedOrder(1.0)
+    status, goal, best_goal, lower = _best_first(
+        frame, order, width=max(2, workers * max(1, oversubscribe)),
+    )
+    if status == "budget":
         return frame.finish(
-            best, max(lower, best.length / relax),
+            best_goal, lower, algorithm=f"hda(budget,workers={workers})",
+            optimal=False, bound=math.inf, interrupted=frame.stop_reason,
+        )
+    if status != "width" or tol.geq(relax * lower, frame.upper):
+        # A goal popped at the frontier minimum is optimal; an OPEN that
+        # ran dry left no state to beat the incumbent; a floor that meets
+        # U proves the incumbent before any worker starts (with `h` not
+        # consistent, a lone root child tying U lifts the floor to U
+        # while its own children sit far below it).
+        return frame.finish(
+            goal if goal is not None else best_goal, lower,
             algorithm=f"hda(seed,workers={workers})",
             optimal=epsilon == 0.0, bound=relax,
         )
 
     # -- deal seeds to their owners -----------------------------------------
+    # `lower` includes the deal-time floor: the optimal completion passes
+    # through (or ties) some dealt state, so min f over the dealt
+    # frontier bounds the optimum from below for the rest of the run.
+    v = graph.num_nodes
     seed_buckets: list[list[tuple[float, float, tuple]]] = [
         [] for _ in range(workers)
     ]
-    # Deal-time floor: the optimal completion passes through (or ties)
-    # some dealt state, so min f over the dealt frontier bounds the
-    # optimum from below for the rest of the run.
-    lower = max(lower, frontier[0][0])
-    frontier_keys: set[tuple[int, int]] = set()
-    for f, h, _s, state in frontier:
-        if state.num_scheduled == v:
-            continue  # already folded into best_goal / upper
-        key = state.dedup_key
-        frontier_keys.add(key)
-        seed_buckets[owner_of(key, workers)].append((f, h, state.to_wire()))
-    # Seed-phase CLOSED keys ride along so no worker re-explores the
-    # (tiny) region the seed phase already covered.  The frontier's own
-    # keys must NOT ship: the signature set recorded them at generation
-    # time, and pre-loading them would make every worker discard its
-    # seeds as duplicates — instant (false) quiescence.  In verify mode
-    # the exact signatures ship too, so the workers' collision
-    # re-verification still covers the imported keys.
-    if pruning.verify_signatures:
-        closed_keys = [
-            (k, sigs) for k, sigs in seen.exact_entries()
-            if k not in frontier_keys
-        ]
-    else:
-        closed_keys = [
-            (k, None) for k in seen.keys() if k not in frontier_keys
-        ]
+    for f, h, _s, state in order:
+        if state.num_scheduled != v:  # goals are already in best_goal / U
+            seed_buckets[owner_of(state.dedup_key, workers)].append(
+                (f, h, state.to_wire()))
 
     # -- shared state and worker spawn --------------------------------------
     ctx = pool_context()
-    inc = SharedIncumbent(ctx, upper)
+    inc = SharedIncumbent(ctx, frame.upper)
     board = WorkerBoard(ctx, workers)
     stop = ctx.Event()
     flags = ctx.Value("i", 0)
@@ -341,9 +263,8 @@ def hda_astar_schedule(
         "system": system_to_args(system),
         "cost": cost,
         "epsilon": epsilon,
-        "pruning": pruning,
+        "pruning": frame.pruning,
         "workers": workers,
-        "closed_keys": closed_keys,
         "max_expanded": expansion_budget,
         "max_generated": generation_budget,
         # Memory ceilings are per worker *process*: RSS is a per-process
@@ -477,6 +398,8 @@ def hda_astar_schedule(
 
     # -- reduce ---------------------------------------------------------------
     best = best_goal if best_goal is not None else frame.fallback
+    # The merged timeline never reports above the incumbent dealt with.
+    held = min(best.length, frame.fallback.length)
     seed_expanded = stats.states_expanded
     worker_samples: list[tuple[float, int, int, int, float]] = []
     for rec in records.values():
@@ -488,13 +411,7 @@ def hda_astar_schedule(
         # per-process OPEN (comparable to serial's, which is also
         # per-process memory — NOT a sum: per-worker maxima occur at
         # different times), wall stays end-to-end.
-        stats.merge({
-            "states_expanded": rec["expanded"],
-            "states_generated": rec["generated"],
-            "cost_evaluations": rec["cost_evals"],
-            "max_open_size": rec["max_open"],
-            "pruning": rec["pruning"],
-        })
+        stats.merge(rec["stats"])
         if tracer is not None:
             trace = rec.get("trace") or []
             for record in trace:
@@ -524,7 +441,7 @@ def hda_astar_schedule(
             probe.record_at(
                 spawn_offset + off,
                 seed_expanded + sum(latest.values()),
-                open_size, blen, lower,
+                open_size, min(blen, held), lower,
             )
     if failed:
         # Worker crash / stall / lost results — not a budget stop:
@@ -623,12 +540,6 @@ def _hda_worker_loop(
     from_wire = PartialSchedule.from_wire
     v = graph.num_nodes
     seen = SignatureSet(verify=verify)
-    for key, sigs in job["closed_keys"]:
-        if sigs:
-            for sig in sigs:
-                seen.add(key, lambda s=sig: s)
-        else:
-            seen.add(key)
 
     outbox = Outbox(wid, links, board, _record_bytes(v, system.num_pes))
     # A record too large for one message (thousands of tasks) cannot
@@ -826,16 +737,15 @@ def _hda_worker_loop(
     outbox.drop_all()
     if wspan is not None:
         wspan.__exit__(None, None, None)
+    pstats.states_expanded = expanded
+    pstats.states_generated = generated
+    pstats.max_open_size = max_open
+    pstats.cost_evaluations = cost_fn.evaluations
     results_q.put(
         {
             "wid": wid,
             "best": list(best_compact) if best_compact is not None else None,
-            "best_len": best_len,
-            "expanded": expanded,
-            "generated": generated,
-            "max_open": max_open,
-            "cost_evals": cost_fn.evaluations,
-            "pruning": pstats.pruning.as_dict(),
+            "stats": pstats,
             "timeline": samples if probe_every else None,
             "trace": wtracer.drain() if wtracer is not None else None,
             "transfer": {

@@ -18,7 +18,9 @@ Implementation notes:
   loop (:func:`_best_first`) takes OPEN as an *order* object and never
   asks which engine called it.  A* and weighted A* pass
   :class:`_WeightedOrder`; :mod:`repro.search.focal` passes its
-  FOCAL structure.
+  FOCAL structure; :func:`_search` labels what the loop returns.  The
+  HDA* coordinator's seed phase (:mod:`repro.parallel.hda`) runs the
+  same loop, stopped once OPEN is wide enough to feed its workers.
 * A*'s OPEN is a binary heap ordered by ``(f, h, seq)`` — the ``h``
   tie-break prefers states closer to a goal, ``seq`` makes equal
   entries FIFO and the whole search deterministic.
@@ -72,6 +74,11 @@ class _WeightedOrder:
     def __len__(self) -> int:
         return len(self._heap)
 
+    def __iter__(self):
+        # The ``(key, h, seq, state)`` entries in heap order: the HDA*
+        # coordinator deals its seed frontier from them.
+        return iter(self._heap)
+
     def floor(self) -> float:
         # Some optimal-path state sits in OPEN with g + h ≤ f_opt, so
         # its key g + w·h ≤ w·f_opt: the minimum key over w is a floor.
@@ -89,9 +96,9 @@ class _WeightedOrder:
 
 
 def _best_first(
-    frame: SearchFrame, order, name: str, epsilon: float | None = None,
-    trace: SearchTrace | None = None,
-) -> SearchResult:
+    frame: SearchFrame, order, *, trace: SearchTrace | None = None,
+    width: float = math.inf,
+) -> tuple[str, Schedule | None, Schedule | None, float]:
     """Best-first search over the §3.2 state space, expanding in ``order``.
 
     ``order`` is the engine's OPEN.  It offers ``push(state, f, h)``,
@@ -99,10 +106,17 @@ def _best_first(
     OPEN is non-empty — ``pop() -> (state, h, floor)`` with the floor
     taken just before the pop, and ``factor``, the proven ratio of the
     first goal it pops to the optimum.  ``frame`` supplies the set-up
-    and the exit (:mod:`repro.search.frame`); this loop does the
-    budget/probe/trace bookkeeping, child evaluation and the A*-family
-    ``U`` cut, and labels the result ``name`` — an exact engine when
-    ``epsilon`` is None, else one proven within ``1 + epsilon``.
+    (:mod:`repro.search.frame`); this loop does the budget/probe/trace
+    bookkeeping, child evaluation and the drift-aware ``U`` cut, and
+    writes the tightened ``U`` back to ``frame.upper``.
+
+    The loop stops on the first goal popped (``"goal"``), a spent
+    budget (``"budget"``), an empty OPEN (``"exhausted"``) or, after an
+    expansion, OPEN holding ``width`` states (``"width"``: the HDA*
+    seed phase, which then deals OPEN to its workers).  Returns
+    ``(status, goal, best, lower)``: the goal popped, the best complete
+    schedule generated (each ``None`` when there is none) and the
+    proven floor on the optimum.
     """
     budget, stats, pruning = frame.budget, frame.stats, frame.pruning
     probe, upper, root = frame.probe, frame.upper, frame.root
@@ -112,6 +126,9 @@ def _best_first(
     if pruning.duplicate_detection:
         seen.add(root.dedup_key, lambda: root.signature)
     best: Schedule | None = None  # best complete schedule *generated*
+    # The probe samples the incumbent held: the fallback until a
+    # shorter schedule is generated (the probe keeps the running min).
+    held = frame.fallback.length
     # Anytime lower bound: while OPEN is non-empty some state on an
     # optimal path sits in it (g exact per signature, h admissible), so
     # each floor is a certified floor on the optimum, and their
@@ -121,7 +138,7 @@ def _best_first(
     dup_on = pruning.duplicate_detection
     ub_on = pruning.upper_bound
     status = "exhausted"
-    schedule: Schedule | None = None
+    goal: Schedule | None = None
     # Per-child names, bound once: the loop below runs for every child.
     children = frame.expander.children
     h_of = frame.cost_fn.h
@@ -131,7 +148,6 @@ def _best_first(
     while order:
         if budget.exhausted(stats.states_expanded, stats.states_generated,
                             len(order) + len(seen)):
-            lower = max(lower, order.floor())
             status = "budget"
             break
         state, h, floor = pop()
@@ -145,14 +161,13 @@ def _best_first(
             if trace is not None:
                 trace.record_goal(state, state.makespan + h)
             status = "goal"
-            schedule = state.to_schedule()
+            goal = state.to_schedule()
             break
 
         if probe is not None:
             probe.tick(
                 stats.states_expanded, len(order),
-                best.length if best is not None else math.inf,
-                lower,
+                best.length if best is not None else held, lower,
             )
         if trace is not None:
             trace.record_expansion(state, state.makespan + h, state.makespan, h)
@@ -180,14 +195,31 @@ def _best_first(
         size = len(order)
         if size > stats.max_open_size:
             stats.max_open_size = size
+        if size >= width:
+            status = "width"
+            break
 
-    if schedule is None:
-        schedule = best if best is not None else frame.fallback
+    frame.upper = upper
     if status == "exhausted":
         # OPEN ran dry without popping a goal, so no state beat U and
-        # the best schedule seen is optimal (see below); the floor
+        # the best schedule seen is optimal (see _search); the floor
         # still claims no more than the order's guarantee.
+        schedule = best if best is not None else frame.fallback
         lower = max(lower, schedule.length / order.factor)
+    elif status != "goal":
+        # Stopped with OPEN non-empty (budget or width): its floor holds.
+        lower = max(lower, order.floor())
+    return status, goal, best, lower
+
+
+def _search(
+    frame: SearchFrame, order, name: str, epsilon: float | None = None,
+    trace: SearchTrace | None = None,
+) -> SearchResult:
+    """Run :func:`_best_first` to its end and label the result ``name``
+    for the A*, WA* and Aε* family: an exact engine when ``epsilon`` is
+    None, else one proven within ``1 + epsilon``."""
+    status, goal, best, lower = _best_first(frame, order, trace=trace)
     stopped = status == "budget"
     if epsilon is None:
         # "exhausted" is a proof too.  With upper-bound pruning enabled
@@ -203,8 +235,9 @@ def _best_first(
         algorithm = f"{name}({tag})"
         optimal, bound = status == "goal" and epsilon == 0.0, 1.0 + epsilon
     return frame.finish(
-        schedule, lower, algorithm=algorithm, optimal=optimal,
-        bound=math.inf if stopped else bound, open_size=len(order),
+        goal if goal is not None else best, lower, algorithm=algorithm,
+        optimal=optimal, bound=math.inf if stopped else bound,
+        open_size=len(order),
         interrupted=frame.stop_reason if stopped else None,
     )
 
@@ -259,4 +292,4 @@ def astar_schedule(
     """
     frame = SearchFrame(graph, system, pruning=pruning, cost=cost, budget=budget,
                         incumbent=incumbent, state_cls=state_cls, probe=probe)
-    return _best_first(frame, _WeightedOrder(1.0), "astar", trace=trace)
+    return _search(frame, _WeightedOrder(1.0), "astar", trace=trace)

@@ -27,7 +27,7 @@ exact signature as the key and the same code path works unchanged.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterator
+from collections.abc import Callable, Hashable
 
 __all__ = ["SignatureSet"]
 
@@ -115,24 +115,6 @@ class SignatureSet:
         self._seen.add(key)
         if self._exact is not None and exact_fn is not None:
             self._exact.setdefault(key, set()).add(exact_fn())
-
-    def keys(self) -> Iterator[Hashable]:
-        """Iterate the admitted keys (the HDA* backend ships the seed
-        phase's CLOSED keys to every worker through this)."""
-        return iter(self._seen)
-
-    def exact_entries(self) -> Iterator[tuple[Hashable, tuple]]:
-        """``(key, exact signatures)`` pairs — verify mode only.
-
-        Lets another table (an HDA* worker's) be pre-loaded *with* the
-        exact signatures, so its collision re-verification keeps
-        working for the imported keys; keys admitted bare would make
-        every later collision read as a duplicate.
-        """
-        if self._exact is None:
-            return
-        for key, sigs in self._exact.items():
-            yield key, tuple(sigs)
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._seen

@@ -36,7 +36,7 @@ from repro.graph.taskgraph import TaskGraph
 from repro.obs.probe import SearchProbe
 from repro.schedule.partial import PartialSchedule
 from repro.schedule.schedule import Schedule
-from repro.search.astar import _best_first
+from repro.search.astar import _search
 from repro.search.costs import CostFunction
 from repro.search.frame import SearchFrame
 from repro.search.pruning import PruningConfig
@@ -160,6 +160,6 @@ def focal_schedule(
     # untouched — and OPEN stays as small as exact A*'s.
     frame = SearchFrame(graph, system, pruning=pruning, cost=cost, budget=budget,
                         incumbent=incumbent, state_cls=state_cls, probe=probe)
-    return _best_first(
+    return _search(
         frame, _FocalOrder(epsilon, graph.num_nodes), "focal", epsilon,
     )

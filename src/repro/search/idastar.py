@@ -101,8 +101,9 @@ def idastar_schedule(
             stats.states_expanded += 1
             if probe is not None:
                 # Prior probes exhausted everything below the current
-                # threshold, so the threshold is the running proven floor.
-                best = incumbent.length if incumbent is not None else math.inf
+                # threshold, so the threshold is the running proven floor;
+                # the fallback is the incumbent held until a goal is found.
+                best = (incumbent if incumbent is not None else frame.fallback).length
                 probe.tick(stats.states_expanded, len(stack), best,
                            min(threshold, best))
             children: list[tuple[float, PartialSchedule]] = []

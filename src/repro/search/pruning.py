@@ -243,10 +243,9 @@ class PruningStats:
     def merge(self, other: "PruningStats | dict") -> None:
         """Fold another run's hit counters into this one, in place.
 
-        Accepts either a :class:`PruningStats` or its :meth:`as_dict`
-        wire form (HDA* workers ship the dict over the results queue);
-        unknown dict keys land in :attr:`extra` so backend-specific
-        counters survive the reduce.
+        Accepts either a :class:`PruningStats` or a counter dict (the
+        preprocessing pass reports its reductions as one); unknown dict
+        keys land in :attr:`extra` so those counters survive the fold.
         """
         if isinstance(other, dict):
             for key, value in other.items():

@@ -56,28 +56,19 @@ class SearchStats:
             **self.pruning.as_dict(),
         }
 
-    def merge(self, other: "SearchStats | dict") -> None:
+    def merge(self, other: "SearchStats") -> None:
         """Fold another run's counters into this one, in place.
 
         The single aggregation path for *every* multi-run consumer —
         the portfolio summing its stages, the HDA* coordinator reducing
-        worker records (pass the worker's wire dict directly), speedup
-        accounting — so new counters only ever need to be added here.
+        the ``SearchStats`` each worker ships back — so new counters
+        only ever need to be added here.
 
         Work counters add; ``max_open_size`` takes the max (frontiers
         coexist, they don't concatenate); ``wall_seconds`` is *not*
         touched — elapsed time is end-to-end, not a sum over
         possibly-concurrent runs, so the caller owns it.
         """
-        if isinstance(other, dict):
-            self.states_generated += other.get("states_generated", 0)
-            self.states_expanded += other.get("states_expanded", 0)
-            self.cost_evaluations += other.get("cost_evaluations", 0)
-            self.max_open_size = max(
-                self.max_open_size, other.get("max_open_size", 0)
-            )
-            self.pruning.merge(other.get("pruning", {}))
-            return
         self.states_generated += other.states_generated
         self.states_expanded += other.states_expanded
         self.cost_evaluations += other.cost_evaluations

@@ -24,7 +24,7 @@ from repro.graph.taskgraph import TaskGraph
 from repro.obs.probe import SearchProbe
 from repro.schedule.partial import PartialSchedule
 from repro.schedule.schedule import Schedule
-from repro.search.astar import _best_first, _WeightedOrder
+from repro.search.astar import _search, _WeightedOrder
 from repro.search.costs import CostFunction
 from repro.search.frame import SearchFrame
 from repro.search.pruning import PruningConfig
@@ -65,4 +65,4 @@ def weighted_astar_schedule(
     # plain f ≤ f_opt ≤ U and survive the cut).
     frame = SearchFrame(graph, system, pruning=pruning, cost=cost, budget=budget,
                         incumbent=incumbent, state_cls=state_cls, probe=probe)
-    return _best_first(frame, _WeightedOrder(w), "wastar", epsilon)
+    return _search(frame, _WeightedOrder(w), "wastar", epsilon)

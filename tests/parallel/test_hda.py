@@ -80,6 +80,58 @@ class TestHdaBasic:
         assert result.length == 5.0
 
 
+class TestHdaExitPaths:
+    """Each coordinator exit comes from its own path: the seed phase
+    alone spawns no worker, the workers' quiescence follows a spawn."""
+
+    @staticmethod
+    def _solve(graph, system, **kw):
+        tracer = Tracer()
+        result = hda_astar_schedule(graph, system, workers=2, tracer=tracer, **kw)
+        spans = [r for r in tracer.drain()
+                 if r["kind"] == "span_start" and r["name"] == "hda.worker"]
+        return result, spans
+
+    @staticmethod
+    def _instance():
+        graph = paper_random_graph(PaperGraphSpec(num_nodes=10, ccr=1.0, seed=77))
+        return graph, ProcessorSystem.fully_connected(2)
+
+    def test_one_task_ends_in_the_seed_phase(self):
+        from repro.graph.taskgraph import TaskGraph
+
+        result, spans = self._solve(TaskGraph([5], {}), ProcessorSystem(2))
+        assert result.algorithm == "hda(seed,workers=2)"
+        assert result.optimal
+        assert spans == []
+
+    def test_a_floor_that_meets_the_bound_ends_in_the_seed_phase(self):
+        # The list bound is optimal here and the root's one child ties
+        # it, so the seed phase's floor proves it: no worker is spawned
+        # to walk the states below the bound.
+        from repro.workloads.suite import paper_suite
+
+        inst = paper_suite().get(0.1, 16)
+        result, spans = self._solve(inst.graph, inst.system)
+        assert result.algorithm == "hda(seed,workers=2)"
+        assert result.optimal
+        assert spans == []
+
+    def test_a_small_budget_ends_in_the_seed_phase(self):
+        result, spans = self._solve(*self._instance(), budget=Budget(max_expanded=3))
+        assert result.algorithm == "hda(budget,workers=2)"
+        assert result.interrupted == "expansions"
+        assert result.stats.states_expanded == 3
+        assert spans == []
+
+    @pytest.mark.timeout(120)
+    def test_a_wide_frontier_is_searched_by_both_workers(self):
+        result, spans = self._solve(*self._instance())
+        assert result.algorithm == "hda(workers=2)"
+        assert result.optimal
+        assert sorted(s["attrs"]["wid"] for s in spans) == [0, 1]
+
+
 @pytest.mark.slow
 class TestHdaMatchesSerial:
     @pytest.mark.parametrize("v,ccr,seed,workers", [

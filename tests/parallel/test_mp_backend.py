@@ -6,6 +6,8 @@ import signal
 import socket
 import subprocess
 import sys
+import time
+from multiprocessing.connection import wait
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,7 @@ from repro.parallel.mp_backend import (
     system_to_args,
 )
 from repro.system.processors import ProcessorSystem
-from tests.procs import HAVE_PROC, wait_empty
+from tests.procs import HAVE_PROC, ignored_signals, wait_empty
 
 SYSTEMS = {
     "clique": ProcessorSystem.fully_connected(3),
@@ -135,8 +137,17 @@ class TestSolverPool:
             pid = pool.submit(_warmup).result()
             (process,) = pool.executor._processes.values()
             assert process.pid == pid
+            if HAVE_PROC:
+                # The worker does not inherit its parent's SIG_IGN.
+                assert signal.SIGTERM not in ignored_signals(pid)
             os.kill(pid, signal.SIGTERM)
-            process.join(timeout=30)
+            # Wait on the sentinel instead of reaping: the executor's
+            # manager thread reaps the dead worker too, and whichever
+            # waitpid loses reads no status until the winner stores it.
+            assert wait([process.sentinel], timeout=30)
+            deadline = time.monotonic() + 30
+            while process.exitcode is None and time.monotonic() < deadline:
+                time.sleep(0.01)
             assert process.exitcode == -signal.SIGTERM
         finally:
             signal.signal(signal.SIGTERM, previous)

@@ -35,3 +35,13 @@ def wait_empty(pgid: int, timeout: float = 10.0) -> set[int]:
     while (members := group_members(pgid)) and time.monotonic() < deadline:
         time.sleep(0.05)
     return members
+
+
+def ignored_signals(pid: int) -> set[int]:
+    """The signals process ``pid`` ignores (its ``SigIgn`` mask)."""
+    with open(f"/proc/{pid}/status") as fh:
+        for line in fh:
+            if line.startswith("SigIgn:"):
+                mask = int(line.split()[1], 16)
+                return {n for n in range(1, 65) if mask >> (n - 1) & 1}
+    return set()

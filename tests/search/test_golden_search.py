@@ -27,6 +27,10 @@ pin that the loop reproduces the engines it replaced:
   ``lower_bound``, which that engine used to leave at 0.0.  Its
   budgeted rows were re-recorded when it began naming its stop reason:
   ``interrupted`` went from ``null`` to ``"expansions"``, nothing else.
+* 40 A*, WA*, Aε* and IDA* rows had their timelines re-recorded when
+  the probe began reporting the incumbent an engine holds before it
+  generates a schedule: each such sample's incumbent went from
+  ``Infinity`` to the list-schedule length, nothing else.
 * ``portfolio`` rows run the service ladder the way the daemon's cold
   path does (v 12–16, 2 PEs, ``preprocess=True``, 2500 expansions, no
   deadline) and pin each stage's algorithm, makespan and expansions

@@ -16,6 +16,11 @@ The cases are the golden search table's nine ``portfolio`` instances
 improver runs with ε = 0, so the ladder's improver-proves-optimal exit
 is pinned as well as its exact exits.
 
+Every case's ``search.timeline`` samples were re-recorded when the
+probe began reporting the incumbent a stage holds before it generates
+a schedule: each such sample's incumbent went from ``null`` to that
+schedule's length, nothing else.
+
 The improver's ``portfolio.stage.result`` event may carry ``optimal``
 and ``interrupted``, as the exact stages' events do; those two attrs
 are not part of the pin for that one event.
