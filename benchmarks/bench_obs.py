@@ -18,11 +18,17 @@ Two searches over the identical instance and expansion budget:
 * **disabled** — ``astar_schedule(probe=None)``: the shipped code with
   the instrumentation present but switched off.
 
-Both are timed as the min over ``--repeats`` runs (min, not mean: the
-lower envelope is the code's actual cost; everything above it is
-scheduler noise).  An **enabled** row (``probe=SearchProbe()`` at the
-default 4096-expansion interval) rides along for the honest
+An **enabled** row (``probe=SearchProbe()`` at the default
+4096-expansion interval) rides along for the honest
 what-it-costs-when-on story; it is reported, not gated.
+
+The three runs are interleaved: each of ``--repeats`` rounds times one
+reference, one disabled and one enabled run back to back (the order
+rotating between rounds), and the overhead is the median over rounds
+of the per-round ``disabled / reference`` ratio.  Host drift that
+spans seconds then lands on both sides of a ratio instead of on one
+row, which timing each row's runs one after another (and taking each
+row's min) could not separate from a 3% effect.
 
 * **Gate: disabled overhead ≤ 3%** relative to the reference loop, on
   a run of ≥ 100k expansions.
@@ -45,9 +51,9 @@ from __future__ import annotations
 import argparse
 import heapq
 import json
-import math
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -83,7 +89,7 @@ GATE_MIN_EXPANSIONS = 100_000
 V, CCR, PES, COST = 30, 1.0, 2, "paper"
 FULL_BUDGET = 150_000
 SMOKE_BUDGET = 4_000
-DEFAULT_REPEATS = 3
+DEFAULT_REPEATS = 5
 
 
 def _git_rev() -> str | None:
@@ -156,39 +162,48 @@ def _reference_astar(graph, system, *, cost: str, max_expanded: int):
     return stats, best.length
 
 
-def _time_min(fn, repeats: int) -> tuple[float, object]:
-    best_t, last = math.inf, None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        last = fn()
-        best_t = min(best_t, time.perf_counter() - t0)
-    return best_t, last
+def _time_interleaved(runs: dict, repeats: int) -> tuple[dict, dict]:
+    """Time every run once per round, rotating the order between
+    rounds; returns each run's per-round seconds and last result."""
+    names = list(runs)
+    times: dict[str, list[float]] = {name: [] for name in names}
+    last: dict[str, object] = {}
+    for i in range(repeats):
+        k = i % len(names)
+        for name in names[k:] + names[:k]:
+            t0 = time.perf_counter()
+            last[name] = runs[name]()
+            times[name].append(time.perf_counter() - t0)
+    return times, last
+
+
+def _overhead_pct(times: list[float], ref: list[float]) -> float:
+    """Median over rounds of the per-round ratio to the reference."""
+    return (statistics.median(t / r for t, r in zip(times, ref)) - 1) * 100
 
 
 def run(budget: int, repeats: int) -> dict:
     inst = paper_suite(sizes=(V,), ccrs=(CCR,)).instances[0]
     system = ProcessorSystem.fully_connected(PES)
 
-    ref_t, (ref_stats, ref_len) = _time_min(
-        lambda: _reference_astar(
+    times, last = _time_interleaved({
+        "reference": lambda: _reference_astar(
             inst.graph, system, cost=COST, max_expanded=budget
         ),
-        repeats,
-    )
-    dis_t, dis_res = _time_min(
-        lambda: astar_schedule(
+        "disabled": lambda: astar_schedule(
             inst.graph, system, cost=COST,
             budget=Budget(max_expanded=budget), probe=None,
         ),
-        repeats,
-    )
-    en_t, en_res = _time_min(
-        lambda: astar_schedule(
+        "enabled": lambda: astar_schedule(
             inst.graph, system, cost=COST,
             budget=Budget(max_expanded=budget), probe=SearchProbe(),
         ),
-        repeats,
-    )
+    }, repeats)
+    ref_stats, ref_len = last["reference"]
+    dis_res, en_res = last["disabled"], last["enabled"]
+    ref_t = min(times["reference"])
+    dis_t = min(times["disabled"])
+    en_t = min(times["enabled"])
     return {
         "instance": f"v{V}-ccr{CCR}-pes{PES}-{COST}",
         "budget": budget,
@@ -211,8 +226,12 @@ def run(budget: int, repeats: int) -> dict:
             "samples": len(en_res.timeline),
             "makespan": en_res.length,
         },
-        "disabled_overhead_pct": round((dis_t - ref_t) / ref_t * 100, 2),
-        "enabled_overhead_pct": round((en_t - ref_t) / ref_t * 100, 2),
+        "disabled_overhead_pct": round(
+            _overhead_pct(times["disabled"], times["reference"]), 2),
+        "enabled_overhead_pct": round(
+            _overhead_pct(times["enabled"], times["reference"]), 2),
+        "disabled_ratios": [round(t / r, 4) for t, r in
+                            zip(times["disabled"], times["reference"])],
     }
 
 
@@ -253,7 +272,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="small budget, no 3%% gate (CI mode); the "
                              "replica-equivalence assertions still run")
     parser.add_argument("--repeats", type=int, default=None,
-                        help="timing repetitions (min is reported)")
+                        help="interleaved timing rounds (the gate reads "
+                             "the median per-round ratio)")
     parser.add_argument("--out", type=Path, default=RESULTS_PATH,
                         help="results file (JSON array)")
     args = parser.parse_args(argv)
@@ -287,6 +307,8 @@ def main(argv: list[str] | None = None) -> int:
 
     print(
         f"{row['instance']}: {row['disabled']['expanded']:,} expansions\n"
+        f"  min seconds over {row['repeats']} interleaved rounds; overheads "
+        f"are median per-round ratios\n"
         f"  reference (no probe code) {row['reference']['seconds']:.4f}s\n"
         f"  disabled  (probe=None)    {row['disabled']['seconds']:.4f}s "
         f"({row['disabled_overhead_pct']:+.2f}%)\n"

@@ -90,11 +90,12 @@ def widest_wire(v: int, p: int) -> tuple:
     """A :meth:`PartialSchedule.to_wire` tuple with every field at its
     widest for ``v`` tasks on ``p`` PEs — all-ones masks, a full 64-bit
     Zobrist key, every task in ``max_finish_nodes`` — so its pickled
-    size bounds every real state's (HDA* sizes its messages by it)."""
+    size bounds every real state's (HDA* sizes its messages by it).
+    ``last_node`` is -1, the one value pickled as a full 4-byte int."""
     big = 1.7976931348623157e308
     full = (1 << v) - 1
     return (full, _MASK64, full, big, v, (1 << p) - 1, big,
-            tuple(range(v)), bytes(wire_struct(v, p).size))
+            tuple(range(v)), -1, bytes(wire_struct(v, p).size))
 
 
 _pack_double = struct.Struct("=d").pack_into
@@ -130,6 +131,7 @@ def child_wire(child: "PartialSchedule", parent_blob: bytes) -> tuple:
         child.used_pes,
         child.remaining_weight,
         child._max_finish_nodes,
+        n,
         bytes(buf),
     )
 
@@ -301,9 +303,9 @@ class PartialSchedule:
         order relative to each other.
         """
         s = self
-        while s.last_node >= 0:
+        while s._parent is not None:
             yield s.last_node, s.last_pe, s.last_start, s.last_finish
-            s = s._parent  # type: ignore[assignment]
+            s = s._parent
         if s.num_scheduled:
             pes = s._pes
             starts = s._starts
@@ -564,17 +566,21 @@ class PartialSchedule:
         then one ``bytes`` blob::
 
             (mask, zkey, ready_mask, makespan, num_scheduled, used_pes,
-             remaining_weight, max_finish_nodes, blob)
+             remaining_weight, max_finish_nodes, last_node, blob)
 
         ``blob`` packs ``starts``, ``finishes`` (v doubles each),
         ``ready_time`` (p doubles) and ``pes`` (v 32-bit ints) in that
         order (:func:`wire_struct`).  Every field
         round-trips bit for bit, so a cost function evaluated on the
-        :meth:`from_wire` rebuild returns the sender's ``h``.  A receiver
-        reads the duplicate key as ``(wire[0], wire[1])`` without
-        unpacking anything; :func:`child_wire` builds a child's wire form
-        by patching its parent's blob.  Seeds and every transferred state
-        travel in this form; :meth:`compact` carries only the final result.
+        :meth:`from_wire` rebuild returns the sender's ``h``, and the
+        rebuild keeps ``last_node`` (its ``last_pe``/``last_start``/
+        ``last_finish`` are that node's entries in the blob), so the
+        commutation rule prunes against it as against the sender's.  A
+        receiver reads the duplicate key as ``(wire[0], wire[1])``
+        without unpacking anything; :func:`child_wire` builds a child's
+        wire form by patching its parent's blob.  Seeds and every
+        transferred state travel in this form; :meth:`compact` carries
+        only the final result.
         """
         if self._pes is None:
             self._materialize()
@@ -587,6 +593,7 @@ class PartialSchedule:
             self.used_pes,
             self.remaining_weight,
             self._max_finish_nodes,
+            self.last_node,
             wire_struct(len(self._pes), len(self.ready_time)).pack(  # type: ignore[arg-type]
                 *self._starts, *self._finishes,  # type: ignore[misc]
                 *self.ready_time, *self._pes,  # type: ignore[misc]
@@ -599,15 +606,16 @@ class PartialSchedule:
     ) -> "PartialSchedule":
         """Rebuild a state from :meth:`to_wire` output.
 
-        The result is a *snapshot root*: no parent chain and no last-
-        placement delta (``last_node = -1``), so the commutation rule
-        simply has nothing to prune against it, and :meth:`placements`
-        reads its nodes from the arrays.  Identity (``dedup_key``,
-        ``signature``) and all search-visible behaviour are preserved.
-        Filled slot by slot, like :meth:`extend`'s children.
+        The result is a *snapshot root*: no parent chain, so
+        :meth:`placements` reads its nodes from the arrays.  It keeps
+        the sender's last placement, read back from the arrays, so the
+        commutation rule prunes its children as it would the
+        sender's.  Identity (``dedup_key``, ``signature``) and all
+        search-visible behaviour are preserved.  Filled slot by slot,
+        like :meth:`extend`'s children.
         """
         (mask, zkey, ready_mask, makespan, num_scheduled, used_pes,
-         remaining_weight, max_finish_nodes, blob) = wire
+         remaining_weight, max_finish_nodes, last_node, blob) = wire
         v = graph.num_nodes
         p = system.num_pes
         vals = wire_struct(v, p).unpack(blob)
@@ -620,10 +628,15 @@ class PartialSchedule:
         ps.ready_time = vals[2 * v:rt_end]
         ps.makespan = makespan
         ps.num_scheduled = num_scheduled
-        ps.last_node = -1
-        ps.last_pe = -1
-        ps.last_start = -1.0
-        ps.last_finish = -1.0
+        ps.last_node = last_node
+        if last_node >= 0:
+            ps.last_pe = vals[rt_end + last_node]
+            ps.last_start = vals[last_node]
+            ps.last_finish = vals[v + last_node]
+        else:
+            ps.last_pe = -1
+            ps.last_start = -1.0
+            ps.last_finish = -1.0
         ps.zkey = zkey
         ps.used_pes = used_pes
         ps.remaining_weight = remaining_weight

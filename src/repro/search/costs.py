@@ -91,25 +91,27 @@ class PaperCost(CostFunction):
         super().__init__(graph, system)
         fastest = max(system.speeds)
         levels = compute_levels(graph)
-        self._sl = tuple(s / fastest for s in levels.static_level)
-        self._succs = tuple(graph.succs(n) for n in range(graph.num_nodes))
+        sl = tuple(s / fastest for s in levels.static_level)
+        # Each task's term of the max, scanned once here instead of per
+        # evaluation: the largest successor static level (0.0 for an
+        # exit task, the value the per-successor scan started from).
+        self._succ_level = tuple(
+            max((sl[j] for j in graph.succs(n)), default=0.0)
+            for n in range(graph.num_nodes)
+        )
 
     def h(self, ps: PartialSchedule) -> float:
         self.evaluations += 1
         if ps.makespan == 0.0:  # empty state: f(Φ) = 0
             return 0.0
-        sl = self._sl
-        succs = self._succs
-        best = 0.0
         # All nodes attaining the max finish time contribute (tie
         # handling).  The state maintains the argmax-finish set
-        # incrementally, so this is O(|ties| · succ) rather than an O(v)
-        # scan of the finish array per evaluation.
-        for n in ps.max_finish_nodes:
-            for j in succs[n]:
-                if sl[j] > best:
-                    best = sl[j]
-        return best
+        # incrementally and the per-task term is precomputed, so this
+        # is O(|ties|) rather than an O(v) scan of the finish array.
+        nodes = ps.max_finish_nodes
+        if len(nodes) == 1:
+            return self._succ_level[nodes[0]]
+        return max(map(self._succ_level.__getitem__, nodes))
 
 
 class ZeroCost(CostFunction):
@@ -217,6 +219,11 @@ class LoadBoundCost(CostFunction):
     def __init__(self, graph: TaskGraph, system: ProcessorSystem) -> None:
         super().__init__(graph, system)
         self._speeds = system.speeds
+        #: The one speed of a homogeneous system (``None`` otherwise):
+        #: the sweep then sorts the ready times alone.
+        self._uniform = (
+            system.speeds[0] if len(set(system.speeds)) == 1 else None
+        )
 
     def h(self, ps: PartialSchedule) -> float:
         self.evaluations += 1
@@ -230,16 +237,27 @@ class LoadBoundCost(CostFunction):
         # candidate that lands inside its own segment is the solution
         # (if segment k undershoots, the k+1 candidate provably lands
         # past r_{k+1}).
-        items = sorted(zip(ps.ready_time, self._speeds))
         speed_sum = 0.0
         weighted_rt = 0.0
         m = 0.0
-        for rt, speed in items:
-            if speed_sum and m <= rt:
-                break  # the previous candidate lands before this PE opens
-            speed_sum += speed
-            weighted_rt += speed * rt
-            m = (w_rem + weighted_rt) / speed_sum
+        speed = self._uniform
+        if speed is not None:
+            # Equal speeds: sorting (rt, speed) pairs orders by rt
+            # alone, so this runs the same float operations in the
+            # same order as the heterogeneous sweep below.
+            for rt in sorted(ps.ready_time):
+                if speed_sum and m <= rt:
+                    break  # the previous candidate lands before this PE opens
+                speed_sum += speed
+                weighted_rt += speed * rt
+                m = (w_rem + weighted_rt) / speed_sum
+        else:
+            for rt, speed in sorted(zip(ps.ready_time, self._speeds)):
+                if speed_sum and m <= rt:
+                    break
+                speed_sum += speed
+                weighted_rt += speed * rt
+                m = (w_rem + weighted_rt) / speed_sum
         g = ps.makespan
         return m - g if m > g else 0.0
 
@@ -260,13 +278,48 @@ class CombinedCost(CostFunction):
 
     def __init__(self, graph: TaskGraph, system: ProcessorSystem) -> None:
         super().__init__(graph, system)
-        self._paper = PaperCost(graph, system)
-        self._load = LoadBoundCost(graph, system)
+        load = LoadBoundCost(graph, system)
+        self._succ_level = PaperCost(graph, system)._succ_level
+        self._speeds = load._speeds
+        self._uniform = load._uniform
 
     def h(self, ps: PartialSchedule) -> float:
+        # Both terms are worked out here, one call per child: the paper
+        # term is PaperCost.h's table lookup and the load term
+        # LoadBoundCost.h's sweep, inlined (the property tests pin all
+        # three to plain reference scans).
         self.evaluations += 1
-        hp = self._paper.h(ps)
-        hl = self._load.h(ps)
+        g = ps.makespan
+        if g == 0.0:
+            hp = 0.0
+        else:
+            nodes = ps.max_finish_nodes
+            table = self._succ_level
+            hp = (table[nodes[0]] if len(nodes) == 1
+                  else max(map(table.__getitem__, nodes)))
+        w_rem = ps.remaining_weight
+        if w_rem <= 0.0:
+            return hp
+        speed_sum = 0.0
+        weighted_rt = 0.0
+        m = 0.0
+        speed = self._uniform
+        if speed is not None:
+            for rt in sorted(ps.ready_time):
+                if speed_sum and m <= rt:
+                    break
+                speed_sum += speed
+                weighted_rt += speed * rt
+                m = (w_rem + weighted_rt) / speed_sum
+        else:
+            for rt, speed in sorted(zip(ps.ready_time, self._speeds)):
+                if speed_sum and m <= rt:
+                    break
+                speed_sum += speed
+                weighted_rt += speed * rt
+                m = (w_rem + weighted_rt) / speed_sum
+        # hp >= 0.0, so a negative load term never wins the max.
+        hl = m - g
         return hp if hp >= hl else hl
 
 

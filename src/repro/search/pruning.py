@@ -24,9 +24,10 @@ Each rule is independently toggleable so the Table-1 middle column
   placement collide on the canonical signature and the second is
   discarded (the "visited before" rule of the Figure-3 walk-through).
 
-Two extensions beyond the paper (both off by default, both
-property-tested against exhaustive enumeration): **commutation**, a
-partial-order reduction over the last placement, and **fixed task
+Two extensions beyond the paper (both off by default in the engines,
+both property-tested against exhaustive enumeration): **commutation**,
+a partial-order reduction over the last placement that the service
+ladder turns on for its best-first stages, and **fixed task
 order** (Sinnen; Akram et al. 2024), which collapses the node branching
 factor to 1 whenever the ready set forms a fork/join chain admitting a
 total order.  See :class:`PruningConfig` for the exact conditions.
@@ -56,13 +57,18 @@ class PruningConfig:
     priority_ordering: bool = True
     upper_bound: bool = True
     duplicate_detection: bool = True
-    #: Extension beyond the paper (off by default): skip candidate
-    #: placements that commute with the state's most recent placement —
-    #: two simultaneously-ready nodes placed on *different* PEs produce
-    #: the same partial schedule in either order, so only the canonical
+    #: Extension beyond the paper: skip candidate placements that
+    #: commute with the state's most recent placement — two
+    #: simultaneously-ready nodes placed on *different* PEs produce the
+    #: same partial schedule in either order, so only the canonical
     #: order is generated.  A partial-order reduction that avoids even
     #: *constructing* most transposition duplicates; optimality is
-    #: preserved (property-tested against exhaustive enumeration).
+    #: preserved (property-tested against exhaustive enumeration).  Off
+    #: by default in the engines, so :meth:`all` stays the paper's
+    #: configuration; the service ladder
+    #: (:mod:`repro.service.portfolio`) turns it on for its best-first
+    #: stages and leaves it off for B&B, whose budget-stopped answers
+    #: come from dives the rule reroutes.
     commutation: bool = False
     #: Extension beyond the paper (off by default): **fixed task order**
     #: (Sinnen's FTO, engineered by Akram et al. 2024).  When the ready

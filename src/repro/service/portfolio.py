@@ -21,13 +21,17 @@ observation two ways:
 Stage budgeting: the improver stage gets ``_IMPROVER_SHARE`` of the
 remaining deadline, the exact stage the rest.  With no deadline the
 ladder still terminates: every stage is bounded by ``max_expansions``.
+
+Pruning: the A*, weighted-A* and HDA* stages search with the
+commutation reduction on (:class:`~repro.search.pruning.PruningConfig`
+keeps it off for the engines' own defaults); B&B runs without it.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from repro.graph.analysis import graph_ccr
 from repro.graph.taskgraph import TaskGraph
@@ -183,7 +187,7 @@ class _SetUp:
 
     graph: TaskGraph
     cost: str
-    pruning: PruningConfig | None
+    pruning: PruningConfig
     pre: PreprocessResult | None
     tracer: Tracer
     probe: SearchProbe | None
@@ -202,8 +206,13 @@ def _set_up(
     graph: TaskGraph, system: ProcessorSystem, *, cost: str | None,
     preprocess: bool, tracer: Tracer | None, probe_every: int | None,
 ) -> _SetUp:
-    """Preprocess (when asked), resolve the ``None``/``"auto"`` cost
-    sentinel on the searched instance, and pick the tracer and probe."""
+    """Preprocess (when asked), choose the search's pruning, resolve
+    the ``None``/``"auto"`` cost sentinel on the searched instance, and
+    pick the tracer and probe.
+
+    Every stage searches the commutation-reduced space (plus symmetry
+    normalization when the preprocessing found the system eligible);
+    :func:`_run_engine` drops commutation again for B&B."""
     pre = preprocess_instance(graph, system) if preprocess else None
     if pre is not None:
         graph = pre.graph
@@ -212,8 +221,10 @@ def _set_up(
     return _SetUp(
         graph=graph,
         cost=cost,
-        pruning=(PruningConfig(root_symmetry=True)
-                 if pre is not None and pre.root_symmetry else None),
+        pruning=PruningConfig(
+            commutation=True,
+            root_symmetry=pre is not None and pre.root_symmetry,
+        ),
         pre=pre,
         tracer=tracer if tracer is not None else null_tracer,
         probe=SearchProbe(probe_every) if probe_every else None,
@@ -237,6 +248,13 @@ def _run_engine(
     """Dispatch one engine through the registry (the portfolio's
     inner call); per-engine extras are bound here."""
     engine = get_engine(name)  # raises ValueError on unknown names
+    if name == "bnb" and pruning is not None:
+        # Depth-first B&B answers a budget stop with what its first
+        # dives found, and commutation reroutes those dives: on a cold
+        # stream of v14-18 instances it made 11 budget-stopped B&B
+        # answers worse (561 -> 666 at worst).  The best-first stages
+        # keep the reduced space; B&B searches the paper's.
+        pruning = replace(pruning, commutation=False)
     common = {"cost": cost, "budget": budget, "pruning": pruning,
               "incumbent": incumbent, "probe": probe}
     if name in ("astar", "bnb"):
@@ -272,7 +290,8 @@ def solve_auto(
     returns its incumbent plus lower bound instead of growing unbounded.
     ``tracer``/``probe_every`` enable the :mod:`repro.obs` telemetry:
     a span around the engine run and a convergence timeline on the
-    result.  ``preprocess=True`` runs the makespan-preserving
+    result.  The search runs with the commutation reduction on (off
+    for a B&B selection).  ``preprocess=True`` runs the makespan-preserving
     reductions of :mod:`repro.schedule.preprocess` first, searches the
     reduced instance (with symmetry normalization when eligible), and
     restores the answer to the caller's node space — makespan,

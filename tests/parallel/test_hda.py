@@ -207,6 +207,24 @@ class TestHdaMatchesSerial:
         assert parallel.length == serial.length
         assert parallel.stats.pruning.symmetry_skips > 0
 
+    @pytest.mark.parametrize("seed", [1, 2, 4, 5])
+    def test_commutation_matches_oracle(self, seed):
+        """States received from a peer (or dealt as seeds) keep their
+        last placement on the wire, so the commutation rule prunes in
+        the workers too — and the answer is still the exhaustively
+        enumerated optimum."""
+        graph = paper_random_graph(PaperGraphSpec(num_nodes=8, ccr=1.0, seed=seed))
+        system = ProcessorSystem.fully_connected(3)
+        parallel = hda_astar_schedule(
+            graph, system, workers=2, pruning=PruningConfig.extended(),
+            oversubscribe=1,
+        )
+        assert parallel.algorithm == "hda(workers=2)"  # the workers ran
+        assert parallel.optimal
+        assert parallel.length == enumerate_optimal(graph, system).length
+        assert parallel.stats.pruning.commutation_skips > 0
+        assert schedule_violations(parallel.schedule) == []
+
     def test_incumbent_seeding(self):
         graph = paper_random_graph(PaperGraphSpec(num_nodes=12, ccr=1.0, seed=4))
         system = ProcessorSystem.fully_connected(3)

@@ -49,7 +49,8 @@ def _assert_exact_rebuild(state):
     assert (wire[0], wire[1]) == state.dedup_key
     for slot in ("mask", "zkey", "ready_mask", "makespan", "num_scheduled",
                  "used_pes", "remaining_weight", "ready_time",
-                 "pes", "starts", "finishes", "max_finish_nodes"):
+                 "pes", "starts", "finishes", "max_finish_nodes",
+                 "last_node", "last_pe", "last_start", "last_finish"):
         assert getattr(clone, slot) == getattr(state, slot), slot
     assert clone.signature == state.signature
     assert clone.to_wire() == wire
@@ -99,6 +100,45 @@ def test_child_patch_matches_to_wire_on_random_walks(instance):
             rebuilt = PartialSchedule.from_wire(graph, system, parent.to_wire())
             twin = rebuilt.extend(kid.last_node, kid.last_pe)
             assert child_wire(twin, blob) == wire
+
+
+@_SETTINGS
+@given(scheduling_instances())
+def test_round_trip_keeps_the_last_placement(instance):
+    """The commutation rule reads ``last_node``/``last_pe``: a state
+    rebuilt from its wire (or from a child patch) keeps all four last-
+    placement fields, and the empty state keeps its -1 sentinels."""
+    graph, system = instance
+    root = PartialSchedule.empty(graph, system)
+    clone = PartialSchedule.from_wire(graph, system, root.to_wire())
+    assert (clone.last_node, clone.last_pe) == (-1, -1)
+    for parent, kids in _walks(graph, system, 2):
+        blob = parent.to_wire()[-1]
+        for kid in kids:
+            for wire in (kid.to_wire(), child_wire(kid, blob)):
+                clone = PartialSchedule.from_wire(graph, system, wire)
+                assert (clone.last_node, clone.last_pe, clone.last_start,
+                        clone.last_finish) == (kid.last_node, kid.last_pe,
+                                               kid.last_start, kid.last_finish)
+                assert sorted(clone.placements()) == sorted(kid.placements())
+
+
+def test_rebuilt_state_prunes_like_the_original():
+    """A received state expands to exactly the sender's children under
+    commutation — before the wire carried ``last_node`` it pruned
+    nothing."""
+    graph = paper_random_graph(PaperGraphSpec(num_nodes=9, ccr=1.0, seed=4))
+    system = ProcessorSystem.fully_connected(3)
+    config = PruningConfig.extended()
+    skipped = 0
+    for parent, _kids in _walks(graph, system, 4):
+        stats = SearchStats()
+        expander = StateExpander(graph, system, config, stats.pruning)
+        sent = [k.dedup_key for k in expander.children(parent)]
+        clone = PartialSchedule.from_wire(graph, system, parent.to_wire())
+        assert [k.dedup_key for k in expander.children(clone)] == sent
+        skipped += stats.pruning.commutation_skips
+    assert skipped > 0
 
 
 @_SETTINGS

@@ -234,3 +234,65 @@ def test_load_bound_sweep_identical(system, data):
         makespan=data.draw(st.floats(0.0, max(ready))),
     )
     assert repr(cost.h(ps)) == repr(_load_h_reference(ps, system.speeds))
+
+
+def _paper_h_reference(graph, system, ps):
+    """The paper's h as a plain scan: the finish array's argmax set,
+    then every successor's static level (speed-scaled)."""
+    from repro.graph.analysis import compute_levels
+
+    if ps.makespan == 0.0:
+        return 0.0
+    fastest = max(system.speeds)
+    sl = compute_levels(graph).static_level
+    finishes = ps.finishes
+    tops = [n for n in range(graph.num_nodes)
+            if (ps.mask >> n) & 1 and finishes[n] == ps.makespan]
+    best = 0.0
+    for n in tops:
+        for j in graph.succs(n):
+            if sl[j] / fastest > best:
+                best = sl[j] / fastest
+    return best
+
+
+def _random_walk_states(graph, system, walks, seed):
+    """Every state on ``walks`` random root-to-leaf walks."""
+    import random
+
+    r = random.Random(seed)
+    out = []
+    for _ in range(walks):
+        ps = PartialSchedule.empty(graph, system)
+        out.append(ps)
+        while not ps.is_complete():
+            ps = ps.extend(r.choice(ps.ready_nodes()), r.randrange(system.num_pes))
+            out.append(ps)
+    return out
+
+
+@_SETTINGS
+@given(scheduling_instances(max_nodes=7, max_pes=4),
+       processor_systems(max_pes=4, allow_distance_scaled=True),
+       st.integers(0, 2**16))
+def test_every_h_matches_its_reference_scan(instance, other, seed):
+    """PaperCost's precomputed successor-level table, LoadBoundCost's
+    equal-speed sweep and CombinedCost's inlined terms return, bit for
+    bit, what plain scans of the state return — on every topology,
+    heterogeneous speeds and distance-scaled links included — and each
+    call counts one evaluation."""
+    graph, system = instance
+    for sys_ in (system, other):
+        paper = PaperCost(graph, sys_)
+        load = LoadBoundCost(graph, sys_)
+        combined = CombinedCost(graph, sys_)
+        states = _walk_states(graph, sys_, limit=40)
+        states += _random_walk_states(graph, sys_, 3, seed)
+        for ps in states:
+            hp = _paper_h_reference(graph, sys_, ps)
+            hl = _load_h_reference(ps, sys_.speeds)
+            assert repr(paper.h(ps)) == repr(hp)
+            assert repr(load.h(ps)) == repr(hl)
+            assert repr(combined.h(ps)) == repr(hp if hp >= hl else hl)
+        for cost in (paper, load, combined):
+            assert cost.evaluations == len(states)

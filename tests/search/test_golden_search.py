@@ -34,7 +34,10 @@ pin that the loop reproduces the engines it replaced:
 * ``portfolio`` rows run the service ladder the way the daemon's cold
   path does (v 12–16, 2 PEs, ``preprocess=True``, 2500 expansions, no
   deadline) and pin each stage's algorithm, makespan and expansions
-  plus the answer and its counters.
+  plus the answer and its counters.  They were re-recorded when the
+  ladder turned the commutation reduction on for its best-first
+  stages (B&B excepted): the counters and stage answers changed, every
+  proven answer kept its makespan, and no other row changed.
 
 The B&B and portfolio rows were recorded before the per-child hot path
 (``extend``, ``child_signature``, the engine loops) was tuned, so they

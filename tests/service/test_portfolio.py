@@ -8,6 +8,7 @@ from repro.graph.taskgraph import TaskGraph
 from repro.heuristics.listsched import fast_upper_bound_schedule
 from repro.schedule.validate import validate_schedule
 from repro.search.astar import astar_schedule
+from repro.search.pruning import PruningConfig
 from repro.service.portfolio import (
     portfolio_schedule,
     select_engine,
@@ -273,3 +274,68 @@ class TestDeadlineAccounting:
         heavy = paper_random_graph(PaperGraphSpec(num_nodes=16, ccr=10.0, seed=3))
         pf.portfolio_schedule(heavy, ProcessorSystem.fully_connected(4), workers=3)
         assert captured["name"] == "bnb"
+
+
+class TestLadderPruning:
+    """The ladder's set-up turns the commutation reduction on; the one
+    stage step drops it again for B&B only."""
+
+    def _record(self, monkeypatch):
+        import repro.service.portfolio as pf
+
+        seen = []
+        real = pf.get_engine
+
+        def get_engine(name):
+            engine = real(name)
+
+            def run(*args, pruning=None, **kw):
+                seen.append((name, pruning))
+                return engine(*args, pruning=pruning, **kw)
+            return run
+
+        monkeypatch.setattr(pf, "get_engine", get_engine)
+        return seen
+
+    def test_bnb_runs_without_commutation_and_the_rest_with_it(self, monkeypatch):
+        import repro.service.portfolio as pf
+        from repro.util.timing import Budget
+
+        seen = self._record(monkeypatch)
+        graph = paper_random_graph(PaperGraphSpec(num_nodes=10, ccr=1.0, seed=3))
+        system = ProcessorSystem.fully_connected(3)
+        s = pf._set_up(graph, system, cost=None, preprocess=True,
+                       tracer=None, probe_every=None)
+        assert s.pruning.commutation and s.pruning.root_symmetry
+        skips = {}
+        for name in ("astar", "wastar", "hda", "bnb"):
+            res = pf._run_engine(
+                name, s.graph, system, budget=Budget(), epsilon=0.5,
+                cost=s.cost, workers=2, pruning=s.pruning,
+            )
+            skips[name] = res.stats.pruning.commutation_skips
+        configs = dict(seen)
+        for name in ("astar", "wastar", "hda"):
+            assert configs[name] == s.pruning
+            assert skips[name] > 0
+        assert configs["bnb"] == PruningConfig(root_symmetry=True)
+        assert skips["bnb"] == 0
+
+    def test_ladder_stages_search_the_reduced_space(self, monkeypatch):
+        """A sparse v18 instance: the improver (WA*) runs with
+        commutation, the B&B exact stage without it."""
+        import repro.service.portfolio as pf
+
+        seen = self._record(monkeypatch)
+        graph = paper_random_graph(PaperGraphSpec(num_nodes=18, ccr=1.0, seed=3))
+        system = ProcessorSystem.fully_connected(2)
+        assert pf.select_engine(graph, system) == "wastar"
+        pf.portfolio_schedule(graph, system, max_expansions=400)
+        assert [(name, cfg.commutation) for name, cfg in seen] == [
+            ("wastar", True), ("bnb", False),
+        ]
+        seen.clear()
+        pf.solve_auto(graph, system, max_expansions=400)
+        assert [(name, cfg.commutation) for name, cfg in seen] == [
+            ("wastar", True),
+        ]

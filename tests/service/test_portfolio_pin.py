@@ -12,9 +12,13 @@ and compares what the tracer recorded against
 * the ``search.timeline`` samples, without their wall-clock field.
 
 The cases are the golden search table's nine ``portfolio`` instances
-(v 12–16, 2 PEs, 2500 expansions) plus one v=16 instance whose
+(v 12–16, 2 PEs, 2500 expansions) plus two v=16 instances whose
 improver runs with ε = 0, so the ladder's improver-proves-optimal exit
-is pinned as well as its exact exits.
+is pinned as well as its exact exits.  Seed 7's improver proved its
+answer until the ladder turned the commutation reduction on; since
+then it stops on its budget (A* there needs 2,789 expansions instead
+of 340) and the B&B exact stage proves the answer, so seed 9 carries
+the improver's proof exit.
 
 Every case's ``search.timeline`` samples were re-recorded when the
 probe began reporting the incumbent a stage holds before it generates
@@ -24,6 +28,11 @@ schedule's length, nothing else.
 The improver's ``portfolio.stage.result`` event may carry ``optimal``
 and ``interrupted``, as the exact stages' events do; those two attrs
 are not part of the pin for that one event.
+
+Every case was re-recorded when the ladder turned the commutation
+reduction on for its best-first stages: the expansions, the stage
+answers and the timelines changed; every proven answer kept its
+makespan.
 
 Record missing cases (existing ones are kept; delete a case's line to
 re-record it, only on purpose)::
@@ -62,6 +71,8 @@ def _cases() -> list[dict]:
             itertools.product((12, 14, 16), (0.1, 1.0, 10.0)))
     ]
     cases.append({"v": 16, "ccr": 0.1, "pes": 2, "seed": 7,
+                  "epsilon": 0.0, "max_expansions": 8000})
+    cases.append({"v": 16, "ccr": 0.1, "pes": 2, "seed": 9,
                   "epsilon": 0.0, "max_expansions": 8000})
     return cases
 
