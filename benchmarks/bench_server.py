@@ -47,7 +47,7 @@ import time
 from pathlib import Path
 
 from repro.graph.generators.random_paper import PaperGraphSpec, paper_random_graph
-from repro.service.batch import BatchItem, run_batch
+from repro.service.batch import BatchItem, SolveOptions, run_batch
 from repro.service.cache import ResultCache
 from repro.service.client import ServerClient
 from repro.service.server import SolverServer
@@ -242,11 +242,12 @@ def run_server_bench(
 ) -> dict[str, object]:
     """Cold + warm daemon passes plus the per-request dispatch baseline."""
     stream = build_stream(requests)
+    options = SolveOptions(
+        deadline=DEADLINE_SECONDS, max_expansions=MAX_EXPANSIONS)
 
     server = SolverServer(
         port=0, solver_workers=solver_workers,
-        queue_limit=max(64, requests),
-        deadline=DEADLINE_SECONDS, max_expansions=MAX_EXPANSIONS,
+        queue_limit=max(64, requests), options=options,
     )
     thread = server.serve_in_thread()
     client = ServerClient(port=server.port, timeout=600)
@@ -296,9 +297,7 @@ def run_server_bench(
             item = stream[i]
             with SolverPool(solver_workers) as transient:
                 report = run_batch(
-                    [item], cache=cache, pool=transient,
-                    deadline=DEADLINE_SECONDS,
-                    max_expansions=MAX_EXPANSIONS,
+                    [item], cache=cache, pool=transient, options=options,
                 )
             with lock:
                 solved_counts.append(report.solved)
@@ -326,10 +325,7 @@ def run_server_bench(
         with ResultCache(Path(tmp) / "in_process.db") as cache:
             t0 = time.perf_counter()
             for item in stream:
-                run_batch(
-                    [item], cache=cache,
-                    deadline=DEADLINE_SECONDS, max_expansions=MAX_EXPANSIONS,
-                )
+                run_batch([item], cache=cache, options=options)
             in_process_wall = time.perf_counter() - t0
     in_process = {
         "requests": len(stream),

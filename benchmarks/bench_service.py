@@ -24,7 +24,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro.service.batch import items_from_suite, run_batch
+from repro.service.batch import SolveOptions, items_from_suite, run_batch
 from repro.service.cache import ResultCache
 
 __all__ = ["run_suite_bench"]
@@ -61,7 +61,8 @@ def run_suite_bench(
         with ResultCache(path) as cache:
             cold = run_batch(
                 items, cache=cache, workers=workers,
-                deadline=deadline, max_expansions=max_expansions,
+                options=SolveOptions(
+                    deadline=deadline, max_expansions=max_expansions),
             )
             warm = run_batch(items, cache=cache, workers=workers)
             counters = cache.counters()

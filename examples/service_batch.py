@@ -18,7 +18,7 @@ import random
 
 from repro import ProcessorSystem, TaskGraph, instance_fingerprint
 from repro.graph.generators.random_paper import PaperGraphSpec, paper_random_graph
-from repro.service.batch import BatchItem, run_batch
+from repro.service.batch import BatchItem, SolveOptions, run_batch
 from repro.service.cache import ResultCache
 
 
@@ -56,7 +56,7 @@ def main() -> None:
 
     cache = ResultCache()  # in-memory; pass a path for persistence
     print("\n-- pass 1: cold cache " + "-" * 40)
-    cold = run_batch(items, cache=cache, deadline=20.0)
+    cold = run_batch(items, cache=cache, options=SolveOptions(deadline=20.0))
     print(cold.render())
 
     print("\n-- pass 2: warm cache " + "-" * 40)

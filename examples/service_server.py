@@ -22,7 +22,7 @@ import threading
 
 from repro import ProcessorSystem, TaskGraph
 from repro.graph.generators.random_paper import PaperGraphSpec, paper_random_graph
-from repro.service import ServerClient, SolverServer
+from repro.service import ServerClient, SolveOptions, SolverServer
 
 
 def relabeled(graph: TaskGraph, seed: int) -> TaskGraph:
@@ -42,7 +42,7 @@ def relabeled(graph: TaskGraph, seed: int) -> TaskGraph:
 
 def main() -> None:
     server = SolverServer(port=0, solver_workers=1, queue_limit=16,
-                          max_expansions=50_000)
+                          options=SolveOptions(max_expansions=50_000))
     thread = server.serve_in_thread()
     client = ServerClient(port=server.port)
     print(f"daemon listening on http://{server.host}:{server.port}")

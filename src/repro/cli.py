@@ -40,6 +40,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.service.batch import SolveOptions
 
 __all__ = ["main", "build_parser"]
 
@@ -49,6 +53,13 @@ __all__ = ["main", "build_parser"]
 _COST_NAMES = ["paper", "improved", "zero", "load", "combined"]
 #: PruningConfig presets for the ``schedule`` command.
 _PRUNING_PRESETS = ["all", "extended", "fixed-order", "none"]
+#: ``--topology`` name -> ProcessorSystem factory classmethod name.
+_TOPOLOGIES = {
+    "clique": "fully_connected",
+    "ring": "ring",
+    "chain": "chain",
+    "star": "star",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,8 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedule", help="schedule a task-graph JSON/STG file")
     p.add_argument("graph", help="path to a graph file (.json or .stg)")
     p.add_argument("--pes", type=int, default=4, help="number of processors")
-    p.add_argument("--topology", default="clique",
-                   choices=["clique", "ring", "chain", "star"])
+    p.add_argument("--topology", default="clique", choices=_TOPOLOGIES)
     p.add_argument("--algorithm", default="astar",
                    choices=["astar", "bnb", "idastar", "focal", "wastar",
                             "hda", "list", "chen-yu"])
@@ -105,28 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one instance via the service layer")
     p.add_argument("graph", help="path to a graph file (.json or .stg)")
     p.add_argument("--pes", type=int, default=4, help="number of processors")
-    p.add_argument("--topology", default="clique",
-                   choices=["clique", "ring", "chain", "star"])
-    p.add_argument("--mode", default="portfolio", choices=["portfolio", "auto"],
-                   help="stage ladder or single selected engine")
-    p.add_argument("--deadline", type=float, default=None,
-                   help="wall-clock budget in seconds")
-    p.add_argument("--epsilon", type=float, default=0.25,
-                   help="ε for the weighted-A* improver stage")
-    p.add_argument("--cost", default="auto", choices=["auto", *_COST_NAMES],
-                   help="guiding cost function ('auto' picks the composite "
-                        "'combined' bound wherever capacity can bind)")
-    p.add_argument("--max-expansions", type=int, default=500_000)
-    p.add_argument("--max-memory-mb", type=float, default=None,
-                   help="process-RSS ceiling; the search returns its "
-                        "incumbent + lower bound instead of growing past it")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for the exact search stage "
-                        "(> 1 runs the multiprocess HDA* engine)")
-    p.add_argument("--preprocess", action="store_true",
-                   help="run the makespan-preserving graph reductions "
-                        "(transitive-edge removal, symmetry "
-                        "normalization, chain warm-start) before search")
+    p.add_argument("--topology", default="clique", choices=_TOPOLOGIES)
+    _add_solver_args(p, hda_flag="--workers", max_expansions=500_000,
+                     require_proven=False)
     p.add_argument("--cache", default=None,
                    help="result-cache SQLite file (omit for no persistence)")
     _add_obs_args(p)
@@ -138,26 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pes", type=int, default=None,
                    help="PE count for bare graph files (default: v)")
     p.add_argument("--workers", type=int, default=1,
-                   help="OS processes for the solve fan-out")
-    p.add_argument("--solver-workers", type=int, default=1,
-                   help="HDA* worker processes per instance (composes "
-                        "with --workers; the two compete for cores, so "
-                        "prefer one axis of parallelism)")
-    p.add_argument("--mode", default="portfolio", choices=["portfolio", "auto"])
-    p.add_argument("--deadline", type=float, default=None,
-                   help="per-instance wall-clock budget in seconds")
-    p.add_argument("--epsilon", type=float, default=0.25)
-    p.add_argument("--cost", default="auto", choices=["auto", *_COST_NAMES])
-    p.add_argument("--max-expansions", type=int, default=200_000)
-    p.add_argument("--max-memory-mb", type=float, default=None,
-                   help="per-solve process-RSS ceiling")
-    p.add_argument("--preprocess", action="store_true",
-                   help="run the makespan-preserving graph reductions "
-                        "before each solve")
+                   help="OS processes for the solve fan-out (composes "
+                        "with --solver-workers; the two compete for "
+                        "cores, so prefer one axis of parallelism)")
+    _add_solver_args(p, hda_flag="--solver-workers")
     p.add_argument("--cache", default=None,
                    help="result-cache SQLite file (omit for no persistence)")
-    p.add_argument("--require-proven", action="store_true",
-                   help="treat unproven cache entries as stale")
     p.add_argument("--out", default=None,
                    help="write per-instance results as JSON lines")
     _add_obs_args(p)
@@ -172,20 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max unique jobs pending before 429")
     p.add_argument("--cache", default=None,
                    help="result-cache SQLite file (omit for in-memory)")
-    p.add_argument("--deadline", type=float, default=None,
-                   help="default per-request wall-clock budget in seconds")
-    p.add_argument("--epsilon", type=float, default=0.25)
-    p.add_argument("--cost", default="auto", choices=["auto", *_COST_NAMES])
-    p.add_argument("--max-expansions", type=int, default=200_000)
-    p.add_argument("--mode", default="portfolio", choices=["portfolio", "auto"])
-    p.add_argument("--require-proven", action="store_true",
-                   help="treat unproven cache entries as stale")
-    p.add_argument("--max-memory-mb", type=float, default=None,
-                   help="per-solve process-RSS ceiling (requests past it "
-                        "get an incumbent + lower bound, not an OOM kill)")
-    p.add_argument("--preprocess", action="store_true",
-                   help="default per-request graph-reduction switch "
-                        "(requests may override with 'preprocess')")
+    # The per-request defaults: a request body overrides each by the
+    # SolveOptions field of the same name (also the per-job HDA* width,
+    # which has no flag here: --solver-workers sizes the request pool).
+    _add_solver_args(p, hda_flag=None)
     p.add_argument("--shard-id", default=None, metavar="NAME",
                    help="fleet identity: labels /metrics, the deep "
                         "healthz payload, and the readiness line "
@@ -263,6 +230,68 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_solver_args(
+    p: argparse.ArgumentParser,
+    *,
+    hda_flag: str | None,
+    max_expansions: int = 200_000,
+    require_proven: bool = True,
+) -> None:
+    """The solver options shared by solve/batch/serve: one flag per
+    :class:`~repro.service.batch.SolveOptions` field, read back by
+    :func:`_solve_options`.  ``hda_flag`` names the per-solve HDA*
+    worker flag (``None``: no flag, width 1); ``require_proven=False``
+    leaves out ``--require-proven``."""
+    p.add_argument("--mode", default="portfolio", choices=["portfolio", "auto"],
+                   help="stage ladder or single selected engine")
+    p.add_argument("--deadline", type=float, default=None,
+                   help="per-solve wall-clock budget in seconds")
+    p.add_argument("--epsilon", type=float, default=0.25,
+                   help="ε for the weighted-A* improver stage")
+    p.add_argument("--cost", default="auto", choices=["auto", *_COST_NAMES],
+                   help="guiding cost function ('auto' picks the composite "
+                        "'combined' bound wherever capacity can bind)")
+    p.add_argument("--max-expansions", type=int, default=max_expansions)
+    p.add_argument("--max-memory-mb", type=float, default=None,
+                   help="per-solve process-RSS ceiling: the search returns "
+                        "its incumbent + lower bound instead of growing "
+                        "past it")
+    p.add_argument("--preprocess", action="store_true",
+                   help="run the makespan-preserving graph reductions "
+                        "(transitive-edge removal, symmetry "
+                        "normalization, chain warm-start) before search")
+    if require_proven:
+        p.add_argument("--require-proven", action="store_true",
+                       help="treat unproven cache entries as stale")
+    else:
+        p.set_defaults(require_proven=False)
+    if hda_flag is not None:
+        p.add_argument(hda_flag, dest="hda_workers", type=int, default=1,
+                       help="HDA* worker processes per solve for the exact "
+                            "search stage (> 1 runs the multiprocess engine)")
+    else:
+        p.set_defaults(hda_workers=1)
+
+
+def _solve_options(args: argparse.Namespace) -> SolveOptions:
+    """The :class:`~repro.service.batch.SolveOptions` of the
+    :func:`_add_solver_args` flags; raises ``ValueError`` when one is
+    out of range."""
+    from repro.service.batch import SolveOptions
+
+    return SolveOptions(
+        deadline=args.deadline,
+        epsilon=args.epsilon,
+        cost=args.cost,
+        max_expansions=args.max_expansions,
+        mode=args.mode,
+        solver_workers=args.hda_workers,
+        max_memory_mb=args.max_memory_mb,
+        preprocess=args.preprocess,
+        require_proven=args.require_proven,
+    )
+
+
 def _add_obs_args(p: argparse.ArgumentParser) -> None:
     """The telemetry options shared by solve/batch/serve."""
     p.add_argument("--obs-trace", default=None, metavar="FILE",
@@ -285,12 +314,16 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_schedule(args)
     if args.command == "generate":
         return _cmd_generate(args)
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "batch":
-        return _cmd_batch(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
+    service = {"solve": _cmd_solve, "batch": _cmd_batch, "serve": _cmd_serve}
+    if args.command in service:
+        # One options record per command, checked before anything
+        # solves or binds.
+        try:
+            options = _solve_options(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        return service[args.command](args, options)
     if args.command == "route":
         return _cmd_route(args)
     if args.command == "trace":
@@ -372,8 +405,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    from repro.graph.io import load_graph_json
-    from repro.graph.stg import load_stg
     from repro.heuristics.listsched import list_schedule
     from repro.schedule.gantt import render_gantt, render_timeline
     from repro.search.astar import astar_schedule
@@ -383,20 +414,10 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     from repro.search.idastar import idastar_schedule
     from repro.search.pruning import PruningConfig
     from repro.search.weighted import weighted_astar_schedule
-    from repro.system.processors import ProcessorSystem
     from repro.util.timing import Budget
 
-    if args.graph.endswith(".stg"):
-        graph = load_stg(args.graph)
-    else:
-        graph = load_graph_json(args.graph)
-    factory = {
-        "clique": ProcessorSystem.fully_connected,
-        "ring": ProcessorSystem.ring,
-        "chain": ProcessorSystem.chain,
-        "star": ProcessorSystem.star,
-    }[args.topology]
-    system = factory(args.pes)
+    graph = _load_graph_arg(args.graph)
+    system = _system_arg(args)
     budget = Budget(max_expanded=args.max_expansions)
     if args.algorithm in ("list", "chen-yu") and (
         args.cost != "paper" or args.pruning != "all"
@@ -470,6 +491,13 @@ def _load_graph_arg(path: str):
     return load_stg(path) if path.endswith(".stg") else load_graph_json(path)
 
 
+def _system_arg(args: argparse.Namespace):
+    """The ``--topology`` machine with ``--pes`` processors."""
+    from repro.system.processors import ProcessorSystem
+
+    return getattr(ProcessorSystem, _TOPOLOGIES[args.topology])(args.pes)
+
+
 class _interruptible:
     """Route SIGTERM through KeyboardInterrupt for the duration of a
     ``with`` block, so ``kill <pid>`` and Ctrl-C take the same clean
@@ -495,20 +523,13 @@ class _interruptible:
             signal.signal(signal.SIGTERM, self._prev)
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace, options: SolveOptions) -> int:
     from repro.schedule.gantt import render_gantt
     from repro.service.batch import BatchItem, run_batch
     from repro.service.cache import ResultCache
-    from repro.system.processors import ProcessorSystem
 
     graph = _load_graph_arg(args.graph)
-    factory = {
-        "clique": ProcessorSystem.fully_connected,
-        "ring": ProcessorSystem.ring,
-        "chain": ProcessorSystem.chain,
-        "star": ProcessorSystem.star,
-    }[args.topology]
-    system = factory(args.pes)
+    system = _system_arg(args)
     cache = ResultCache(args.cache) if args.cache else None
     tracer, probe_every = _obs_from_args(args)
     try:
@@ -516,16 +537,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             report = run_batch(
                 [BatchItem(name=graph.name, graph=graph, system=system)],
                 cache=cache,
-                solver_workers=args.workers,
-                deadline=args.deadline,
-                epsilon=args.epsilon,
-                cost=args.cost,
-                max_expansions=args.max_expansions,
-                max_memory_mb=args.max_memory_mb,
-                mode=args.mode,
+                options=options,
                 tracer=tracer,
                 probe_every=probe_every,
-                preprocess=args.preprocess,
             )
     except KeyboardInterrupt:
         print("repro solve: interrupted before a result was available",
@@ -554,7 +568,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 130 if report.interrupted else 0
 
 
-def _cmd_batch(args: argparse.Namespace) -> int:
+def _cmd_batch(args: argparse.Namespace, options: SolveOptions) -> int:
     import json as _json
 
     from repro.service.batch import items_from_suite, load_items, run_batch
@@ -572,17 +586,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 items,
                 cache=cache,
                 workers=args.workers,
-                solver_workers=args.solver_workers,
-                deadline=args.deadline,
-                epsilon=args.epsilon,
-                cost=args.cost,
-                max_expansions=args.max_expansions,
-                max_memory_mb=args.max_memory_mb,
-                mode=args.mode,
-                require_proven=args.require_proven,
+                options=options,
                 tracer=tracer,
                 probe_every=probe_every,
-                preprocess=args.preprocess,
             )
     except KeyboardInterrupt:
         print("repro batch: interrupted before any result was available",
@@ -606,7 +612,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace, options: SolveOptions) -> int:
     import threading
 
     from repro.service.server import SolverServer
@@ -617,14 +623,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         solver_workers=args.solver_workers,
         queue_limit=args.queue_limit,
         cache=args.cache,
-        deadline=args.deadline,
-        epsilon=args.epsilon,
-        cost=args.cost,
-        max_expansions=args.max_expansions,
-        mode=args.mode,
-        require_proven=args.require_proven,
-        max_memory_mb=args.max_memory_mb,
-        preprocess=args.preprocess,
+        options=options,
         obs_trace=args.obs_trace,
         probe_every=args.probe_every,
         shard_id=args.shard_id,

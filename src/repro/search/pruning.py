@@ -35,7 +35,7 @@ total order.  See :class:`PruningConfig` for the exact conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from repro.errors import SearchError
 
@@ -155,31 +155,13 @@ class PruningConfig:
 
     @classmethod
     def only(cls, **enabled: bool) -> "PruningConfig":
-        """Start from :meth:`none` and switch on the given rules.
+        """Start from :meth:`none` and switch on the given rules; a
+        misspelt switch raises ``TypeError``.
 
         >>> PruningConfig.only(upper_bound=True).upper_bound
         True
         """
-        base = cls.none()
-        return cls(
-            processor_isomorphism=enabled.get(
-                "processor_isomorphism", base.processor_isomorphism
-            ),
-            node_equivalence=enabled.get("node_equivalence", base.node_equivalence),
-            priority_ordering=enabled.get("priority_ordering", base.priority_ordering),
-            upper_bound=enabled.get("upper_bound", base.upper_bound),
-            duplicate_detection=enabled.get(
-                "duplicate_detection", base.duplicate_detection
-            ),
-            commutation=enabled.get("commutation", base.commutation),
-            fixed_task_order=enabled.get(
-                "fixed_task_order", base.fixed_task_order
-            ),
-            root_symmetry=enabled.get("root_symmetry", base.root_symmetry),
-            verify_signatures=enabled.get(
-                "verify_signatures", base.verify_signatures
-            ),
-        )
+        return replace(cls.none(), **enabled)
 
     def describe(self) -> str:
         """Short human-readable switch summary."""
@@ -213,38 +195,12 @@ class PruningStats:
     @property
     def total(self) -> int:
         """Total candidate states discarded by all rules."""
-        return (
-            self.isomorphism_skips
-            + self.equivalence_skips
-            + self.upper_bound_cuts
-            + self.duplicate_hits
-            + self.commutation_skips
-            + self.fixed_order_skips
-            + self.symmetry_skips
-        )
+        return sum(getattr(self, key) for key in _COUNTERS)
 
     def as_dict(self) -> dict[str, int]:
-        """Flat dict for reports."""
-        return {
-            "isomorphism_skips": self.isomorphism_skips,
-            "equivalence_skips": self.equivalence_skips,
-            "upper_bound_cuts": self.upper_bound_cuts,
-            "duplicate_hits": self.duplicate_hits,
-            "commutation_skips": self.commutation_skips,
-            "fixed_order_skips": self.fixed_order_skips,
-            "symmetry_skips": self.symmetry_skips,
-            **self.extra,
-        }
-
-    _FIELDS = (
-        "isomorphism_skips",
-        "equivalence_skips",
-        "upper_bound_cuts",
-        "duplicate_hits",
-        "commutation_skips",
-        "fixed_order_skips",
-        "symmetry_skips",
-    )
+        """Flat dict for reports: the rule counters in declaration
+        order, then :attr:`extra`."""
+        return {key: getattr(self, key) for key in _COUNTERS} | self.extra
 
     def merge(self, other: "PruningStats | dict") -> None:
         """Fold another run's hit counters into this one, in place.
@@ -255,12 +211,16 @@ class PruningStats:
         """
         if isinstance(other, dict):
             for key, value in other.items():
-                if key in self._FIELDS:
+                if key in _COUNTERS:
                     setattr(self, key, getattr(self, key) + value)
                 else:
                     self.extra[key] = self.extra.get(key, 0) + value
             return
-        for key in self._FIELDS:
+        for key in _COUNTERS:
             setattr(self, key, getattr(self, key) + getattr(other, key))
         for key, value in other.extra.items():
             self.extra[key] = self.extra.get(key, 0) + value
+
+
+#: The per-rule counters of :class:`PruningStats`, in declaration order.
+_COUNTERS = tuple(f.name for f in fields(PruningStats) if f.name != "extra")

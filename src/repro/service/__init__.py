@@ -18,7 +18,9 @@ traffic:
   engine-selection heuristic for the single-engine fast path;
 * :mod:`repro.service.batch` — the batch front-end: solve a directory,
   a JSON-lines stream, or the §4.1 suite with fingerprint-level request
-  deduplication, cache reuse, and multi-process dispatch;
+  deduplication, cache reuse, and multi-process dispatch; it also holds
+  :class:`SolveOptions`, the one record of solver options every
+  front-end builds, validates and carries;
 * :mod:`repro.service.server` / :mod:`repro.service.jobs` — the solver
   daemon (``repro serve``): an asyncio HTTP front-end with a persistent
   worker pool, bounded admission queue, in-flight dedupe fan-out, and
@@ -35,6 +37,7 @@ from repro.service.batch import (
     BatchItem,
     BatchReport,
     ItemOutcome,
+    SolveOptions,
     item_from_request,
     items_from_suite,
     load_items,
@@ -82,6 +85,7 @@ __all__ = [
     "Shard",
     "ShardProcess",
     "ShardRouter",
+    "SolveOptions",
     "SolverServer",
     "StageReport",
     "backend_from_spec",

@@ -29,8 +29,10 @@ a fully-connected homogeneous machine with ``pes`` (default: v) PEs.
 from __future__ import annotations
 
 import json
+import sys
 import time
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -40,6 +42,7 @@ from repro.graph.taskgraph import TaskGraph
 from repro.obs.trace import Tracer, null_tracer
 from repro.parallel.mp_backend import SolverPool, system_from_args, system_to_args
 from repro.schedule.schedule import Schedule
+from repro.search.costs import COST_FUNCTIONS
 from repro.service.cache import CacheEntry, ResultCache
 from repro.schedule.fingerprint import (
     assignment_from_canonical,
@@ -56,6 +59,7 @@ __all__ = [
     "BatchItem",
     "ItemOutcome",
     "BatchReport",
+    "SolveOptions",
     "item_from_request",
     "load_items",
     "items_from_suite",
@@ -70,6 +74,128 @@ class BatchItem:
     name: str
     graph: TaskGraph
     system: ProcessorSystem
+
+
+#: Cap on the per-job HDA* worker count: an untrusted request body must
+#: not be able to fork an arbitrary number of processes.
+_MAX_SOLVER_WORKERS = 16
+
+#: The largest finite float.  One comparison against it refuses
+#: infinities (``1e999`` parses as ``inf``, ``--deadline nan`` is NaN)
+#: and integers too large for a float, which would otherwise reach a
+#: solver as a limit.
+_FLOAT_MAX = sys.float_info.max
+
+
+@dataclass(frozen=True)
+class SolveOptions:
+    """The solver options of one solve: defaults, legal ranges, identity.
+
+    Every front-end builds one: ``repro solve``/``batch``/``serve`` from
+    their flags, :func:`run_batch`, :class:`~repro.service.jobs.JobManager`
+    and :class:`~repro.service.server.SolverServer` take one as their
+    defaults, and a daemon request applies its body's fields with
+    :meth:`override`.  Construction validates, so a bad value fails where
+    the record is built: at start-up for a default, with a 400 for a
+    request body.
+
+    Two records compare equal exactly when a request with one may ride
+    an in-flight solve with the other: ``require_proven`` only gates
+    cache reads, so it is left out of ``==`` and ``hash``.
+    """
+
+    #: Wall-clock budget per solve, in seconds (``None``: no deadline).
+    deadline: float | None = None
+    #: Aε*'s ε for the weighted-A* improver stage.
+    epsilon: float = 0.25
+    #: Guiding cost function, or ``"auto"`` (:meth:`for_instance`).
+    cost: str = "auto"
+    #: Expansion budget per search (``None``: unbounded).
+    max_expansions: int | None = 200_000
+    #: ``"portfolio"`` runs the stage ladder, ``"auto"`` the single
+    #: statically selected engine.
+    mode: str = "portfolio"
+    #: HDA* worker processes *per solve* for the exact stage.  The
+    #: daemon's request pool is sized separately.
+    solver_workers: int = 1
+    #: Process-RSS ceiling per solve; past it the search returns its
+    #: incumbent and lower bound.
+    max_memory_mb: float | None = None
+    #: Run the makespan-preserving graph reductions before search.
+    preprocess: bool = False
+    #: Treat cached entries without an optimality proof as stale.
+    require_proven: bool = field(default=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("portfolio", "auto"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.cost != "auto" and self.cost not in COST_FUNCTIONS:
+            raise ValueError(
+                f"unknown cost {self.cost!r}; choose from "
+                f"{['auto', *sorted(COST_FUNCTIONS)]}"
+            )
+        deadline = self.deadline
+        if deadline is not None and (
+            not isinstance(deadline, (int, float))
+            or not 0 < deadline <= _FLOAT_MAX
+        ):
+            raise ValueError(
+                f"deadline must be a positive finite number, got {deadline!r}")
+        epsilon = self.epsilon
+        if not isinstance(epsilon, (int, float)) or not 0 <= epsilon <= _FLOAT_MAX:
+            raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
+        expansions = self.max_expansions
+        if expansions is not None and (
+            not isinstance(expansions, int) or isinstance(expansions, bool)
+            or not 1 <= expansions <= _FLOAT_MAX
+        ):
+            raise ValueError(
+                "max_expansions must be a positive integer at most "
+                f"{_FLOAT_MAX:g}, got {expansions!r}")
+        workers = self.solver_workers
+        if not isinstance(workers, int) or isinstance(workers, bool) \
+                or not 1 <= workers <= _MAX_SOLVER_WORKERS:
+            raise ValueError(
+                f"solver_workers must be an integer in [1, {_MAX_SOLVER_WORKERS}],"
+                f" got {workers!r}")
+        memory = self.max_memory_mb
+        if memory is not None and (
+            not isinstance(memory, (int, float)) or isinstance(memory, bool)
+            or not 0 < memory <= _FLOAT_MAX
+        ):
+            raise ValueError(
+                f"max_memory_mb must be a positive finite number, got {memory!r}")
+        for name in ("preprocess", "require_proven"):
+            flag = getattr(self, name)
+            if not isinstance(flag, bool):
+                raise ValueError(f"{name} must be a boolean, got {flag!r}")
+
+    def override(self, obj: Mapping[str, Any]) -> "SolveOptions":
+        """These options with every non-null option field of ``obj`` (a
+        request body) applied; raises ``ValueError`` on a bad value."""
+        changes = {
+            name: obj[name] for name in _OPTION_NAMES
+            if obj.get(name) is not None
+        }
+        return replace(self, **changes) if changes else self
+
+    def for_instance(
+        self, graph: TaskGraph, system: ProcessorSystem
+    ) -> "SolveOptions":
+        """These options with ``cost="auto"`` resolved for one instance.
+
+        :func:`~repro.service.portfolio.select_cost` is pure in the
+        instance's static features, so resolving it *before*
+        fingerprinting lets an auto-costed request share its fingerprint
+        (dedupe, followers, cache entries) with requests naming the
+        resolved cost explicitly.
+        """
+        if self.cost != "auto":
+            return self
+        return replace(self, cost=select_cost(graph, system))
+
+
+_OPTION_NAMES = tuple(f.name for f in fields(SolveOptions))
 
 
 @dataclass(frozen=True)
@@ -250,18 +376,10 @@ def run_batch(
     *,
     cache: ResultCache | None = None,
     workers: int = 1,
-    solver_workers: int = 1,
     pool: SolverPool | None = None,
-    deadline: float | None = None,
-    epsilon: float = 0.25,
-    cost: str = "auto",
-    max_expansions: int | None = 200_000,
-    mode: str = "portfolio",
-    require_proven: bool = False,
-    max_memory_mb: float | None = None,
+    options: SolveOptions = SolveOptions(),
     tracer: Tracer | None = None,
     probe_every: int | None = None,
-    preprocess: bool = False,
 ) -> BatchReport:
     """Solve a batch of requests with dedupe, caching, and fan-out.
 
@@ -272,16 +390,16 @@ def run_batch(
     cache:
         Result cache consulted before and written after solving; ``None``
         disables caching (every unique fingerprint is solved).
+        ``options.require_proven`` treats cached entries without an
+        optimality proof as stale (re-solved and overwritten).
     workers:
         OS processes for the solve fan-out (1 = in-process, no pool).
-        Ignored when ``pool`` is given.
-    solver_workers:
-        Worker processes *per instance* for the exact search stage
-        (the HDA* engine).  Effective on the in-process path and inside
-        a caller-provided :class:`SolverPool` (its executor workers are
-        non-daemonic); inside a transient ``workers > 1`` fan-out the
-        two axes of parallelism compete for the same cores, so prefer
-        one or the other.
+        Ignored when ``pool`` is given.  ``options.solver_workers`` (HDA*
+        processes *per instance*) is effective on the in-process path
+        and inside a caller-provided :class:`SolverPool` (its executor
+        workers are non-daemonic); inside a transient ``workers > 1``
+        fan-out the two axes of parallelism compete for the same cores,
+        so prefer one or the other.
     pool:
         A persistent :class:`~repro.parallel.mp_backend.SolverPool` to
         dispatch on.  The caller owns its lifetime — ``run_batch``
@@ -289,17 +407,12 @@ def run_batch(
         amortizes process startup across many requests.  ``None`` keeps
         the historical behavior: a transient pool per call when
         ``workers > 1``.
-    deadline:
-        Per-instance wall-clock budget in seconds.
-    mode:
-        ``"portfolio"`` runs the stage ladder per instance; ``"auto"``
-        runs the single statically-selected engine.
-    require_proven:
-        Treat cached entries without an optimality proof as stale
-        (re-solve and overwrite them).
-    max_memory_mb:
-        Per-solve process-RSS ceiling; a search that reaches it returns
-        its incumbent and lower bound instead of growing unbounded.
+    options:
+        The solver options of every solve (:class:`SolveOptions`).
+        ``preprocess`` leaves fingerprints and cache entries unchanged:
+        an entry written with it is a valid answer for the same
+        instance without it (and vice versa), precisely because the
+        reductions preserve the optimum.
     tracer:
         Structured-trace sink (:mod:`repro.obs.trace`).  Pool workers
         buffer their spans locally and the buffers are absorbed into
@@ -310,22 +423,12 @@ def run_batch(
         :class:`~repro.obs.probe.SearchProbe`; the resulting timelines
         are emitted as ``search.timeline`` trace events.  ``None``
         disables the probe.
-    preprocess:
-        Forwarded to each solve (:mod:`repro.schedule.preprocess`):
-        makespan-preserving graph reductions run before search and
-        results are restored to request node space.  Fingerprints and
-        cache entries are unchanged — an entry written with
-        ``preprocess=True`` is a valid answer for the same instance
-        without it (and vice versa), precisely because the reductions
-        preserve the optimum.
 
     Returns
     -------
     BatchReport
         Outcomes in request order plus aggregate throughput.
     """
-    if mode not in ("portfolio", "auto"):
-        raise ValueError(f"unknown batch mode {mode!r}")
     tr = tracer if tracer is not None else null_tracer
     t0 = time.perf_counter()
 
@@ -333,18 +436,10 @@ def run_batch(
     # graphs (the dedupe workload) share one WL run via the
     # fingerprint module's memo.
     orders = [canonical_order(item.graph) for item in items]
-    # Resolve the "auto" cost sentinel BEFORE fingerprinting (pure in
-    # each instance's static features), so auto-costed requests share
-    # fingerprints — dedupe and cache entries — with requests naming
-    # the resolved cost explicitly.
-    costs = [
-        select_cost(item.graph, item.system)
-        if cost in (None, "auto") else cost
-        for item in items
-    ]
+    resolved = [options.for_instance(item.graph, item.system) for item in items]
     fps = [
-        instance_fingerprint(item.graph, item.system, cost=c, order=order)
-        for item, c, order in zip(items, costs, orders)
+        instance_fingerprint(item.graph, item.system, cost=o.cost, order=order)
+        for item, o, order in zip(items, resolved, orders)
     ]
 
     # In-flight dedupe: first request per fingerprint is the representative.
@@ -358,7 +453,7 @@ def run_batch(
     for fp, rep in rep_index.items():
         if cache is None:
             continue
-        entry = cache.get(fp, require_proven=require_proven)
+        entry = cache.get(fp, require_proven=options.require_proven)
         if entry is not None and entry.fits(items[rep].graph):
             entries[fp] = entry
             cache_hit_fps.add(fp)
@@ -370,15 +465,8 @@ def run_batch(
     winners: dict[str, str] = {}
     interrupted = False
     if todo:
-        options = {
-            "deadline": deadline, "epsilon": epsilon,
-            "max_expansions": max_expansions, "mode": mode,
-            "solver_workers": solver_workers, "max_memory_mb": max_memory_mb,
-            "preprocess": preprocess,
-        }
         jobs = [
-            _job_for(items[rep_index[fp]], fp,
-                     {**options, "cost": costs[rep_index[fp]]},
+            _job_for(items[rep_index[fp]], fp, resolved[rep_index[fp]],
                      trace=tr.enabled,
                      trace_root=tr.current_span_id() if tr.enabled else None,
                      probe_every=probe_every)
@@ -459,33 +547,22 @@ def run_batch(
 # -- worker side (top-level: picklable under spawn) --------------------------
 
 
-#: The solver options a job descriptor carries (the daemon validates
-#: them per request, and a dedupe follower must match them all).
-_SOLVE_KEYS = (
-    "deadline", "epsilon", "cost", "max_expansions", "mode",
-    "solver_workers", "max_memory_mb", "preprocess",
-)
-
-
 def _job_for(
     item: BatchItem,
     fingerprint: str,
-    options: dict[str, Any],
+    options: SolveOptions,
     *,
     trace: bool = False,
     trace_root: str | None = None,
     probe_every: int | None = None,
 ) -> dict[str, Any]:
-    """Plain-dict job descriptor: nothing but builtins crosses the pool.
-
-    ``options`` supplies every :data:`_SOLVE_KEYS` entry (``cost``
-    already resolved); other keys are ignored.
-    """
+    """Plain-dict job descriptor: builtins plus the frozen
+    :class:`SolveOptions` (``cost`` already resolved) cross the pool."""
     return {
         "fingerprint": fingerprint,
         "graph": graph_to_dict(item.graph),
         "system": system_to_args(item.system),
-        **{key: options[key] for key in _SOLVE_KEYS},
+        "options": options,
         "trace": trace,
         "trace_root": trace_root,
         "probe_every": probe_every,
@@ -544,13 +621,14 @@ def _worker_solve(job: dict[str, Any]) -> dict[str, Any]:
     with (wtracer if wtracer is not None else null_tracer).span(
         "batch.item", attrs={"fingerprint": job["fingerprint"]}
     ):
-        solve = portfolio_schedule if job["mode"] == "portfolio" else solve_auto
+        opts: SolveOptions = job["options"]
+        solve = portfolio_schedule if opts.mode == "portfolio" else solve_auto
         res = solve(
-            graph, system, deadline=job["deadline"], epsilon=job["epsilon"],
-            cost=job["cost"], max_expansions=job["max_expansions"],
-            workers=job["solver_workers"], max_memory_mb=job["max_memory_mb"],
+            graph, system, deadline=opts.deadline, epsilon=opts.epsilon,
+            cost=opts.cost, max_expansions=opts.max_expansions,
+            workers=opts.solver_workers, max_memory_mb=opts.max_memory_mb,
             tracer=wtracer, probe_every=job["probe_every"],
-            preprocess=job["preprocess"],
+            preprocess=opts.preprocess,
         )
     return {
         "fingerprint": job["fingerprint"],

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import asyncio
 import math
-import sys
 import time
 from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
@@ -53,10 +52,9 @@ from repro.obs.metrics import EXPANSION_BUCKETS, MetricsRegistry
 from repro.obs.trace import Tracer, null_tracer
 from repro.parallel.mp_backend import SolverPool
 from repro.schedule.schedule import Schedule
-from repro.search.costs import COST_FUNCTIONS
 from repro.service.batch import (
-    _SOLVE_KEYS,
     BatchItem,
+    SolveOptions,
     _job_for,
     _store_result,
     _worker_solve,
@@ -69,7 +67,6 @@ from repro.schedule.fingerprint import (
     canonical_order,
     instance_fingerprint,
 )
-from repro.service.portfolio import select_cost
 
 __all__ = ["Job", "JobManager", "PreparedRequest", "QueueFull", "Draining"]
 
@@ -107,25 +104,9 @@ class PreparedRequest(NamedTuple):
     item: BatchItem
     fingerprint: str
     order: tuple[int, ...]
-    options: dict[str, Any]
-
-
-#: Per-request option keys a client may override, and — minus
-#: ``require_proven``, which only gates cache reads — the keys that must
-#: match for a request to ride another in-flight job as a follower.
-_OVERRIDE_KEYS = (
-    "deadline", "epsilon", "cost", "max_expansions", "mode",
-    "require_proven", "solver_workers", "max_memory_mb", "preprocess",
-)
-
-#: Cap on the per-request HDA* worker override: untrusted request
-#: bodies must not be able to fork an arbitrary number of processes.
-_MAX_SOLVER_WORKERS = 16
-
-#: The largest finite float.  One comparison against it refuses
-#: infinities (``1e999`` parses as ``inf``) and integers too large for
-#: a float, which would otherwise reach a solver as a limit.
-_FLOAT_MAX = sys.float_info.max
+    #: The daemon's defaults with the body's overrides applied and
+    #: ``cost`` resolved; frozen, so memo hits and jobs share it.
+    options: SolveOptions
 
 #: Seconds a finished job waits for its cache write before completing
 #: anyway (the put keeps running on the cache thread and may land
@@ -169,51 +150,6 @@ _GAUGES = (
 )
 
 
-def _validate_options(options: dict[str, Any]) -> None:
-    """Type- and bounds-check request-supplied solver options, so a bad
-    request fails at submit (HTTP 400) instead of inside a pool worker
-    (HTTP 500), and so a request body cannot amplify resource use
-    beyond what the operator configured."""
-    if options["mode"] not in ("portfolio", "auto"):
-        raise ValueError(f"unknown mode {options['mode']!r}")
-    cost = options["cost"]
-    if cost != "auto" and cost not in COST_FUNCTIONS:
-        raise ValueError(
-            f"unknown cost {cost!r}; choose from "
-            f"{['auto', *sorted(COST_FUNCTIONS)]}"
-        )
-    deadline = options["deadline"]
-    if deadline is not None:
-        if not isinstance(deadline, (int, float)) \
-                or not 0 < deadline <= _FLOAT_MAX:
-            raise ValueError(
-                f"deadline must be a positive finite number, got {deadline!r}")
-    epsilon = options["epsilon"]
-    if not isinstance(epsilon, (int, float)) or not 0 <= epsilon <= _FLOAT_MAX:
-        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
-    expansions = options["max_expansions"]
-    if expansions is not None:
-        if not isinstance(expansions, int) or isinstance(expansions, bool) \
-                or not 1 <= expansions <= _FLOAT_MAX:
-            raise ValueError(
-                "max_expansions must be a positive integer at most "
-                f"{_FLOAT_MAX:g}, got {expansions!r}")
-    workers = options["solver_workers"]
-    if not isinstance(workers, int) or isinstance(workers, bool) \
-            or not 1 <= workers <= _MAX_SOLVER_WORKERS:
-        raise ValueError(
-            f"solver_workers must be an integer in [1, {_MAX_SOLVER_WORKERS}],"
-            f" got {workers!r}")
-    memory = options["max_memory_mb"]
-    if memory is not None:
-        if not isinstance(memory, (int, float)) or isinstance(memory, bool) \
-                or not 0 < memory <= _FLOAT_MAX:
-            raise ValueError(
-                f"max_memory_mb must be a positive finite number, got {memory!r}")
-    options["require_proven"] = bool(options["require_proven"])
-    options["preprocess"] = bool(options["preprocess"])
-
-
 class Job:
     """One accepted solve request and its progress through the service."""
 
@@ -229,7 +165,7 @@ class Job:
         item: BatchItem,
         fingerprint: str,
         order: tuple[int, ...],
-        options: dict[str, Any],
+        options: SolveOptions,
     ) -> None:
         self.id = job_id
         self.name = item.name
@@ -293,12 +229,12 @@ class JobManager:
         embedded use, tests).
     queue_limit:
         Maximum *unique* jobs pending (queued, not yet running).
-    deadline, epsilon, max_expansions, mode, require_proven,
-    solver_workers, max_memory_mb, preprocess:
-        Solver defaults; each may be overridden per request by the same
-        field in the request object (``solver_workers`` is the HDA*
-        worker count *per job* — it composes with the request pool, and
-        competes with it for cores, so the default stays 1).
+    options:
+        The solver defaults (:class:`~repro.service.batch.SolveOptions`);
+        a request body overrides any of them by the same field.  Its
+        ``solver_workers`` is the HDA* worker count *per job*: it
+        composes with the request pool, and competes with it for cores,
+        so the default stays 1.
     history_limit:
         Completed jobs retained for ``GET /v1/jobs/<id>`` polling before
         eviction (oldest-finished first).
@@ -325,15 +261,7 @@ class JobManager:
         cache: ResultCache | None = None,
         cache_executor: ThreadPoolExecutor | None = None,
         queue_limit: int = 64,
-        deadline: float | None = None,
-        epsilon: float = 0.25,
-        cost: str = "auto",
-        max_expansions: int | None = 200_000,
-        mode: str = "portfolio",
-        require_proven: bool = False,
-        solver_workers: int = 1,
-        max_memory_mb: float | None = None,
-        preprocess: bool = False,
+        options: SolveOptions = SolveOptions(),
         history_limit: int = 4096,
         tracer: Tracer | None = None,
         probe_every: int | None = None,
@@ -347,17 +275,7 @@ class JobManager:
         self.probe_every = probe_every
         self._cache_exec = cache_executor
         self.queue_limit = queue_limit
-        self.defaults = {
-            "deadline": deadline,
-            "epsilon": epsilon,
-            "cost": cost,
-            "max_expansions": max_expansions,
-            "mode": mode,
-            "require_proven": require_proven,
-            "solver_workers": solver_workers,
-            "max_memory_mb": max_memory_mb,
-            "preprocess": preprocess,
-        }
+        self.options = options
         self.history_limit = history_limit
         self.shard_id = shard_id
         self.draining = False
@@ -424,7 +342,7 @@ class JobManager:
         cache executor when one is configured."""
         if self.cache is None:
             return None
-        args = (prepared.fingerprint, prepared.options["require_proven"])
+        args = (prepared.fingerprint, prepared.options.require_proven)
         if self._cache_exec is None:
             return self._cache_get(*args)
         return self._cache_exec.submit(self._cache_get, *args).result()
@@ -446,7 +364,7 @@ class JobManager:
         return await self._cache_call(
             self._cache_get,
             prepared.fingerprint,
-            prepared.options["require_proven"],
+            prepared.options.require_proven,
         )
 
     async def _cache_call(self, fn, *args):
@@ -466,21 +384,10 @@ class JobManager:
         connections.  Raises on malformed input.
         """
         item = item_from_request(obj, name="request")
-        options = dict(self.defaults)
-        for key in _OVERRIDE_KEYS:
-            if key in obj and obj[key] is not None:
-                options[key] = obj[key]
-        _validate_options(options)
-        if options["cost"] in (None, "auto"):
-            # Resolve the sentinel BEFORE fingerprinting (select_cost is
-            # pure in the instance's static features): an "auto" request
-            # then shares its fingerprint — dedupe, followers, and cache
-            # entries — with requests naming the resolved cost
-            # explicitly, instead of hashing to a parallel universe.
-            options["cost"] = select_cost(item.graph, item.system)
+        options = self.options.override(obj).for_instance(item.graph, item.system)
         order = canonical_order(item.graph)
         fp = instance_fingerprint(
-            item.graph, item.system, cost=options["cost"], order=order
+            item.graph, item.system, cost=options.cost, order=order
         )
         return PreparedRequest(item, fp, order, options)
 
@@ -537,15 +444,16 @@ class JobManager:
                     return job
 
         # 2. Dedupe in front of the queue: followers ride for free —
-        # but only on a primary solving with the *same* solver options;
-        # a request asking for e.g. a tighter epsilon or its own
-        # deadline gets its own queue slot rather than silently
-        # inheriting a weaker certificate.
+        # but only on a primary solving with equal solver options
+        # (SolveOptions equality leaves out require_proven); a request
+        # asking for e.g. a tighter epsilon or its own deadline gets its
+        # own queue slot rather than silently inheriting a weaker
+        # certificate.
         primary = self._inflight.get(fp)
         if (
             primary is not None
             and primary.active
-            and all(primary.options[k] == options[k] for k in _SOLVE_KEYS)
+            and primary.options == options
         ):
             self._jobs_total["dedup_fanout"].inc()
             self._jobs_total["accepted"].inc()

@@ -24,8 +24,11 @@ API
 ``POST /v1/solve``
     Body: the batch JSON-lines request object (``graph`` required;
     ``system``/``pes``, ``name`` optional) plus optional per-request
-    solver overrides (``deadline``, ``epsilon``, ``max_expansions``,
-    ``mode``, ``require_proven``) and ``wait`` (default ``true``).
+    solver overrides, one per
+    :class:`~repro.service.batch.SolveOptions` field (``deadline``,
+    ``epsilon``, ``cost``, ``max_expansions``, ``mode``,
+    ``solver_workers``, ``max_memory_mb``, ``preprocess``,
+    ``require_proven``), and ``wait`` (default ``true``).
     ``wait=true`` blocks until the job finishes and returns 200 with the
     job snapshot (result embedded); ``wait=false`` returns 202
     immediately — poll ``GET /v1/jobs/<id>``.  429 when the queue is
@@ -63,6 +66,7 @@ from repro.errors import ReproError
 from repro.obs.trace import Tracer
 from repro.parallel.mp_backend import SolverPool
 from repro.service import httpwire
+from repro.service.batch import SolveOptions
 from repro.service.cache import ResultCache
 from repro.service.httpwire import Reply
 from repro.service.jobs import Draining, JobManager, PreparedRequest, QueueFull
@@ -108,21 +112,18 @@ class _PreparedMemo:
 
     def get(self, body: bytes) -> tuple[PreparedRequest, bool] | None:
         """The prepared request and ``wait`` flag for ``body``, or
-        ``None``.  The options mapping is a fresh copy on every hit, so
-        no two jobs share it."""
+        ``None``.  Jobs share the frozen options record."""
         hit = self._entries.get(body)
         if hit is None:
             return None
         self._entries.move_to_end(body)
-        prepared, wait = hit
-        return prepared._replace(options=dict(prepared.options)), wait
+        return hit
 
     def put(self, body: bytes, prepared: PreparedRequest, wait: bool) -> None:
         size = len(body)
         if size > _MEMO_MAX_BODY or body in self._entries:
             return
-        options = dict(prepared.options)  # the first job keeps its own
-        self._entries[body] = (prepared._replace(options=options), wait)
+        self._entries[body] = (prepared, wait)
         self.nbytes += size
         while len(self._entries) > _MEMO_ENTRIES or self.nbytes > _MEMO_BYTES:
             old, _ = self._entries.popitem(last=False)
@@ -137,9 +138,14 @@ def _cache_barrier_noop() -> None:
 class SolverServer(httpwire.HttpService):
     """The daemon: owns the pool, the cache, the manager, the listener.
 
+    ``solver_workers`` sizes the request pool (searches running at
+    once); ``options`` holds the solver defaults every request starts
+    from, whose ``solver_workers`` is the HDA* width *per job*.
+
     Typical embedded use (tests, benchmarks, notebooks)::
 
-        server = SolverServer(port=0, solver_workers=2)
+        server = SolverServer(port=0, solver_workers=2,
+                              options=SolveOptions(max_expansions=50_000))
         thread = server.serve_in_thread()        # returns once ready
         ...  # talk to it via repro.service.client.ServerClient
         server.shutdown()                        # drain + stop
@@ -157,14 +163,7 @@ class SolverServer(httpwire.HttpService):
         solver_workers: int = 1,
         queue_limit: int = 64,
         cache: ResultCache | str | Path | None = None,
-        deadline: float | None = None,
-        epsilon: float = 0.25,
-        cost: str = "auto",
-        max_expansions: int | None = 200_000,
-        mode: str = "portfolio",
-        require_proven: bool = False,
-        max_memory_mb: float | None = None,
-        preprocess: bool = False,
+        options: SolveOptions = SolveOptions(),
         obs_trace: str | Path | None = None,
         probe_every: int | None = None,
         shard_id: str | None = None,
@@ -178,16 +177,7 @@ class SolverServer(httpwire.HttpService):
         self._cache_capacity = cache_capacity
         self.solver_workers = solver_workers
         self.queue_limit = queue_limit
-        self._solver_defaults = {
-            "deadline": deadline,
-            "epsilon": epsilon,
-            "cost": cost,
-            "max_expansions": max_expansions,
-            "mode": mode,
-            "require_proven": require_proven,
-            "max_memory_mb": max_memory_mb,
-            "preprocess": preprocess,
-        }
+        self.options = options
         # The server owns caches it constructs (in-memory default, or
         # from a path); a caller passing a live ResultCache keeps
         # ownership (shared with e.g. an in-process benchmark harness
@@ -244,10 +234,10 @@ class SolverServer(httpwire.HttpService):
             cache=self.cache,
             cache_executor=self._cache_thread,
             queue_limit=self.queue_limit,
+            options=self.options,
             tracer=self.tracer,
             probe_every=self.probe_every,
             shard_id=self.shard_id,
-            **self._solver_defaults,
         )
         self.manager.start()
 

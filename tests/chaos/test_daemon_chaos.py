@@ -29,6 +29,7 @@ import pytest
 
 from repro.graph.generators.random_paper import PaperGraphSpec, paper_random_graph
 from repro.graph.io import graph_to_dict
+from repro.service.batch import SolveOptions
 from repro.service.cache import ResultCache
 from repro.service.client import ServerClient
 from repro.service.server import SolverServer
@@ -54,7 +55,7 @@ def daemon(**kwargs):
     """A live daemon on a background thread, torn down via drain."""
     kwargs.setdefault("solver_workers", 1)
     kwargs.setdefault("queue_limit", 16)
-    kwargs.setdefault("max_expansions", 50_000)
+    kwargs.setdefault("options", SolveOptions(max_expansions=50_000))
     server = SolverServer(port=0, **kwargs)
     thread = server.serve_in_thread()
     try:

@@ -12,6 +12,7 @@ from repro.parallel.hda import hda_astar_schedule
 from repro.search.astar import astar_schedule
 from repro.service.batch import (
     BatchItem,
+    SolveOptions,
     _job_for,
     _worker_solve,
     items_from_suite,
@@ -21,6 +22,10 @@ from repro.service.batch import (
 from repro.service.cache import CacheEntry, ResultCache
 from repro.system.processors import ProcessorSystem
 from tests.service.test_fingerprint import permuted
+
+
+#: The budget most batch tests solve under.
+FAST = SolveOptions(max_expansions=50_000)
 
 
 def make_item(name: str, v: int = 8, seed: int = 1, pes: int = 3) -> BatchItem:
@@ -33,7 +38,7 @@ def make_item(name: str, v: int = 8, seed: int = 1, pes: int = 3) -> BatchItem:
 class TestDedupe:
     def test_identical_requests_solved_once(self):
         items = [make_item("a"), make_item("b"), make_item("c", seed=2)]
-        report = run_batch(items, max_expansions=50_000)
+        report = run_batch(items, options=FAST)
         assert report.solved == 2  # two unique fingerprints
         assert report.deduped == 1
         a, b, c = report.outcomes
@@ -47,7 +52,7 @@ class TestDedupe:
         twin = BatchItem(
             name="twin", graph=permuted(base.graph, seed=17), system=base.system
         )
-        report = run_batch([base, twin], max_expansions=50_000)
+        report = run_batch([base, twin], options=FAST)
         assert report.solved == 1 and report.deduped == 1
         orig, shared = report.outcomes
         assert shared.shared
@@ -61,7 +66,7 @@ class TestCacheIntegration:
     def test_solve_then_hit_returns_identical_schedule(self, tmp_path):
         cache = ResultCache(tmp_path / "c.db")
         item = make_item("x")
-        cold = run_batch([item], cache=cache, max_expansions=50_000)
+        cold = run_batch([item], cache=cache, options=FAST)
         warm = run_batch([item], cache=cache)
         assert cold.solved == 1 and cold.cache_hits == 0
         assert warm.solved == 0 and warm.cache_hits == 1
@@ -73,7 +78,7 @@ class TestCacheIntegration:
     def test_cached_optimum_matches_astar(self, tmp_path):
         cache = ResultCache(tmp_path / "c.db")
         item = make_item("x")
-        run_batch([item], cache=cache, max_expansions=50_000)
+        run_batch([item], cache=cache, options=FAST)
         warm = run_batch([item], cache=cache)
         opt = astar_schedule(item.graph, item.system)
         assert warm.outcomes[0].makespan == pytest.approx(opt.length)
@@ -84,14 +89,16 @@ class TestCacheIntegration:
         item = make_item("x", v=10)
         # A tiny budget cannot prove optimality -> "budget" certificate.
         first = run_batch(
-            [item], cache=cache, max_expansions=1, mode="auto"
+            [item], cache=cache,
+            options=SolveOptions(max_expansions=1, mode="auto"),
         )
         assert first.outcomes[0].certificate == "budget"
         # Plain rerun serves the unproven entry...
         assert run_batch([item], cache=cache).outcomes[0].cached
         # ...but require_proven re-solves and upgrades it.
         fixed = run_batch(
-            [item], cache=cache, require_proven=True, max_expansions=100_000
+            [item], cache=cache,
+            options=SolveOptions(require_proven=True, max_expansions=100_000),
         )
         assert not fixed.outcomes[0].cached
         assert fixed.outcomes[0].certificate == "proven"
@@ -103,13 +110,13 @@ class TestCacheIntegration:
         fewer nodes than the instance is not served: the fresh result
         is (the cache-hit pass applies the same rule)."""
         item = make_item("x")
-        fresh = run_batch([item], max_expansions=50_000).outcomes[0]
+        fresh = run_batch([item], options=FAST).outcomes[0]
         cache = ResultCache(None)
         cache.put(CacheEntry(
             fingerprint=fresh.fingerprint, assignment=((0, 0.0),),
             makespan=0.5, certificate="proven", bound=0.5, algorithm="x",
         ))
-        out = run_batch([item], cache=cache, max_expansions=50_000).outcomes[0]
+        out = run_batch([item], cache=cache, options=FAST).outcomes[0]
         assert not out.cached
         assert out.makespan == pytest.approx(fresh.makespan)
         validate_schedule(out.schedule)
@@ -118,8 +125,8 @@ class TestCacheIntegration:
 class TestWorkers:
     def test_multiprocess_matches_serial(self):
         items = [make_item(f"i{k}", seed=k) for k in range(3)]
-        serial = run_batch(items, max_expansions=50_000)
-        fanned = run_batch(items, workers=2, max_expansions=50_000)
+        serial = run_batch(items, options=FAST)
+        fanned = run_batch(items, workers=2, options=FAST)
         assert [o.makespan for o in serial.outcomes] == \
             pytest.approx([o.makespan for o in fanned.outcomes])
         assert all(o.certificate == "proven" for o in fanned.outcomes)
@@ -130,11 +137,11 @@ class TestWorkers:
         from repro.parallel.mp_backend import SolverPool
 
         items = [make_item(f"p{k}", seed=k) for k in range(3)]
-        serial = run_batch(items, max_expansions=50_000)
+        serial = run_batch(items, options=FAST)
         with SolverPool(2) as pool:
             pool.warm()
-            first = run_batch(items, pool=pool, max_expansions=50_000)
-            second = run_batch(items, pool=pool, max_expansions=50_000)
+            first = run_batch(items, pool=pool, options=FAST)
+            second = run_batch(items, pool=pool, options=FAST)
             assert not pool.closed
         assert [o.makespan for o in first.outcomes] == \
             pytest.approx([o.makespan for o in serial.outcomes])
@@ -179,7 +186,7 @@ class TestLoaders:
 
 class TestReport:
     def test_render_and_dicts(self):
-        report = run_batch([make_item("a", v=6)], max_expansions=50_000)
+        report = run_batch([make_item("a", v=6)], options=FAST)
         text = report.render()
         assert "batch results" in text and "1 instances" in text
         row = report.outcomes[0].as_dict()
@@ -187,13 +194,11 @@ class TestReport:
         agg = report.as_dict()
         assert agg["instances"] == 1 and agg["instances_per_second"] > 0
         # Both solve modes return one worker payload schema.
-        job = _job_for(make_item("a", v=6), "fp", {
-            "deadline": None, "epsilon": 0.25, "cost": "paper",
-            "max_expansions": 50_000, "mode": "portfolio",
-            "solver_workers": 1, "max_memory_mb": None, "preprocess": False,
-        })
         keys = {
-            mode: set(_worker_solve({**job, "mode": mode}))
+            mode: set(_worker_solve(_job_for(
+                make_item("a", v=6), "fp",
+                SolveOptions(cost="paper", max_expansions=50_000, mode=mode),
+            )))
             for mode in ("portfolio", "auto")
         }
         assert keys["portfolio"] == keys["auto"] == {
@@ -203,8 +208,8 @@ class TestReport:
         }
 
     def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            run_batch([make_item("a")], mode="nope")
+        with pytest.raises(ValueError, match="unknown mode"):
+            SolveOptions(mode="nope")
 
 
 @pytest.mark.slow
@@ -218,10 +223,10 @@ class TestSolverWorkers:
         item = BatchItem(name="big", graph=inst.graph, system=inst.system)
         # portfolio mode: the exact stage always runs, and with workers
         # granted it must be the hda engine on a v > 14 instance.
-        report = run_batch(
-            [item], mode="portfolio", solver_workers=2, deadline=8.0,
+        report = run_batch([item], options=SolveOptions(
+            mode="portfolio", solver_workers=2, deadline=8.0,
             max_expansions=None,
-        )
+        ))
         out = report.outcomes[0]
         assert out.certificate == "proven"
         assert "hda" in out.algorithm
@@ -235,7 +240,8 @@ class TestSolverWorkers:
 
     def test_solver_workers_on_small_instances_stay_serial(self):
         report = run_batch(
-            [make_item("small", v=6)], mode="auto", solver_workers=2,
+            [make_item("small", v=6)],
+            options=SolveOptions(mode="auto", solver_workers=2),
         )
         out = report.outcomes[0]
         assert "hda" not in out.algorithm

@@ -17,6 +17,8 @@ The per-request solver limits (``deadline``, ``epsilon``,
 ``max_expansions``, ``max_memory_mb``) are range-checked against the
 largest finite float by the daemon's option validation, so ``1e999``
 or a 400-digit integer there is a 400 too — which the router passes on.
+The switches (``preprocess``, ``require_proven``) accept only JSON
+booleans: a string such as ``"no"`` is a 400, not a truthy ``True``.
 
 No hostile body may get a 500, reach a solver, leave a cache entry, or
 be memoized as a prepared request.
@@ -36,7 +38,7 @@ from repro.graph.taskgraph import TaskGraph
 from repro.graph.validate import validate_graph
 from repro.parallel.mp_backend import system_to_args
 from repro.service import httpwire
-from repro.service.batch import item_from_request
+from repro.service.batch import SolveOptions, item_from_request
 from repro.service.jobs import JobManager
 from repro.service.server import SolverServer
 from repro.system.processors import ProcessorSystem
@@ -82,6 +84,13 @@ HOSTILE = LITERALS + OVERFLOWS
 OPTION_FIELDS = ("deadline", "epsilon", "max_expansions", "max_memory_mb")
 OPTION_OVERFLOWS = [
     (field, literal) for field in OPTION_FIELDS for literal in ("1e999", _HUGE_INT)
+]
+
+
+#: Non-boolean values for the boolean switches (``bool("no")`` is True).
+OPTION_NON_BOOLEANS = [
+    ("preprocess", '"no"'), ("require_proven", '"false"'),
+    ("preprocess", "1"), ("require_proven", "0"),
 ]
 
 
@@ -133,7 +142,7 @@ def test_model_constructors_refuse_non_finite_values():
 @pytest.fixture(scope="module")
 def server():
     srv = SolverServer(port=0, solver_workers=1, queue_limit=4,
-                       max_expansions=5_000)
+                       options=SolveOptions(max_expansions=5_000))
     thread = srv.serve_in_thread()
     yield srv
     srv.shutdown()
@@ -191,10 +200,17 @@ def test_prepare_refuses_overflowing_solver_limits(case):
         JobManager(None).prepare(obj)
 
 
+@pytest.mark.parametrize("case", OPTION_NON_BOOLEANS, ids=_id)
+def test_prepare_refuses_non_boolean_switches(case):
+    obj = json.loads(_option_body(*case))
+    with pytest.raises(ValueError, match=f"{case[0]} must be a boolean"):
+        JobManager(None).prepare(obj)
+
+
 def test_live_server_answers_overflowing_limits_with_400(server):
     before = server.manager.metrics()
     memoized = len(server._memo)
-    for case in OPTION_OVERFLOWS:
+    for case in OPTION_OVERFLOWS + OPTION_NON_BOOLEANS:
         body = _option_body(*case)
         status, payload = _post(server.port, body)
         assert status == 400, (case, payload)

@@ -7,6 +7,7 @@ covered by ``test_server.py``.
 """
 
 import asyncio
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -15,7 +16,7 @@ from repro.graph.generators.random_paper import PaperGraphSpec, paper_random_gra
 from repro.graph.io import graph_to_dict
 from repro.schedule.schedule import Schedule
 from repro.schedule.validate import validate_schedule
-from repro.service.batch import _worker_solve
+from repro.service.batch import SolveOptions, _worker_solve
 from repro.service.cache import ResultCache
 from repro.service.jobs import DONE, QUEUED, Draining, JobManager, QueueFull
 from repro.system.processors import ProcessorSystem
@@ -147,7 +148,40 @@ class TestSolveLifecycle:
         asyncio.run(scenario())
 
 
+#: A request-body value for each SolveOptions field that differs from
+#: what ``request_obj`` prepares to.  A field missing here fails the
+#: follower test below, so a new option cannot join or leave the dedupe
+#: key unnoticed.
+OTHER_VALUE = {
+    "deadline": 30.0,
+    "epsilon": 0.0,
+    "cost": "paper",
+    "max_expansions": 40_000,
+    "mode": "auto",
+    "solver_workers": 2,
+    "max_memory_mb": 4096.0,
+    "preprocess": True,
+    "require_proven": True,
+}
+
+
 class TestDedupe:
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(SolveOptions)])
+    def test_follower_rule_is_options_equality(self, name):
+        """Two requests for one instance share a solve exactly when their
+        SolveOptions compare equal: only ``require_proven``, which gates
+        cache reads alone, may differ."""
+        manager, pool = make_manager()
+        a = manager.submit(request_obj(seed=21))
+        b = manager.submit(request_obj(seed=21, **{name: OTHER_VALUE[name]}))
+        assert getattr(b.options, name) != getattr(a.options, name)
+        shares = name == "require_proven"
+        assert (a.options == b.options) is shares
+        assert (b.via == "dedup") is shares
+        assert manager.metrics()["queue_depth"] == (1 if shares else 2)
+        pool.close()
+
     def test_mismatched_options_do_not_dedupe(self):
         """A request asking for different solver options (e.g. its own
         epsilon) must not inherit the in-flight twin's weaker result —
@@ -186,7 +220,7 @@ class TestDedupe:
             assert resolved == "combined"
             a = manager.submit(dict(obj))
             b = manager.submit(dict(obj, cost=resolved))
-            assert a.options["cost"] == resolved
+            assert a.options.cost == resolved
             assert a.fingerprint == b.fingerprint
             assert b.via == "dedup"
             manager.start()
@@ -282,7 +316,8 @@ class TestFaultTolerance:
 
         async def scenario(tmp_flag):
             pool = SolverPool(1)
-            manager = JobManager(pool, max_expansions=50_000)
+            manager = JobManager(
+                pool, options=SolveOptions(max_expansions=50_000))
             monkeypatch.setattr(
                 "repro.service.jobs._worker_solve", _crash_or_solve
             )

@@ -11,6 +11,7 @@ import socket
 import urllib.request
 
 from repro.graph.generators.random_paper import PaperGraphSpec, paper_random_graph
+from repro.service.batch import SolveOptions
 from repro.service.client import ServerClient
 from repro.service.router import Shard, ShardRouter
 from repro.service.server import SolverServer
@@ -75,8 +76,8 @@ def scrape(port: int) -> str:
 def test_exposition_families_types_and_labels():
     with socket.socket() as sock:  # bound, never listening: unreachable
         sock.bind(("127.0.0.1", 0))
-        server = SolverServer(port=0, solver_workers=1,
-                              max_expansions=20_000, shard_id="up")
+        server = SolverServer(port=0, solver_workers=1, shard_id="up",
+                              options=SolveOptions(max_expansions=20_000))
         server_thread = server.serve_in_thread()
         router = ShardRouter(
             [Shard("up", "127.0.0.1", server.port),

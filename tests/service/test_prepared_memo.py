@@ -7,7 +7,8 @@ may skip and what it may not:
 
 * parity — a hit gets the same answer as a miss, ``wait: false`` still
   answers 202, drain still answers 503 and a full queue 429;
-* isolation — every job owns its ``options`` mapping;
+* isolation — the options record a hit shares is frozen, so no option
+  set on one job can reach another;
 * storage — only bodies ``prepare`` accepted are stored, distinct
   bodies get distinct entries, and the memo stays inside its entry and
   byte bounds.
@@ -15,6 +16,7 @@ may skip and what it may not:
 
 from __future__ import annotations
 
+import dataclasses
 import http.client
 import json
 
@@ -23,7 +25,7 @@ import pytest
 from repro.graph.generators.random_paper import PaperGraphSpec, paper_random_graph
 from repro.graph.io import graph_to_dict
 from repro.service import server as server_mod
-from repro.service.batch import item_from_request
+from repro.service.batch import SolveOptions, item_from_request
 from repro.service.jobs import JobManager, PreparedRequest
 from repro.service.server import SolverServer, _PreparedMemo
 
@@ -64,7 +66,7 @@ def prepare_calls(monkeypatch):
 
 def _serve(**kwargs):
     kwargs.setdefault("solver_workers", 1)
-    kwargs.setdefault("max_expansions", 20_000)
+    kwargs.setdefault("options", SolveOptions(max_expansions=20_000))
     srv = SolverServer(port=0, **kwargs)
     thread = srv.serve_in_thread()
     return srv, thread
@@ -89,7 +91,7 @@ def server():
 
 def _prepared(tag: int = 0) -> PreparedRequest:
     item = item_from_request({"graph": graph_to_dict(graph_for(1)), "pes": 2})
-    return PreparedRequest(item, f"fp{tag}", (0,), {"epsilon": 0.25, "tag": tag})
+    return PreparedRequest(item, f"fp{tag}", (0,), SolveOptions())
 
 
 class TestMemoUnit:
@@ -101,19 +103,18 @@ class TestMemoUnit:
         got, wait = memo.get(b"a")
         assert wait is False
         assert got.item is prepared.item and got.fingerprint == "fp0"
-        assert got.options == prepared.options
+        assert got.options is prepared.options
         assert len(memo) == 1 and memo.nbytes == 1
 
-    def test_every_hit_owns_its_options(self):
+    def test_hits_share_a_frozen_options_record(self):
         memo = _PreparedMemo()
         prepared = _prepared()
         memo.put(b"a", prepared, True)
-        prepared.options["epsilon"] = 9.0  # the first job's copy
         first, _ = memo.get(b"a")
-        first.options["epsilon"] = 7.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.options.epsilon = 7.0  # type: ignore[misc]
         second, _ = memo.get(b"a")
-        assert second.options["epsilon"] == 0.25
-        assert first.options is not second.options
+        assert second.options.epsilon == SolveOptions().epsilon
 
     def test_repeated_put_counts_once(self):
         memo = _PreparedMemo()
@@ -246,17 +247,18 @@ class TestMemoParity:
         assert body not in server._memo
         assert server.manager.metrics()["jobs"]["submitted"] == before
 
-    def test_mutating_a_jobs_options_cannot_reach_a_later_hit(self, server):
+    def test_no_jobs_options_can_reach_a_later_hit(self, server):
         body = body_for(seed=15)
         first = _post(server.port, body)[1]
         job = server.manager.get(first["id"])
-        job.options["epsilon"] = 123.0
-        job.options["max_expansions"] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            job.options.epsilon = 123.0  # type: ignore[misc]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            job.options.max_expansions = 1  # type: ignore[misc]
         second = _post(server.port, body)[1]
         later = server.manager.get(second["id"])
-        assert later.options is not job.options
-        assert later.options["epsilon"] == server.manager.defaults["epsilon"]
-        assert later.options["max_expansions"] == 20_000
+        assert later.options.epsilon == server.manager.options.epsilon
+        assert later.options.max_expansions == 20_000
 
 
 class TestMemoHitAdmission:

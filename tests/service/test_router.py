@@ -552,12 +552,14 @@ def solve_body_for_owner(router: ShardRouter, want: str) -> bytes:
 @pytest.mark.slow
 class TestRouterOverRealShards:
     def test_solve_and_poll_through_the_fleet(self, tmp_path):
+        from repro.service.batch import SolveOptions
         from repro.service.client import ServerClient
         from repro.service.server import SolverServer
 
         shards = [
             SolverServer(port=0, solver_workers=1, queue_limit=8,
-                         max_expansions=50_000, shard_id=f"s{i}",
+                         options=SolveOptions(max_expansions=50_000),
+                         shard_id=f"s{i}",
                          cache=f"shared:{tmp_path / 'fleet.db'}")
             for i in range(2)
         ]

@@ -23,6 +23,7 @@ import pytest
 from repro.graph.generators.random_paper import PaperGraphSpec, paper_random_graph
 from repro.schedule.schedule import Schedule
 from repro.schedule.validate import validate_schedule
+from repro.service.batch import SolveOptions
 from repro.service.cache import ResultCache
 from repro.service.client import ServerClient, ServerError
 from repro.service.server import SolverServer
@@ -37,7 +38,7 @@ def graph_for(seed: int, v: int = 9):
 @pytest.fixture(scope="module")
 def server():
     srv = SolverServer(port=0, solver_workers=2, queue_limit=8,
-                       max_expansions=50_000)
+                       options=SolveOptions(max_expansions=50_000))
     thread = srv.serve_in_thread()
     yield srv
     srv.shutdown()
@@ -178,7 +179,7 @@ class TestSolve:
 class TestAdmissionControl:
     def test_queue_overflow_returns_429(self):
         srv = SolverServer(port=0, solver_workers=1, queue_limit=1,
-                           max_expansions=100_000)
+                           options=SolveOptions(max_expansions=100_000))
         thread = srv.serve_in_thread()
         client = ServerClient(port=srv.port)
         try:
@@ -232,7 +233,7 @@ class TestAdmissionControl:
 
         cache = StallingCache()
         srv = SolverServer(port=0, solver_workers=1, cache=cache,
-                           max_expansions=20_000)
+                           options=SolveOptions(max_expansions=20_000))
         thread = srv.serve_in_thread()
         client = ServerClient(port=srv.port)
         try:
@@ -302,6 +303,17 @@ def _live_processes() -> dict[int, int]:
         if state != "Z":
             live[int(stat.parent.name)] = int(ppid)
     return live
+
+
+def test_bad_default_stops_serve_before_it_binds():
+    """An out-of-range default fails at start-up (exit 2, no readiness
+    line), not as a 400 on every request."""
+    with _serve("--epsilon", "-1") as proc:
+        out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert "listening on" not in out
+    assert err.startswith("error: epsilon must be a finite number >= 0")
+    assert "Traceback" not in err
 
 
 @pytest.mark.slow
@@ -481,7 +493,7 @@ class TestDeepReadiness:
 
         server = SolverServer(port=0, solver_workers=1, queue_limit=4,
                               cache=tmp_path / "deep.db",
-                              max_expansions=20_000)
+                              options=SolveOptions(max_expansions=20_000))
         thread = server.serve_in_thread()
         try:
             client = ServerClient(port=server.port, retries=0)
@@ -507,7 +519,8 @@ class TestDeepReadiness:
 class TestFleetIdentity:
     def test_shard_id_labels_metrics_and_deep_health(self):
         server = SolverServer(port=0, solver_workers=1, queue_limit=4,
-                              shard_id="s9", max_expansions=20_000)
+                              shard_id="s9",
+                              options=SolveOptions(max_expansions=20_000))
         thread = server.serve_in_thread()
         try:
             client = ServerClient(port=server.port)
@@ -548,7 +561,7 @@ class TestAdaptiveRetryAfter:
         from repro.testing import faults
 
         server = SolverServer(port=0, solver_workers=1, queue_limit=1,
-                              max_expansions=20_000)
+                              options=SolveOptions(max_expansions=20_000))
         thread = server.serve_in_thread()
         try:
             # Nudge the EWMA so the estimate is distinguishable from 1s.

@@ -104,6 +104,26 @@ class TestServiceCommands:
         assert len(rows[0]["assignment"]) == 8
 
 
+class TestBadSolverOptions:
+    """An out-of-range solver option stops the command before it solves:
+    ``error: <message>`` and exit 2, not a ``proven`` answer."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--deadline", "nan"], "deadline must be"),
+        (["solve", "--epsilon", "-1"], "epsilon must be"),
+        (["solve", "--workers", "0"], "solver_workers must be"),
+        (["batch", "--max-expansions", "0"], "max_expansions must be"),
+        (["batch", "--max-memory-mb", "-5"], "max_memory_mb must be"),
+    ], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
+    def test_exits_2_before_solving(self, argv, message, json_graph, capsys):
+        command, *flags = argv
+        target = json_graph if command == "solve" else json_graph.parent
+        assert main([command, str(target), "--pes", "2", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and message in err
+        assert out == ""
+
+
 class TestServeParser:
     """The serve subcommand's argparse surface (the daemon itself is
     exercised end-to-end in tests/service/test_server.py)."""
