@@ -582,7 +582,9 @@ def _store_result(
     When the store already held something better (possible when
     ``require_proven`` re-solved a stale entry under a tighter budget),
     that entry is served instead, unless it does not cover ``item``.
-    Returns the entry and whether it is the fresh one.
+    Returns the entry and whether it is the fresh one.  The entry is
+    stamped here, so the object served is the object the cache keeps
+    and later hits reuse its rendering (see ``JobManager._render``).
     """
     schedule = Schedule(
         item.graph, item.system,
@@ -596,6 +598,7 @@ def _store_result(
         bound=payload["bound"],
         algorithm=payload["algorithm"],
         stats=payload["stats"],
+        created=time.time(),
     )
     if cache is None or cache.put(entry):
         return entry, True

@@ -25,10 +25,18 @@ makespan wins.  Read policy: ``get(..., require_proven=True)`` treats
 unproven entries as **stale** (counted, not returned), so callers that
 need certificates transparently fall through to the solver which then
 overwrites the stale entry.
+
+Threads: one lock guards the memory tier and the counters, so
+:meth:`ResultCache.memory_hit` may run on one thread (the daemon's
+event loop) while :meth:`~ResultCache.get` and :meth:`~ResultCache.put`
+run on another (its cache thread).  The lock is never held across
+durable-tier I/O or a fault point: a wedged store blocks only the
+thread doing the I/O.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import replace
@@ -79,6 +87,8 @@ class ResultCache:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._mem: OrderedDict[str, CacheEntry] = OrderedDict()
+        #: Guards ``_mem`` and the three counters (see the module notes).
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.stale = 0
@@ -96,24 +106,48 @@ class ResultCache:
 
     # -- core protocol -------------------------------------------------------
 
+    def memory_hit(
+        self, fingerprint: str, *, require_proven: bool = False
+    ) -> CacheEntry | None:
+        """The memory tier's servable entry for ``fingerprint``, or ``None``.
+
+        No I/O and no fault point, so it is safe on a thread that must
+        never block.  Only a hit is counted: ``None`` means "not
+        answered here", and the caller follows it with :meth:`get`,
+        which counts the miss or the stale entry.
+        """
+        with self._lock:
+            entry = self._mem.get(fingerprint)
+            if entry is None or (require_proven and not entry.proven):
+                return None
+            return self._serve(entry, require_proven)
+
     def get(
         self, fingerprint: str, *, require_proven: bool = False
     ) -> CacheEntry | None:
         """Look up a fingerprint; updates LRU order and counters."""
         faults.sleep_point("cache-slow")
         faults.raise_point("cache-get-error")
-        entry = self._mem.get(fingerprint)
-        if entry is None and self._store_open():
-            entry = self._load(fingerprint)
+        with self._lock:
+            entry = self._mem.get(fingerprint)
             if entry is not None:
-                self._admit(entry)
-        if entry is None:
-            self.misses += 1
-            return None
+                return self._serve(entry, require_proven)
+        entry = self._load(fingerprint) if self._store_open() else None
+        with self._lock:
+            if entry is None:
+                self.misses += 1
+                return None
+            self._admit(entry)
+            return self._serve(entry, require_proven)
+
+    def _serve(
+        self, entry: CacheEntry, require_proven: bool
+    ) -> CacheEntry | None:
+        """Count one answered lookup of a present entry (lock held)."""
         if require_proven and not entry.proven:
             self.stale += 1
             return None
-        self._mem.move_to_end(fingerprint)
+        self._mem.move_to_end(entry.fingerprint)
         self.hits += 1
         return entry
 
@@ -123,12 +157,14 @@ class ResultCache:
         faults.raise_point("cache-put-error")
         if entry.created == 0.0:
             entry = replace(entry, created=time.time())
-        current = self._mem.get(entry.fingerprint)
+        with self._lock:
+            current = self._mem.get(entry.fingerprint)
         if current is None and self._store_open():
             current = self._load(entry.fingerprint)
         if current is not None and not entry.better_than(current):
             return False
-        self._admit(entry)
+        with self._lock:
+            self._admit(entry)
         if self._store_open():
             try:
                 self._backend.store(entry)  # type: ignore[union-attr]
@@ -138,7 +174,8 @@ class ResultCache:
                 # counted like a stale read.  Caller bugs (e.g. a
                 # non-serializable entry) are NOT backend errors and
                 # propagate unchanged.
-                self.stale += 1
+                with self._lock:
+                    self.stale += 1
         return True
 
     def _load(self, fingerprint: str) -> CacheEntry | None:
@@ -155,11 +192,13 @@ class ResultCache:
         try:
             return self._backend.load(fingerprint)  # type: ignore[union-attr]
         except CacheBackendError:
-            self.stale += 1
+            with self._lock:
+                self.stale += 1
             return None
 
     def _admit(self, entry: CacheEntry) -> None:
-        """Insert into the LRU tier, evicting least-recently-used."""
+        """Insert into the LRU tier, evicting least-recently-used (call
+        with the lock held)."""
         self._mem[entry.fingerprint] = entry
         self._mem.move_to_end(entry.fingerprint)
         while len(self._mem) > self.capacity:
@@ -169,13 +208,14 @@ class ResultCache:
 
     def counters(self) -> dict[str, int]:
         """Hit/miss/stale counters plus sizes, for reports."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stale": self.stale,
-            "memory_entries": len(self._mem),
-            "stored_entries": self.stored_entries,
-        }
+        with self._lock:
+            counts = {
+                "hits": self.hits,
+                "misses": self.misses,
+                "stale": self.stale,
+                "memory_entries": len(self._mem),
+            }
+        return {**counts, "stored_entries": self.stored_entries}
 
     @property
     def stored_entries(self) -> int:

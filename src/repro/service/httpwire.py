@@ -30,6 +30,7 @@ __all__ = [
     "STATUS_TEXT",
     "BadRequest",
     "reject_nonfinite",
+    "splice_json",
     "read_request",
     "render_response",
     "deliver_response",
@@ -63,6 +64,23 @@ def reject_nonfinite(literal: str) -> NoReturn:
     instead of reaching the model as a non-finite number.
     """
     raise ValueError(f"non-finite literal {literal} is not valid JSON")
+
+
+def splice_json(obj: dict[str, Any], key: str, text: str) -> str:
+    """``json.dumps(obj)`` with ``obj[key]`` written as ``text``.
+
+    ``text`` is the value's JSON encoded ahead of time; when it equals
+    ``json.dumps(obj[key])`` the result is byte for byte
+    ``json.dumps(obj)``, without encoding that value again.
+    """
+    keys = list(obj)
+    at = keys.index(key)
+    head = json.dumps({k: obj[k] for k in keys[:at]})[:-1]
+    tail = json.dumps({k: obj[k] for k in keys[at + 1:]})[1:]
+    return (
+        f"{head}{', ' if at else ''}{json.dumps(key)}: {text}"
+        f"{', ' if tail != '}' else ''}{tail}"
+    )
 
 
 class BadRequest(Exception):
@@ -111,21 +129,23 @@ async def read_request(
 
 def render_response(
     status: int,
-    payload: dict[str, Any] | str,
+    payload: dict[str, Any] | str | bytes,
     *,
     extra_headers: str = "",
 ) -> bytes:
     """Serialize one response: head + body, ready to write.
 
     A ``str`` payload is pre-rendered text (the Prometheus exposition
-    endpoint); everything else is JSON.  ``extra_headers`` is a
-    pre-formatted CRLF-terminated block (e.g. ``"Retry-After: 5\\r\\n"``).
+    endpoint); a ``bytes`` payload is a JSON body encoded ahead of time
+    (a done job's snapshot, see :func:`splice_json`); everything else
+    is encoded as JSON.  ``extra_headers`` is a pre-formatted
+    CRLF-terminated block (e.g. ``"Retry-After: 5\\r\\n"``).
     """
     if isinstance(payload, str):
         body = payload.encode()
         ctype = "text/plain; version=0.0.4; charset=utf-8"
     else:
-        body = json.dumps(payload).encode()
+        body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         ctype = "application/json"
     head = (
         f"HTTP/1.1 {status} {STATUS_TEXT.get(status, 'Unknown')}\r\n"
@@ -219,9 +239,10 @@ async def fetch(
     return await asyncio.wait_for(_roundtrip(), timeout=timeout)
 
 
-#: One answer: status, JSON body (or pre-rendered text), and a
-#: pre-formatted CRLF-terminated block of extra headers (usually "").
-Reply = tuple[int, dict[str, Any] | str, str]
+#: One answer: status, JSON body (or pre-rendered text, or pre-encoded
+#: JSON bytes), and a pre-formatted CRLF-terminated block of extra
+#: headers (usually "").
+Reply = tuple[int, dict[str, Any] | str | bytes, str]
 
 
 class HttpService:

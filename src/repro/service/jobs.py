@@ -41,6 +41,7 @@ while searches run on other cores.
 from __future__ import annotations
 
 import asyncio
+import json
 import math
 import time
 from collections import OrderedDict
@@ -76,6 +77,9 @@ RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
 
+
+#: Finished results kept by the render memo (see JobManager._render).
+_RENDER_MEMO = 256
 
 #: Sentinel distinguishing "no cache lookup happened yet" from "the
 #: lookup ran and missed" in :meth:`JobManager.admit`.
@@ -156,7 +160,7 @@ class Job:
     __slots__ = (
         "id", "name", "item", "fingerprint", "order", "options",
         "state", "via", "submitted", "started", "finished",
-        "result", "error", "done",
+        "result", "error", "done", "assignment_json",
     )
 
     def __init__(
@@ -181,6 +185,10 @@ class Job:
         self.result: dict[str, Any] | None = None
         self.error: str | None = None
         self.done = asyncio.Event()
+        #: ``json.dumps(result["assignment"])``, made once per rendering
+        #: and shared by every job that reuses it; the server splices it
+        #: into replies instead of encoding the rows again.
+        self.assignment_json: str | None = None
 
     @property
     def active(self) -> bool:
@@ -293,6 +301,12 @@ class JobManager:
         self._inflight: dict[str, Job] = {}
         self._followers: dict[str, list[Job]] = {}  # primary id -> followers
         self._runners: list[asyncio.Task] = []
+        #: (fingerprint, node order) -> (entry, makespan, rows, rows
+        #: JSON): the finished results :meth:`_render` reuses.
+        self._renders: OrderedDict[
+            tuple[str, tuple[int, ...]],
+            tuple[CacheEntry, float, list[list[Any]], str],
+        ] = OrderedDict()
         self._running = 0
         self._seq = 0
         #: Every ``/metrics`` counter and histogram lives here; the JSON
@@ -348,23 +362,29 @@ class JobManager:
         return self._cache_exec.submit(self._cache_get, *args).result()
 
     async def cache_lookup(self, prepared: "PreparedRequest"):
-        """Consult the cache for a prepared request, off the event loop.
+        """Consult the cache for a prepared request.
 
         The server awaits this between :meth:`prepare` and
-        :meth:`admit`.  Cache-touching requests queue FIFO on the
-        single cache worker (that ordering is what keeps SQLite writes
-        serialized), so a wedged store backs up cache lookups too —
-        but the *loop* stays responsive: ``/healthz``, ``/metrics``,
-        job polling, and already-admitted solves are unaffected, which
-        is the contract the stalled-put regression test pins.  Returns
-        the entry or ``None``.
+        :meth:`admit`.  A memory-tier hit is answered right here, on
+        the event loop: :meth:`ResultCache.memory_hit` takes one lock
+        that no I/O ever holds.  Everything else — a miss, an entry
+        ``require_proven`` rejects, the durable tier — queues FIFO on
+        the single cache worker behind the puts (that ordering is what
+        keeps SQLite writes serialized).  So a wedged store backs up
+        those lookups, but never a memory hit and never the loop:
+        ``/healthz``, ``/metrics``, job polling and already-admitted
+        solves are unaffected, which is the contract the stalled-put
+        regression tests pin.  Returns the entry or ``None``.
         """
         if self.cache is None:
             return None
+        fingerprint = prepared.fingerprint
+        require_proven = prepared.options.require_proven
+        entry = self.cache.memory_hit(fingerprint, require_proven=require_proven)
+        if entry is not None:
+            return entry
         return await self._cache_call(
-            self._cache_get,
-            prepared.fingerprint,
-            prepared.options.require_proven,
+            self._cache_get, fingerprint, require_proven
         )
 
     async def _cache_call(self, fn, *args):
@@ -699,19 +719,16 @@ class JobManager:
         via: str, seconds: float, winner: str,
     ) -> None:
         """Complete one job from a (canonical-space) cache entry."""
-        schedule = Schedule(
-            job.item.graph, job.item.system,
-            assignment_from_canonical(job.order, entry.assignment),
-        )
+        makespan, rows, job.assignment_json = self._render(job, entry)
         job.result = {
             "name": job.name,
             "fingerprint": job.fingerprint,
-            "makespan": schedule.length,
+            "makespan": makespan,
             "certificate": entry.certificate,
             "algorithm": entry.algorithm,
             "winner": winner,
             "seconds": seconds,
-            "assignment": [[t.node, t.pe, t.start] for t in schedule.tasks],
+            "assignment": rows,
         }
         job.via = via
         job.state = DONE
@@ -720,6 +737,35 @@ class JobManager:
         self._jobs_total["completed"].inc()
         self._h_request.observe(job.finished - job.submitted)
         self.tracer.event("job.done", attrs={"id": job.id, "via": via})
+
+    def _render(
+        self, job: Job, entry: CacheEntry
+    ) -> tuple[float, list[list[Any]], str]:
+        """``entry`` replayed in ``job``'s node order: the makespan, the
+        ``[node, pe, start]`` rows and their JSON encoding.
+
+        Built once per (entry, node order) and reused while the cache
+        serves that same entry object; a better entry that replaced it
+        is a different object and is rendered afresh.  Bounded to
+        :data:`_RENDER_MEMO` results, least recently used out first.
+        The rows are shared between jobs, so results are read-only.
+        """
+        key = (entry.fingerprint, job.order)
+        memo = self._renders.get(key)
+        if memo is not None and memo[0] is entry:
+            self._renders.move_to_end(key)
+            return memo[1:]
+        schedule = Schedule(
+            job.item.graph, job.item.system,
+            assignment_from_canonical(job.order, entry.assignment),
+        )
+        rows = [[t.node, t.pe, t.start] for t in schedule.tasks]
+        memo = (entry, schedule.length, rows, json.dumps(rows))
+        self._renders[key] = memo
+        self._renders.move_to_end(key)
+        if len(self._renders) > _RENDER_MEMO:
+            self._renders.popitem(last=False)
+        return memo[1:]
 
     def _evict_history(self) -> None:
         """Drop the oldest *finished* jobs beyond the history bound.

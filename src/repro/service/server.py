@@ -69,7 +69,13 @@ from repro.service import httpwire
 from repro.service.batch import SolveOptions
 from repro.service.cache import ResultCache
 from repro.service.httpwire import Reply
-from repro.service.jobs import Draining, JobManager, PreparedRequest, QueueFull
+from repro.service.jobs import (
+    Draining,
+    Job,
+    JobManager,
+    PreparedRequest,
+    QueueFull,
+)
 from repro.testing import faults
 
 __all__ = ["SolverServer"]
@@ -128,6 +134,22 @@ class _PreparedMemo:
         while len(self._entries) > _MEMO_ENTRIES or self.nbytes > _MEMO_BYTES:
             old, _ = self._entries.popitem(last=False)
             self.nbytes -= len(old)
+
+
+def _snapshot_reply(status: int, job: Job) -> Reply:
+    """A reply carrying ``job.snapshot()``.
+
+    A done job's body is encoded with its assignment rows spliced in
+    from :attr:`Job.assignment_json`, which was encoded once when the
+    rows were built: the bytes are exactly ``json.dumps`` of the
+    snapshot, without encoding the rows again.
+    """
+    view = job.snapshot()
+    result = view.get("result")
+    if job.assignment_json is None or result is None:
+        return status, view, ""
+    result_json = httpwire.splice_json(result, "assignment", job.assignment_json)
+    return status, httpwire.splice_json(view, "result", result_json).encode(), ""
 
 
 def _cache_barrier_noop() -> None:
@@ -206,8 +228,9 @@ class SolverServer(httpwire.HttpService):
         """Start the cache thread, the pool and the job runners."""
         # All ResultCache I/O goes through this single-worker executor
         # (construction included), so a slow or stalled file-backed
-        # store can never wedge the event loop — /healthz keeps
-        # answering while a put blocks (see DESIGN.md "Known limits").
+        # store can never wedge the event loop — /healthz and repeats
+        # the memory tier answers keep going while a put blocks (see
+        # DESIGN.md "The cache thread").
         self._cache_thread = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-cache"
         )
@@ -305,7 +328,7 @@ class SolverServer(httpwire.HttpService):
         job = self.manager.get(ref)
         if job is None:
             return 404, {"error": "unknown job id"}, ""
-        return 200, job.snapshot(), ""
+        return _snapshot_reply(200, job)
 
     async def _health(self, deep: bool) -> Reply:
         """``/healthz``: liveness, 200 even while draining.
@@ -361,9 +384,10 @@ class SolverServer(httpwire.HttpService):
                 # prepare() is pure CPU (graph parse + WL-refinement
                 # fingerprint — seconds for very large graphs) and runs
                 # on a thread so the loop keeps serving /healthz and
-                # friends; the cache lookup runs on the dedicated cache
-                # thread for the same reason; admit() touches shared
-                # state and stays on the loop.
+                # friends; a cache lookup that the memory tier cannot
+                # answer runs on the dedicated cache thread for the same
+                # reason; admit() touches shared state and stays on the
+                # loop.
                 loop = asyncio.get_running_loop()
                 prepared = await loop.run_in_executor(
                     None, self.manager.prepare, obj
@@ -381,7 +405,5 @@ class SolverServer(httpwire.HttpService):
             return 400, {"error": f"bad request: {type(exc).__name__}: {exc}"}, ""
         if wait:
             await job.done.wait()
-            if job.state == "failed":
-                return 500, job.snapshot(), ""
-            return 200, job.snapshot(), ""
-        return 202, job.snapshot(), ""
+            return _snapshot_reply(500 if job.state == "failed" else 200, job)
+        return _snapshot_reply(202, job)

@@ -1,5 +1,7 @@
 """Unit tests for the Chen & Yu baseline."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -56,14 +58,19 @@ class TestChenYuSchedule:
 
     def test_more_expensive_than_astar(self, fig1_graph, fig1_system):
         """The Table-1 claim: same answer, far costlier cost evaluation."""
-        import time
 
-        t0 = time.perf_counter()
-        chen = chen_yu_schedule(fig1_graph, fig1_system)
-        chen_time = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        astar = astar_schedule(fig1_graph, fig1_system)
-        astar_time = time.perf_counter() - t0
+        def fastest(solve, runs=7):
+            # The least of several runs: one millisecond-scale timing is
+            # at the mercy of whatever else the host is doing.
+            best = float("inf")
+            for _ in range(runs):
+                t0 = time.perf_counter()
+                result = solve(fig1_graph, fig1_system)
+                best = min(best, time.perf_counter() - t0)
+            return result, best
+
+        chen, chen_time = fastest(chen_yu_schedule)
+        astar, astar_time = fastest(astar_schedule)
         assert chen.length == astar.length
         # Per-evaluation cost dominates: Chen & Yu walks path sets while
         # the paper's h reads one array; compare per-state cost.

@@ -1,8 +1,13 @@
 """Result cache: LRU behaviour, persistence, and replacement policy."""
 
+import threading
+import time
+from collections import OrderedDict
+
 import pytest
 
 from repro.service.cache import CacheEntry, ResultCache
+from repro.testing import lockcheck
 
 
 def entry(fp: str, makespan: float = 10.0, certificate: str = "proven",
@@ -66,6 +71,103 @@ class TestMemoryTier:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             ResultCache(capacity=0)
+
+
+class _YieldingTier(OrderedDict):
+    """A memory tier that hands the GIL to the other thread inside every
+    read and write, so an unlocked check-then-act sequence (a lookup
+    whose entry is evicted before it is touched) actually interleaves."""
+
+    def get(self, key, default=None):
+        time.sleep(0)
+        return super().get(key, default)
+
+    def move_to_end(self, key, last=True):
+        time.sleep(0)
+        super().move_to_end(key, last)
+
+    def popitem(self, last=True):
+        time.sleep(0)
+        return super().popitem(last)
+
+
+class TestMemoryHit:
+    def test_counts_only_a_hit(self):
+        cache = ResultCache()
+        assert cache.memory_hit("aa") is None
+        assert (cache.hits, cache.misses, cache.stale) == (0, 0, 0)
+        cache.put(entry("aa", certificate="budget"))
+        assert cache.memory_hit("aa", require_proven=True) is None
+        assert (cache.hits, cache.misses, cache.stale) == (0, 0, 0)
+        assert cache.memory_hit("aa").certificate == "budget"
+        assert (cache.hits, cache.misses, cache.stale) == (1, 0, 0)
+
+    def test_touches_lru_order(self):
+        cache = ResultCache(capacity=2)
+        cache.put(entry("aa"))
+        cache.put(entry("bb"))
+        assert cache.memory_hit("aa") is not None
+        cache.put(entry("cc"))  # evicts bb, the least recently used
+        assert "aa" in cache and "bb" not in cache
+
+    def test_never_reads_the_durable_tier(self, tmp_path):
+        db = tmp_path / "cache.db"
+        with ResultCache(db) as cache:
+            cache.put(entry("aa"))
+        with ResultCache(db) as reopened:
+            assert reopened.memory_hit("aa") is None
+            assert reopened.get("aa") is not None
+            assert reopened.memory_hit("aa") is not None
+
+    def test_races_get_put_and_eviction_on_another_thread(self):
+        """The daemon answers memory hits on its event loop while the
+        cache thread runs get/put; with a capacity small enough to
+        evict, no lookup may raise and no counter update may be lost."""
+        rounds = 3000
+        fingerprints = [f"fp{i}" for i in range(12)]
+        answered = []
+        errors = []
+        with lockcheck.guard() as checker:
+            cache = ResultCache(capacity=3)
+            cache._mem = _YieldingTier()
+
+            def loop_thread():
+                try:
+                    hits = 0
+                    for i in range(rounds):
+                        fp = fingerprints[i % len(fingerprints)]
+                        proven = i % 5 == 0
+                        hits += cache.memory_hit(
+                            fp, require_proven=proven) is not None
+                    answered.append(hits)
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+            def cache_thread():
+                try:
+                    for i in range(rounds):
+                        fp = fingerprints[(7 * i) % len(fingerprints)]
+                        certificate = "proven" if i % 3 else "budget"
+                        cache.put(entry(fp, makespan=100.0 - i % 50,
+                                        certificate=certificate))
+                        cache.get(fp, require_proven=i % 4 == 0)
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=loop_thread),
+                       threading.Thread(target=cache_thread)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        checker.assert_clean()
+        assert errors == []
+        assert len(answered) == 1
+        # Every get() answers and counts once; a memory hit counts
+        # only when it answers.
+        lookups = rounds + answered[0]
+        assert cache.hits + cache.misses + cache.stale == lookups
+        assert len(cache) <= 3
 
 
 class TestPersistentTier:

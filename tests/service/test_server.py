@@ -254,6 +254,49 @@ class TestAdmissionControl:
             thread.join(timeout=60)
         assert cache.stored_entries == 1
 
+    def test_cached_repeat_answers_during_stalled_cache_put(self):
+        """A memory-tier hit never queues behind the cache thread: while
+        a put() is wedged on a slow store, a repeat of an already-cached
+        body still gets its 200 ``via: "cache"`` promptly."""
+        stall = threading.Event()
+        entered = threading.Event()
+        release = threading.Event()
+
+        class StallingCache(ResultCache):
+            def put(self, entry):
+                if stall.is_set():
+                    entered.set()
+                    assert release.wait(timeout=60), "test never released put()"
+                return super().put(entry)
+
+        cache = StallingCache()
+        srv = SolverServer(port=0, solver_workers=1, cache=cache,
+                           options=SolveOptions(max_expansions=20_000))
+        thread = srv.serve_in_thread()
+        client = ServerClient(port=srv.port)
+        # Queued behind the wedged put, the repeat would time out here.
+        quick = ServerClient(port=srv.port, timeout=10.0, retries=0)
+        try:
+            first = client.solve(graph_for(seed=52), pes=3)
+            assert first["via"] == "solve"
+            stall.set()
+            job_id = client.submit(graph_for(seed=53), pes=3)
+            assert entered.wait(timeout=60), "solve never reached put()"
+            # The put is now blocked mid-write on the cache thread.
+            t0 = time.perf_counter()
+            repeat = quick.solve(graph_for(seed=52), pes=3)
+            assert time.perf_counter() - t0 < 5.0
+            assert repeat["via"] == "cache"
+            assert repeat["result"]["assignment"] == first["result"]["assignment"]
+            assert not release.is_set()
+            release.set()
+            assert client.wait(job_id, timeout=60)["status"] == "done"
+        finally:
+            release.set()
+            srv.shutdown()
+            thread.join(timeout=60)
+        assert cache.stored_entries == 2
+
     def test_draining_returns_503(self):
         srv = SolverServer(port=0, solver_workers=1, queue_limit=4)
         thread = srv.serve_in_thread()
