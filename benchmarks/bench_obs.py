@@ -140,6 +140,11 @@ def _reference_astar(graph, system, *, cost: str, max_expanded: int):
             stats.cost_evaluations = cost_fn.evaluations
             return stats, state.to_schedule().length
         stats.states_expanded += 1
+        if tol.geq(lower, upper):
+            # The floor meets U: the incumbent is proven (the floor exit).
+            best = incumbent if incumbent is not None else fallback
+            stats.cost_evaluations = cost_fn.evaluations
+            return stats, best.length
         for child in expander.children(state, seen):
             ch = cost_fn.h(child)
             cf = child.makespan + ch

@@ -69,7 +69,7 @@ from repro.graph.io import graph_from_dict, graph_to_dict
 from repro.graph.taskgraph import TaskGraph
 from repro.obs.probe import SearchProbe
 from repro.obs.trace import Tracer
-from repro.parallel.mp_backend import pool_context, system_from_args, system_to_args
+from repro.parallel.mp_backend import pool_context
 from repro.parallel.shared import (
     Links, Outbox, SharedIncumbent, WorkerBoard, owner_of,
 )
@@ -82,7 +82,7 @@ from repro.search.expansion import StateExpander
 from repro.search.frame import SearchFrame
 from repro.search.pruning import PruningConfig
 from repro.search.result import SearchResult, SearchStats
-from repro.system.processors import ProcessorSystem
+from repro.system.processors import ProcessorSystem, system_from_dict, system_to_dict
 from repro.testing import faults
 from repro.util import tolerance as tol
 from repro.util.timing import Budget, process_rss_mb
@@ -168,7 +168,8 @@ def hda_astar_schedule(
 
     Returns the same :class:`SearchResult` contract as the serial
     engines; ``algorithm`` is ``hda(workers=N)`` and ``optimal`` is
-    True only for proven ε = 0 runs.
+    True when the floor reached meets the returned length (every
+    finished ε = 0 run).
     """
     serial_fallback = (
         workers <= 1
@@ -212,18 +213,15 @@ def hda_astar_schedule(
     if status == "budget":
         return frame.finish(
             best_goal, lower, algorithm=f"hda(budget,workers={workers})",
-            optimal=False, bound=math.inf, interrupted=frame.stop_reason,
+            interrupted=frame.stop_reason,
         )
     if status != "width" or tol.geq(relax * lower, frame.upper):
-        # A goal popped at the frontier minimum is optimal; an OPEN that
-        # ran dry left no state to beat the incumbent; a floor that meets
-        # U proves the incumbent before any worker starts (with `h` not
-        # consistent, a lone root child tying U lifts the floor to U
-        # while its own children sit far below it).
+        # The seed phase ended the search (a goal, a floor that met U or
+        # a dry OPEN), or its final floor proves the incumbent within
+        # 1 + ε before any worker starts.
         return frame.finish(
             goal if goal is not None else best_goal, lower,
-            algorithm=f"hda(seed,workers={workers})",
-            optimal=epsilon == 0.0, bound=relax,
+            algorithm=f"hda(seed,workers={workers})", bound=relax,
         )
 
     # -- deal seeds to their owners -----------------------------------------
@@ -260,7 +258,7 @@ def hda_astar_schedule(
 
     job = {
         "graph": graph_to_dict(graph),
-        "system": system_to_args(system),
+        "system": system_to_dict(system),
         "cost": cost,
         "epsilon": epsilon,
         "pruning": frame.pruning,
@@ -298,13 +296,13 @@ def hda_astar_schedule(
         p.start()
 
     # -- monitor loop --------------------------------------------------------
-    proven = False
+    finished = False
     failed = False
     dirty = False  # a worker died HARD (possible truncated pipe writes)
     cause: str | None = None
     while True:
         if board.quiescent():
-            proven = True
+            finished = True
             break
         fl = flags.value
         if fl & _FLAG_ERROR:
@@ -443,23 +441,17 @@ def hda_astar_schedule(
                 seed_expanded + sum(latest.values()),
                 open_size, min(blen, held), lower,
             )
-    if failed:
-        # Worker crash / stall / lost results — not a budget stop:
-        # label it so reports can't misdiagnose an error as exhaustion.
-        # The best incumbent is still feasible (and carries the
-        # deal-time lower bound), just not proven optimal.
+    if failed or not finished:
+        # A worker crash / stall / lost results is labelled apart from a
+        # budget stop, so reports can't misdiagnose an error as
+        # exhaustion.  The incumbent and the deal-time floor still hold.
         return frame.finish(
-            best, lower, algorithm=f"hda(failed,workers={workers})",
-            optimal=False, bound=math.inf, interrupted=cause or "worker-failure",
-        )
-    if not proven:
-        return frame.finish(
-            best, lower, algorithm=f"hda(budget,workers={workers})",
-            optimal=False, bound=math.inf, interrupted=cause or frame.stop_reason,
+            best, lower,
+            algorithm=f"hda({'failed' if failed else 'budget'},workers={workers})",
+            interrupted=cause or ("worker-failure" if failed else frame.stop_reason),
         )
     return frame.finish(
-        best, max(lower, best.length / relax), algorithm=label,
-        optimal=epsilon == 0.0, bound=relax,
+        best, max(lower, best.length / relax), algorithm=label, bound=relax,
     )
 
 
@@ -518,7 +510,7 @@ def _hda_worker_loop(
     flags: Any,
 ) -> None:
     graph = graph_from_dict(job["graph"])
-    system = system_from_args(job["system"])
+    system = system_from_dict(job["system"])
     cost_fn = make_cost_function(job["cost"], graph, system)
     pruning: PruningConfig = job["pruning"]
     workers: int = job["workers"]

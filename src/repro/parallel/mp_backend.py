@@ -1,13 +1,12 @@
-"""The persistent worker-process pool and its plain-dict helpers.
+"""The persistent worker-process pool.
 
 :class:`SolverPool` is the one process pool the service layer
 dispatches on (the batch runner and the solver daemon).  Jobs cross the
 process boundary as plain serializable dicts: graphs via
 :func:`repro.graph.io.graph_to_dict` and processor systems via
-:func:`system_to_args` / :func:`system_from_args`, so no library class
-is ever pickled.  The real-cores parallel A* engine is
-:mod:`repro.parallel.hda`, which shares :func:`pool_context` and the
-system helpers.
+:func:`repro.system.processors.system_to_dict`, so no library class is
+ever pickled.  The real-cores parallel A* engine is
+:mod:`repro.parallel.hda`, which shares :func:`pool_context`.
 """
 
 from __future__ import annotations
@@ -21,12 +20,9 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Callable, Iterable
 
-from repro.system.processors import ProcessorSystem
 
 __all__ = [
     "pool_context",
-    "system_to_args",
-    "system_from_args",
     "SolverPool",
 ]
 
@@ -41,28 +37,6 @@ def pool_context() -> mp.context.BaseContext:
     """
     methods = mp.get_all_start_methods()
     return mp.get_context("fork" if "fork" in methods else "spawn")
-
-
-def system_to_args(system: ProcessorSystem) -> dict[str, Any]:
-    """Serialize a processor system to a plain picklable dict."""
-    return {
-        "num_pes": system.num_pes,
-        "links": sorted(system.links),
-        "speeds": list(system.speeds),
-        "distance_scaled": system.distance_scaled,
-        "name": system.name,
-    }
-
-
-def system_from_args(args: dict[str, Any]) -> ProcessorSystem:
-    """Inverse of :func:`system_to_args` (runs on the worker side)."""
-    return ProcessorSystem(
-        args["num_pes"],
-        links=[tuple(l) for l in args["links"]],
-        speeds=args["speeds"],
-        distance_scaled=args["distance_scaled"],
-        name=args["name"],
-    )
 
 
 #: Seconds between a pool worker's checks that its parent is alive.

@@ -249,7 +249,7 @@ def parallel_astar_schedule(
     phases = 0
     comm_rounds = 0
     total_messages = 0
-    optimal_proven = False
+    stopped = None  # the budget's reason, once it stops the run
 
     while True:
         # -- local search phase: up to T expansions per PPE ----------------
@@ -285,20 +285,15 @@ def parallel_astar_schedule(
 
         # -- barrier: termination and budget checks --------------------------
         global_min_f = min(p.peek_f() for p in ppes)
-        # One tolerance helper for the ε-termination test (ISSUE 3):
-        # the three ad-hoc `... + 1e-9` comparisons this replaces could
-        # terminate an exact run one float-ulp early on drifted costs
-        # (0.1 + 0.2 style) or fail to fire on large-magnitude
-        # makespans where 1e-9 is below one ulp.
-        if incumbent is not None and tol.proves_bound(
-            incumbent.length, epsilon, global_min_f
+        # The drift-aware ε-termination test (repro.util.tolerance); an
+        # empty frontier left no state below the bound.
+        if global_min_f is math.inf or (
+            incumbent is not None
+            and tol.proves_bound(incumbent.length, epsilon, global_min_f)
         ):
-            optimal_proven = True
-            break
-        if global_min_f is math.inf:
-            optimal_proven = True  # space exhausted below the bound
             break
         if budget.exhausted(stats.states_expanded, stats.states_generated):
+            stopped = frame.stop_reason
             break
 
         # -- communication round ------------------------------------------------
@@ -374,17 +369,15 @@ def parallel_astar_schedule(
         # (c) Exponentially decreasing communication period.
         T = max(2, T // 2)
 
-    if optimal_proven:
-        algorithm = "parallel-astar" if epsilon == 0.0 else f"parallel-focal(eps={epsilon})"
-    else:
+    if stopped:
         algorithm = "parallel-astar(budget)"
+    else:
+        algorithm = "parallel-astar" if epsilon == 0.0 else f"parallel-focal(eps={epsilon})"
     # Every PPE's OPEN holds the unexplored rest of the space, so the
     # last barrier's global minimum f is a proven floor on the optimum.
     result = frame.finish(
-        incumbent, global_min_f, algorithm=algorithm,
-        optimal=optimal_proven and epsilon == 0.0,
-        bound=relax if optimal_proven else math.inf,
-        interrupted=None if optimal_proven else frame.stop_reason,
+        incumbent, global_min_f, algorithm=algorithm, bound=relax,
+        interrupted=stopped,
     )
     return ParallelResult(
         result=result,

@@ -17,7 +17,7 @@ from repro.errors import ScheduleError
 from repro.graph.io import graph_from_dict, graph_to_dict
 from repro.schedule.schedule import Schedule
 from repro.schedule.validate import validate_schedule
-from repro.system.processors import ProcessorSystem
+from repro.system.processors import system_from_dict, system_to_dict
 
 __all__ = [
     "schedule_to_dict",
@@ -31,17 +31,10 @@ _SCHEMA_VERSION = 1
 
 def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
     """Serialize a schedule (with its graph and system) to a JSON-safe dict."""
-    system = schedule.system
     return {
         "schema": _SCHEMA_VERSION,
         "graph": graph_to_dict(schedule.graph),
-        "system": {
-            "num_pes": system.num_pes,
-            "links": sorted(list(link) for link in system.links),
-            "speeds": list(system.speeds),
-            "distance_scaled": system.distance_scaled,
-            "name": system.name,
-        },
+        "system": system_to_dict(schedule.system),
         "assignment": [
             [t.node, t.pe, t.start] for t in schedule.tasks
         ],
@@ -63,14 +56,7 @@ def schedule_from_dict(data: dict[str, Any]) -> Schedule:
         raise ScheduleError(f"unsupported schedule schema {data.get('schema')!r}")
     try:
         graph = graph_from_dict(data["graph"])
-        sysd = data["system"]
-        system = ProcessorSystem(
-            sysd["num_pes"],
-            links=[tuple(link) for link in sysd["links"]],
-            speeds=sysd["speeds"],
-            distance_scaled=sysd["distance_scaled"],
-            name=sysd.get("name", "system"),
-        )
+        system = system_from_dict(data["system"])
         assignment = {
             int(node): (int(pe), float(start))
             for node, pe, start in data["assignment"]

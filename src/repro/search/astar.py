@@ -30,8 +30,10 @@ Implementation notes:
 * States whose ``f`` exceeds the upper bound ``U`` (linear-time list
   schedule, §3.2) are discarded at generation time; ``U`` tightens to
   every shorter complete schedule generated.
+* A running floor that meets ``U`` proves the incumbent, so the loop
+  stops there as it does on a goal.
 * On budget exhaustion the best complete schedule seen so far (or the
-  ``U`` heuristic schedule) is returned with ``optimal=False``.
+  ``U`` heuristic schedule) is returned with the floor reached.
 """
 
 from __future__ import annotations
@@ -110,10 +112,12 @@ def _best_first(
     bookkeeping, child evaluation and the drift-aware ``U`` cut, and
     writes the tightened ``U`` back to ``frame.upper``.
 
-    The loop stops on the first goal popped (``"goal"``), a spent
-    budget (``"budget"``), an empty OPEN (``"exhausted"``) or, after an
-    expansion, OPEN holding ``width`` states (``"width"``: the HDA*
-    seed phase, which then deals OPEN to its workers).  Returns
+    The loop stops on the first goal popped (``"goal"``), a running
+    floor that meets ``U`` (``"floor"``: the incumbent is optimal), a
+    spent budget (``"budget"``), an empty OPEN (``"exhausted"``) or,
+    after an expansion, OPEN holding ``width`` states (``"width"``: the
+    HDA* seed phase, which then deals OPEN to its workers).  A goal or
+    floor exit counts its last pop as an expansion with no children.  Returns
     ``(status, goal, best, lower)``: the goal popped, the best complete
     schedule generated (each ``None`` when there is none) and the
     proven floor on the optimum.
@@ -163,6 +167,10 @@ def _best_first(
             status = "goal"
             goal = state.to_schedule()
             break
+        if tol.geq(lower, upper):
+            # No state left in OPEN can beat the incumbent: proven.
+            status = "floor"
+            break
 
         if probe is not None:
             probe.tick(
@@ -206,8 +214,8 @@ def _best_first(
         # still claims no more than the order's guarantee.
         schedule = best if best is not None else frame.fallback
         lower = max(lower, schedule.length / order.factor)
-    elif status != "goal":
-        # Stopped with OPEN non-empty (budget or width): its floor holds.
+    elif status in ("budget", "width"):
+        # Stopped with OPEN non-empty: its floor holds.
         lower = max(lower, order.floor())
     return status, goal, best, lower
 
@@ -220,25 +228,15 @@ def _search(
     for the A*, WA* and Aε* family: an exact engine when ``epsilon`` is
     None, else one proven within ``1 + epsilon``."""
     status, goal, best, lower = _best_first(frame, order, trace=trace)
-    stopped = status == "budget"
     if epsilon is None:
-        # "exhausted" is a proof too.  With upper-bound pruning enabled
-        # this can only happen when every optimal completion ties the
-        # bound exactly and was cut by a float-equal boundary — the
-        # drift-aware `tol.gt` cut prevents that; reaching it therefore
-        # means the incumbent (or fallback = the list schedule) is
-        # optimal.
         algorithm = name if status == "goal" else f"{name}({status})"
-        optimal, bound = not stopped, 1.0
     else:
         tag = f"eps={epsilon}" if status == "goal" else f"eps={epsilon},{status}"
         algorithm = f"{name}({tag})"
-        optimal, bound = status == "goal" and epsilon == 0.0, 1.0 + epsilon
     return frame.finish(
         goal if goal is not None else best, lower, algorithm=algorithm,
-        optimal=optimal, bound=math.inf if stopped else bound,
-        open_size=len(order),
-        interrupted=frame.stop_reason if stopped else None,
+        bound=order.factor, open_size=len(order),
+        interrupted=frame.stop_reason if status == "budget" else None,
     )
 
 
@@ -267,7 +265,8 @@ def astar_schedule(
         pre-built :class:`CostFunction`.
     budget:
         Optional resource limits; on exhaustion the best schedule seen so
-        far is returned with ``optimal=False``.
+        far is returned with the floor reached (``optimal`` only when
+        that floor meets its length).
     trace:
         Optional :class:`SearchTrace` recording the search tree (used by
         the worked-example scripts).
@@ -287,8 +286,8 @@ def astar_schedule(
     Returns
     -------
     SearchResult
-        ``result.optimal`` is True iff the search ran to completion, in
-        which case ``result.schedule`` has provably minimal length.
+        ``result.optimal`` is True iff the proven floor meets the
+        schedule's length, which every run to completion reaches.
     """
     frame = SearchFrame(graph, system, pruning=pruning, cost=cost, budget=budget,
                         incumbent=incumbent, state_cls=state_cls, probe=probe)

@@ -65,7 +65,7 @@ def bnb_schedule(
     budget, stats, pruning = frame.budget, frame.stats, frame.pruning
     best_sched = frame.fallback
     best_len = frame.upper
-    proven = True
+    stopped = None  # the budget's reason, once it stops the run
 
     # Stack of (f, state); children pushed worst-first so the best child
     # is explored first (LIFO).
@@ -81,7 +81,7 @@ def bnb_schedule(
     while stack:
         if budget.exhausted(stats.states_expanded, stats.states_generated,
                             len(stack) + len(visited)):
-            proven = False
+            stopped = frame.stop_reason
             break
         f, state = stack.pop()
         if state.num_scheduled == v:
@@ -125,11 +125,10 @@ def bnb_schedule(
     # Every subtree not on the stack was either explored to completion
     # or cut against the incumbent, so the optimum is the incumbent
     # itself or lies below some stacked state: its length is at least
-    # min(min stacked f, incumbent length).  A proven run's stack is
-    # empty, and the frame's exit pins its floor to the length.
+    # min(min stacked f, incumbent length).  A finished run's stack is
+    # empty, so its floor is the length: proven.
     return frame.finish(
         best_sched, min((f for f, _ in stack), default=math.inf),
-        algorithm="bnb" if proven else "bnb(budget)", optimal=proven,
-        bound=1.0 if proven else math.inf, open_size=len(stack),
-        interrupted=None if proven else frame.stop_reason,
+        algorithm="bnb(budget)" if stopped else "bnb", open_size=len(stack),
+        interrupted=stopped,
     )

@@ -5,8 +5,9 @@ Every engine runs the paper's one state-space search (§3.1–3.4), so a
 own loop: the ``pruning``/``cost``/``budget`` defaults and the budget's
 start, the :class:`SearchStats`/:class:`StateExpander` pair, the
 list-schedule fallback and ``U``, the root state, the timer, and the
-one exit, :meth:`SearchFrame.finish`.  An engine keeps its loop, its
-``U``-cut test and its labels; the frame adds no call per child.
+one exit, :meth:`SearchFrame.finish`, which decides the certificate.
+An engine keeps its loop, its ``U``-cut test, its floor and its labels;
+the frame adds no call per child.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.schedule.schedule import Schedule
 from repro.search.costs import CostFunction, make_cost_function
 from repro.search.expansion import StateExpander
 from repro.search.pruning import PruningConfig
-from repro.search.result import SearchResult, SearchStats
+from repro.search.result import SearchResult, SearchStats, certify
 from repro.system.processors import ProcessorSystem
 from repro.util.timing import Budget
 
@@ -83,15 +84,16 @@ class SearchFrame:
 
     def finish(
         self, schedule: Schedule | None, lower: float, *, algorithm: str,
-        optimal: bool, bound: float, interrupted: str | None = None,
+        bound: float = 1.0, interrupted: str | None = None,
         open_size: int = 0,
     ) -> SearchResult:
         """The one exit: stamp the stats, close the probe, build the result.
 
         ``schedule`` is the best the engine found (``None``: the
-        fallback) and ``lower`` its proven floor on the optimum.  The
-        certificate rule applies here, once: the floor is capped at the
-        length, and equals it when the run is proven exact.
+        fallback), ``lower`` its proven floor on the optimum, ``bound``
+        the ratio a run that ends on its own proves (``1 + ε``) and
+        ``interrupted`` why a budget or a failure stopped it (the bound
+        is then ``inf``).  :func:`~repro.search.result.certify` decides.
         """
         if schedule is None:
             schedule = self.fallback
@@ -100,11 +102,15 @@ class SearchFrame:
         # += not =: the HDA* coordinator has already folded its workers'
         # evaluations in; every other engine arrives here with 0.
         stats.cost_evaluations += self.cost_fn.evaluations
-        lower = length if optimal else min(lower, length)
+        verdict = certify(length, lower,
+                          bound if interrupted is None else math.inf,
+                          interrupted)
         if probe is not None:
-            probe.finish(stats.states_expanded, open_size, length, lower)
+            probe.finish(stats.states_expanded, open_size, length,
+                         verdict.lower_bound)
         return SearchResult(
-            schedule=schedule, optimal=optimal, bound=bound, stats=stats,
-            algorithm=algorithm, lower_bound=lower, interrupted=interrupted,
+            schedule=schedule, optimal=verdict.optimal, bound=verdict.bound,
+            stats=stats, algorithm=algorithm, lower_bound=verdict.lower_bound,
+            interrupted=verdict.interrupted,
             timeline=probe.timeline() if probe is not None else (),
         )

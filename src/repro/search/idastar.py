@@ -59,17 +59,18 @@ def idastar_schedule(
     bounds the per-probe duplicate table (``0`` disables it entirely
     for true O(v) memory).
 
-    Returns the same :class:`SearchResult` contract: ``optimal=True``
-    iff the search ran to completion.
+    Returns the same :class:`SearchResult` contract: the first goal a
+    probe reaches is optimal, and ``optimal`` is True iff the floor
+    reached (the threshold) meets the returned length.
     """
     frame = SearchFrame(graph, system, pruning=pruning, cost=cost, budget=budget,
                         incumbent=incumbent, state_cls=state_cls, probe=probe)
     budget, stats, pruning = frame.budget, frame.stats, frame.pruning
     upper, root = frame.upper, frame.root
     threshold = root.makespan + frame.cost_fn.h(root)
-    # Rebound: the best complete schedule *found here*.  Only the probe
-    # that finds a goal ends the search, so it is None before that one.
-    incumbent = None
+    # The goal a probe reaches; until then the fallback is the incumbent.
+    goal = None
+    held = frame.fallback.length
     use_table = transposition_limit > 0 and pruning.duplicate_detection
     verify = pruning.verify_signatures
     # Per-child names, bound once: the probes below run for every child.
@@ -94,18 +95,18 @@ def idastar_schedule(
                 break
             f, state = stack.pop()
             if state.num_scheduled == v:
+                # Prior probes exhausted every state with f below the
+                # threshold, so the first goal within it is optimal.
                 stats.states_expanded += 1
-                if incumbent is None or state.makespan < incumbent.length:
-                    incumbent = state.to_schedule()
-                continue
+                goal = state.to_schedule()
+                status = "goal"
+                break
             stats.states_expanded += 1
             if probe is not None:
                 # Prior probes exhausted everything below the current
-                # threshold, so the threshold is the running proven floor;
-                # the fallback is the incumbent held until a goal is found.
-                best = (incumbent if incumbent is not None else frame.fallback).length
-                probe.tick(stats.states_expanded, len(stack), best,
-                           min(threshold, best))
+                # threshold, so the threshold is the running proven floor.
+                probe.tick(stats.states_expanded, len(stack), held,
+                           min(threshold, held))
             children: list[tuple[float, PartialSchedule]] = []
             for child in children_of(state):
                 cf = child.makespan + h_of(child)
@@ -132,12 +133,7 @@ def idastar_schedule(
             if len(stack) > stats.max_open_size:
                 stats.max_open_size = len(stack)
 
-        if status == "budget":
-            break
-        if incumbent is not None:
-            # The first threshold at which a goal appears is the optimal
-            # cost: every state with f below it was exhausted.
-            status = "goal"
+        if status is not None:
             break
         if next_threshold is math.inf:
             # Space exhausted below the upper bound: the fallback is
@@ -148,12 +144,11 @@ def idastar_schedule(
 
     # Prior probes exhausted every state with f below the current
     # threshold (and the first threshold is the admissible h(root)), so
-    # the threshold itself is a proven floor on the optimum.
-    proven = status != "budget"
+    # the threshold itself is a proven floor on the optimum; an
+    # exhausted space left nothing below U, so the fallback is optimal.
     return frame.finish(
-        incumbent, threshold,
+        goal, math.inf if status == "exhausted" else threshold,
         algorithm="idastar" if status == "goal" else f"idastar({status})",
-        optimal=proven, bound=1.0 if proven else math.inf,
-        interrupted=None if proven else frame.stop_reason,
+        interrupted=frame.stop_reason if status == "budget" else None,
         open_size=len(stack),
     )

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.schedule.schedule import Schedule
 from repro.search.pruning import PruningStats
+from repro.util import tolerance as tol
 
-__all__ = ["SearchStats", "SearchResult"]
+__all__ = ["SearchStats", "SearchResult", "Verdict", "certify"]
 
 
 @dataclass
@@ -76,6 +78,31 @@ class SearchStats:
         self.pruning.merge(other.pruning)
 
 
+class Verdict(NamedTuple):
+    """The certificate fields of a result, as :func:`certify` decides
+    them (named as on :class:`SearchResult`)."""
+
+    optimal: bool
+    bound: float
+    lower_bound: float
+    interrupted: str | None
+
+
+def certify(length: float, lower: float, bound: float,
+            interrupted: str | None = None) -> Verdict:
+    """The one proof rule: a floor that meets the length proves it.
+
+    ``lower`` is a proven floor on the optimum, ``bound`` the ratio the
+    caller proved otherwise (``inf``: none).  A floor that meets
+    ``length`` up to drift (:func:`~repro.util.tolerance.proves_bound`
+    at ε = 0) makes the result optimal: floor = length, bound 1, not
+    interrupted.  Otherwise the floor is capped at the length.
+    """
+    if tol.proves_bound(length, 0.0, lower):
+        return Verdict(True, 1.0, length, None)
+    return Verdict(False, bound, min(lower, length), interrupted)
+
+
 @dataclass
 class SearchResult:
     """Outcome of a scheduling search.
@@ -86,25 +113,27 @@ class SearchResult:
         The best complete schedule found (``None`` only when a budget
         expired before any goal was reached).
     optimal:
-        True when the engine proved optimality (A*/B&B run to
-        completion); False for budget-terminated or ε-approximate runs.
+        True exactly when ``lower_bound`` meets the length
+        (:func:`certify`): whatever the engine and however it stopped,
+        a proven floor equal to the schedule's length proves it.
     bound:
-        For ε-approximate runs, the proven upper bound factor
-        ``(1 + ε)`` on the ratio to optimal; 1.0 for exact runs.
+        The proven factor on the ratio to optimal: 1.0 for optimal
+        results, ``(1 + ε)`` for a bounded-suboptimal engine that ran to
+        its end, ``inf`` for one its budget stopped.
     stats:
         Work counters.
     algorithm:
         Engine label for reports.
     lower_bound:
         Tightest *proven* lower bound on the optimal makespan seen
-        before the engine stopped.  For proven-optimal runs this equals
-        the schedule length; for budget-terminated runs it is the
+        before the engine stopped, capped at the schedule length: the
         engine-specific admissible floor (min f over the unexplored
         frontier, the current IDA* threshold, …) — what turns a
-        best-effort incumbent into a *certified-approximate* answer.
+        best-effort incumbent into a *certified-approximate* answer,
+        and, when it meets the length, a proof.
     interrupted:
-        ``None`` for a run that finished on its own; otherwise the
-        budget reason that stopped it (``"expansions"``,
+        ``None`` for a run that finished on its own or proved its
+        schedule; otherwise the budget reason that stopped it (``"expansions"``,
         ``"generations"``, ``"time"``, ``"memory"``, ``"interrupt"``,
         or a backend-specific cause such as ``"worker-failure"``).
     timeline:

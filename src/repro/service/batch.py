@@ -40,7 +40,7 @@ from repro.errors import WorkloadError
 from repro.graph.io import graph_from_dict, graph_to_dict, load_graph_json
 from repro.graph.taskgraph import TaskGraph
 from repro.obs.trace import Tracer, null_tracer
-from repro.parallel.mp_backend import SolverPool, system_from_args, system_to_args
+from repro.parallel.mp_backend import SolverPool
 from repro.schedule.schedule import Schedule
 from repro.search.costs import COST_FUNCTIONS
 from repro.service.cache import CacheEntry, ResultCache
@@ -52,7 +52,7 @@ from repro.schedule.fingerprint import (
 )
 from repro.testing import faults
 from repro.service.portfolio import portfolio_schedule, select_cost, solve_auto
-from repro.system.processors import ProcessorSystem
+from repro.system.processors import ProcessorSystem, system_from_dict, system_to_dict
 from repro.workloads.suite import WorkloadSuite, paper_suite, paper_target_system
 
 __all__ = [
@@ -309,7 +309,7 @@ def item_from_request(obj: dict[str, Any], name: str = "request") -> BatchItem:
     daemon's ``POST /v1/solve`` body parser — one schema, one parser."""
     graph = graph_from_dict(obj["graph"])
     if "system" in obj and obj["system"] is not None:
-        system = system_from_args(obj["system"])
+        system = system_from_dict(obj["system"])
     else:
         system = _default_system(graph, obj.get("pes"))
     return BatchItem(name=obj.get("name", name), graph=graph, system=system)
@@ -561,7 +561,7 @@ def _job_for(
     return {
         "fingerprint": fingerprint,
         "graph": graph_to_dict(item.graph),
-        "system": system_to_args(item.system),
+        "system": system_to_dict(item.system),
         "options": options,
         "trace": trace,
         "trace_root": trace_root,
@@ -616,7 +616,7 @@ def _worker_solve(job: dict[str, Any]) -> dict[str, Any]:
     faults.crash_point("solve-crash")
     faults.raise_point("solve-error")
     graph = graph_from_dict(job["graph"])
-    system = system_from_args(job["system"])
+    system = system_from_dict(job["system"])
     # Buffering tracer: spans accumulate in memory and ride back on the
     # result payload (pool workers cannot share the parent's file sink).
     wtracer = Tracer(root=job["trace_root"]) if job["trace"] else None

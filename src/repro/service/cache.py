@@ -27,11 +27,13 @@ need certificates transparently fall through to the solver which then
 overwrites the stale entry.
 
 Threads: one lock guards the memory tier and the counters, so
-:meth:`ResultCache.memory_hit` may run on one thread (the daemon's
-event loop) while :meth:`~ResultCache.get` and :meth:`~ResultCache.put`
-run on another (its cache thread).  The lock is never held across
-durable-tier I/O or a fault point: a wedged store blocks only the
-thread doing the I/O.
+:meth:`ResultCache.memory_hit` and :meth:`~ResultCache.counters` may
+run on one thread (the daemon's event loop) while
+:meth:`~ResultCache.get` and :meth:`~ResultCache.put` run on another
+(its cache thread).  The lock is never held across durable-tier I/O or
+a fault point: a wedged store blocks only the thread doing the I/O,
+and the durable tier's size is kept in memory so reading the counters
+never touches the store.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ class ResultCache:
 
     Counters: :attr:`hits` (entry served), :attr:`misses` (nothing
     stored), :attr:`stale` (entry present but rejected by
-    ``require_proven``, or a store-level backend failure absorbed).
+    ``require_proven``, or a store-level backend failure absorbed), and
+    :attr:`stored_entries`.
     """
 
     def __init__(
@@ -94,6 +97,15 @@ class ResultCache:
         self.stale = 0
         self._backend = backend_from_spec(path)
         self.path = getattr(self._backend, "path", None)
+        # The durable tier's size, read once here and raised by each put
+        # that adds a row, so the counters never wait on the store.  A
+        # store that cannot count at open starts from 0.
+        self._stored = 0
+        if self._backend is not None:
+            try:
+                self._stored = self._backend.count()
+            except CacheBackendError:
+                pass
 
     @property
     def backend(self) -> CacheBackend | None:
@@ -168,6 +180,9 @@ class ResultCache:
         if self._store_open():
             try:
                 self._backend.store(entry)  # type: ignore[union-attr]
+                if current is None:
+                    with self._lock:
+                        self._stored += 1
             except CacheBackendError:
                 # A corrupt store must not abort the batch: the entry
                 # stays served from the memory tier, the broken write is
@@ -207,22 +222,25 @@ class ResultCache:
     # -- introspection -------------------------------------------------------
 
     def counters(self) -> dict[str, int]:
-        """Hit/miss/stale counters plus sizes, for reports."""
+        """Hit/miss/stale counters plus sizes, for reports.  Reads
+        memory only, so it never blocks on the durable tier."""
         with self._lock:
-            counts = {
+            return {
                 "hits": self.hits,
                 "misses": self.misses,
                 "stale": self.stale,
                 "memory_entries": len(self._mem),
+                "stored_entries": self.stored_entries,
             }
-        return {**counts, "stored_entries": self.stored_entries}
 
     @property
     def stored_entries(self) -> int:
-        """Entries in the durable tier (= memory tier when none)."""
+        """Entries in the durable tier (= memory tier when none): the
+        count read at open plus the rows this cache's puts added.  Rows
+        another process adds to a shared store show after a reopen."""
         if not self._store_open():
             return len(self._mem)
-        return self._backend.count()  # type: ignore[union-attr]
+        return self._stored
 
     def probe(self) -> None:
         """Deep-readiness check: prove a future ``put`` would land.

@@ -28,8 +28,7 @@ from typing import Any
 
 from repro.graph.io import graph_to_dict
 from repro.graph.taskgraph import TaskGraph
-from repro.parallel.mp_backend import system_to_args
-from repro.system.processors import ProcessorSystem
+from repro.system.processors import ProcessorSystem, system_to_dict
 
 __all__ = ["ServerClient", "ServerError", "DaemonUnavailable"]
 
@@ -173,7 +172,7 @@ class ServerClient:
         """
         body: dict[str, Any] = {"graph": graph_to_dict(graph), "wait": wait}
         if system is not None:
-            body["system"] = system_to_args(system)
+            body["system"] = system_to_dict(system)
         if pes is not None:
             body["pes"] = pes
         if name is not None:

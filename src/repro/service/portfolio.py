@@ -42,7 +42,7 @@ from repro.schedule.preprocess import ChainPlan, PreprocessResult, preprocess_in
 from repro.schedule.schedule import Schedule
 from repro.search import get_engine
 from repro.search.pruning import PruningConfig
-from repro.search.result import SearchResult, SearchStats
+from repro.search.result import SearchResult, SearchStats, certify
 from repro.system.processors import ProcessorSystem
 from repro.util.timing import Budget
 
@@ -394,11 +394,12 @@ def portfolio_schedule(
     degrades the certificate at worst, never the answer.
 
     Guarantees: the returned makespan is never worse than the linear-time
-    list schedule; ``optimal`` is True iff the exact stage ran to
-    completion (or the improver already proved the incumbent, at ε = 0);
-    ``bound`` is the tightest proven sub-optimality factor across stages
-    (a completed improver proves ``1 + epsilon`` even when the exact
-    stage times out).
+    list schedule.  The engines' rule (:func:`~repro.search.result.certify`)
+    decides the certificate at the exit: ``optimal`` iff the largest
+    floor a searched stage proved meets the makespan (which also skips
+    the stages left); else ``bound`` is the tightest ratio a stage
+    proved (a completed improver's ``1 + epsilon`` survives an exact
+    stage that times out).
     """
     t0 = time.perf_counter()
     s = _set_up(graph, system, cost=cost, preprocess=preprocess,
@@ -412,6 +413,10 @@ def portfolio_schedule(
 
     total = SearchStats()
     stages: list[StageReport] = []
+    # The largest floor and smallest ratio the searched stages proved;
+    # both hold for the incumbent, never longer than a stage's answer.
+    lower, bound = 0.0, math.inf
+    interrupted: str | None = None
     started = time.perf_counter()
     # The linear-time incumbent (the §3.2 U-bound heuristic).
     with s.tracer.span("portfolio.list"):
@@ -428,7 +433,8 @@ def portfolio_schedule(
         """The stage step: run one searched stage under its
         ``portfolio.<stage>`` span with the shared probe, and fold its
         answer in — a better schedule becomes the incumbent, a better or
-        proven one names the winner, the stats and report are kept.
+        proven one names the winner, its floor and ratio join the
+        ladder's, the stats and report are kept.
 
         With a chain ``plan`` the stage searches the contracted
         companion instance: no probe and no result event (its
@@ -437,7 +443,7 @@ def portfolio_schedule(
         can exclude every optimal schedule (see the pinned
         counterexamples).
         """
-        nonlocal best, winner, winner_algo
+        nonlocal best, winner, winner_algo, lower, bound
         started = time.perf_counter()
         probe = s.probe if plan is None else None
         with s.tracer.span(f"portfolio.{stage}", attrs=attrs):
@@ -466,6 +472,9 @@ def portfolio_schedule(
         if improved or proved:
             winner = stage.split("-")[0]
             winner_algo = res.algorithm if plan is None else f"contract({res.algorithm})"
+        if plan is None:
+            lower = max(lower, res.lower_bound)
+            bound = min(bound, res.bound)
         total.merge(res.stats)
         stages.append(StageReport(
             stage=stage, algorithm=res.algorithm, makespan=res.length,
@@ -474,11 +483,6 @@ def portfolio_schedule(
             expanded=res.stats.states_expanded,
         ))
         return res
-
-    optimal = False
-    bound = math.inf
-    lower = 0.0  # tightest proven floor across stages
-    interrupted: str | None = None
 
     # -- chain-contraction warm-start probe --------------------------------
     # A short exact burst on the chain-contracted companion instance.
@@ -511,16 +515,10 @@ def portfolio_schedule(
     # -- weighted-A* improver ----------------------------------------------
     left = remaining()
     if graph.num_nodes > _SMALL_V and (left is None or left > 0):
-        res = run("improve", "wastar", Budget(
+        run("improve", "wastar", Budget(
             max_expanded=None if max_expansions is None else max_expansions // 4,
             max_seconds=None if left is None else left * _IMPROVER_SHARE,
         ), attrs={"epsilon": epsilon, "cost": s.cost})
-        if math.isfinite(res.bound):
-            bound = min(bound, res.bound)
-        lower = max(lower, res.lower_bound)
-        # ε = 0 (or a degenerate instance): the improver already proved
-        # the incumbent optimal and the exact stage has nothing to do.
-        optimal = res.optimal
 
     # -- exact engine seeded with the shared incumbent ---------------------
     # Worker-failure recovery: an HDA* attempt that lost a worker is
@@ -532,34 +530,31 @@ def portfolio_schedule(
         attempts += [("exact-retry", "hda"), ("exact-serial", "astar")]
     for stage_name, engine_name in attempts:
         left = remaining()
-        if optimal or (left is not None and left <= 0):
+        # A floor that already meets the incumbent leaves nothing to do.
+        if certify(best.length, lower, bound).optimal or (
+            left is not None and left <= 0
+        ):
             break
         res = run(stage_name, engine_name, Budget(
             max_expanded=max_expansions, max_seconds=left,
             max_memory_mb=max_memory_mb,
         ), attrs={"engine": engine_name, "cost": s.cost},
             incumbent=best)
-        lower = max(lower, res.lower_bound)
         interrupted = res.interrupted
-        # The exact stage proves the *shared* incumbent optimal even
-        # when it merely confirmed (rather than beat) it.
-        optimal = res.optimal
         if res.interrupted not in ("worker-failure", "worker-stall"):
             break  # finished, proved, or a plain budget stop — no retry
 
-    if optimal:
-        bound = 1.0
     total.wall_seconds = time.perf_counter() - t0
+    verdict = certify(best.length, lower, bound, interrupted)
     timeline = s.probe.timeline() if s.probe is not None else ()
     _emit_timeline(s.tracer, timeline, label=(
-        "improve" if optimal and winner == "improve" else "portfolio"))
+        "improve" if verdict.optimal and winner == "improve" else "portfolio"))
     best = s.restore(best, total)
     return PortfolioResult(
-        schedule=best, optimal=optimal, bound=bound, stats=total,
-        algorithm=winner_algo, winner=winner, stages=tuple(stages),
-        lower_bound=best.length if optimal else min(lower, best.length),
-        interrupted=None if optimal else interrupted,
-        timeline=timeline,
+        schedule=best, optimal=verdict.optimal, bound=verdict.bound,
+        stats=total, algorithm=winner_algo, winner=winner,
+        stages=tuple(stages), lower_bound=verdict.lower_bound,
+        interrupted=verdict.interrupted, timeline=timeline,
     )
 
 

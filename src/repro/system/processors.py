@@ -22,7 +22,7 @@ from typing import Any
 from repro.errors import SystemError_
 from repro.system import topology as topo
 
-__all__ = ["ProcessorSystem"]
+__all__ = ["ProcessorSystem", "system_to_dict", "system_from_dict"]
 
 #: The largest finite float.  One comparison against it refuses NaN,
 #: infinities and ints too large for a float (which ``math.isfinite``
@@ -245,3 +245,28 @@ class ProcessorSystem:
 
     def __hash__(self) -> int:
         return hash((self._num_pes, self._links, self._speeds, self.distance_scaled))
+
+
+def system_to_dict(system: ProcessorSystem) -> dict[str, Any]:
+    """The JSON-safe wire form of a processor system: schedule files,
+    request bodies and worker-process jobs all carry this dict."""
+    return {
+        "num_pes": system.num_pes,
+        "links": [list(link) for link in sorted(system.links)],
+        "speeds": list(system.speeds),
+        "distance_scaled": system.distance_scaled,
+        "name": system.name,
+    }
+
+
+def system_from_dict(data: dict[str, Any]) -> ProcessorSystem:
+    """Inverse of :func:`system_to_dict`.  ``name`` may be omitted
+    (``"system"``); a missing other key raises ``KeyError``, and the
+    constructor's checks (:class:`SystemError_`) guard the values."""
+    return ProcessorSystem(
+        data["num_pes"],
+        links=[tuple(link) for link in data["links"]],
+        speeds=data["speeds"],
+        distance_scaled=data["distance_scaled"],
+        name=data.get("name", "system"),
+    )

@@ -12,13 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.parallel.mp_backend import (
-    SolverPool,
-    _warmup,
-    system_from_args,
-    system_to_args,
-)
-from repro.system.processors import ProcessorSystem
+from repro.parallel.mp_backend import SolverPool, _warmup
+from repro.system.processors import ProcessorSystem, system_from_dict, system_to_dict
 from tests.procs import HAVE_PROC, ignored_signals, wait_empty
 
 SYSTEMS = {
@@ -40,7 +35,7 @@ class TestSystemArgs:
         """Systems cross the process boundary (and the daemon's HTTP
         body) as JSON-safe dicts and come back equal."""
         system = SYSTEMS[key]
-        back = system_from_args(json.loads(json.dumps(system_to_args(system))))
+        back = system_from_dict(json.loads(json.dumps(system_to_dict(system))))
         assert back == system
         assert back.name == system.name
         pes = range(system.num_pes)

@@ -8,13 +8,16 @@ from repro.graph.generators.classic import (
     fork_join_graph,
     independent_tasks,
 )
+from repro.graph.generators.random_paper import PaperGraphSpec, paper_random_graph
 from repro.graph.taskgraph import TaskGraph
+from repro.schedule.preprocess import preprocess_instance
 from repro.schedule.validate import schedule_violations
 from repro.search.astar import astar_schedule
 from repro.search.enumerate import enumerate_optimal
 from repro.search.pruning import PruningConfig
 from repro.system.processors import ProcessorSystem
 from repro.util.timing import Budget
+from repro.workloads.suite import paper_suite
 from tests.strategies import scheduling_instances
 
 
@@ -125,6 +128,40 @@ class TestBudget:
         )
         assert not result.optimal
         assert result.schedule is not None
+
+
+class TestFloorExit:
+    """A running floor that meets ``U`` proves the incumbent: A* stops
+    there instead of expanding on until its budget or a goal."""
+
+    def test_suite_row_proves_its_list_schedule(self):
+        row = paper_suite().get(0.1, 16)
+        result = astar_schedule(row.graph, row.system,
+                                budget=Budget(max_expanded=20_000))
+        assert result.algorithm == "astar(floor)"
+        assert result.certificate == "proven"
+        assert result.length == result.lower_bound == 380.0
+        assert result.stats.states_expanded <= 10
+
+    @pytest.mark.parametrize("commutation", [False, True])
+    def test_preprocessed_instance_proves_with_and_without_commutation(
+        self, commutation
+    ):
+        graph = paper_random_graph(PaperGraphSpec(num_nodes=16, ccr=0.1, seed=7))
+        system = ProcessorSystem.fully_connected(2)
+        pre = preprocess_instance(graph, system)
+        result = astar_schedule(pre.graph, system, cost="combined",
+                                pruning=PruningConfig(commutation=commutation))
+        assert result.certificate == "proven"
+        assert result.length == 540.0
+        assert result.stats.states_expanded <= 10
+
+    def test_floor_exit_expands_no_children(self, fig1_graph, fig1_system):
+        """The last pop counts as an expansion with no children, as the
+        goal pop does; the worked example meets ``U`` only at its goal."""
+        result = astar_schedule(fig1_graph, fig1_system)
+        assert result.algorithm == "astar"
+        assert result.stats.states_expanded == 35
 
 
 class TestStats:

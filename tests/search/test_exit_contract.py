@@ -1,10 +1,10 @@
 """Every engine reports through the same exit contract.
 
-Each engine is driven to its goal, budget and exhausted exits, and each
-result must hold:
+Each engine is driven to its goal, budget and exhausted exits, the
+best-first engines also to their floor exit, and each result must hold:
 
 * ``lower_bound <= length``;
-* a proven-optimal result has ``lower_bound == length``;
+* the certificate is ``proven`` exactly when ``lower_bound == length``;
 * ``stats.cost_evaluations`` equals the ``evaluations`` count of the
   :class:`CostFunction` instance passed in (every engine but ``hda``,
   whose workers build their own cost function from its name);
@@ -16,6 +16,12 @@ child above the list-schedule bound ``U``, so OPEN (or the stack) runs
 dry without a goal.  HDA* takes a cost *name*, so its exhausted exit is
 forced instead with the optimum as the incumbent: its ``f ≥ U`` cut
 then drops every state.
+
+The floor exit runs on the paper suite's v16/CCR 0.1 row, whose list
+schedule is optimal: the best-first loop's floor meets ``U`` at its
+second pop, before any goal, so A* and Aε* stop there
+(``astar(floor)``, ``focal(eps=0.5,floor)``) and HDA*'s seed phase
+proves the answer before any worker starts.
 """
 
 from __future__ import annotations
@@ -35,9 +41,12 @@ from repro.search.idastar import idastar_schedule
 from repro.search.weighted import weighted_astar_schedule
 from repro.system.processors import ProcessorSystem
 from repro.util.timing import Budget
+from repro.workloads.suite import paper_suite
 
 ENGINES = ("astar", "wastar", "focal", "bnb", "idastar", "parallel_astar", "hda")
 EXITS = ("goal", "budget", "exhausted")
+#: Engines whose loop stops where its floor meets ``U``.
+FLOORED = ("astar", "focal", "hda")
 #: Engines that take a ``probe=``.
 PROBED = {"astar", "wastar", "focal", "bnb", "idastar", "hda"}
 
@@ -53,7 +62,10 @@ class _AboveBound(CostFunction):
         return 0.0 if ps.num_scheduled == self.graph.num_nodes else 1e9
 
 
-def _instance():
+def _instance(exit_):
+    if exit_ == "floor":
+        row = paper_suite().get(0.1, 16)
+        return row.graph, row.system
     graph = paper_random_graph(PaperGraphSpec(num_nodes=10, ccr=1.0, seed=77))
     return graph, ProcessorSystem.fully_connected(2)
 
@@ -79,10 +91,12 @@ def _solve(engine, graph, system, *, cost, budget, incumbent, probe):
 
 
 @pytest.mark.timeout(120)
-@pytest.mark.parametrize("exit_", EXITS)
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(("engine", "exit_"), [
+    *((engine, exit_) for engine in ENGINES for exit_ in EXITS),
+    *((engine, "floor") for engine in FLOORED),
+])
 def test_exit_contract(engine, exit_):
-    graph, system = _instance()
+    graph, system = _instance(exit_)
     budget = Budget(max_expanded=3) if exit_ == "budget" else None
     incumbent = None
     if engine == "hda":
@@ -106,9 +120,12 @@ def test_exit_contract(engine, exit_):
         assert res.certificate in ("proven", "epsilon")
     if exit_ == "exhausted" and engine in ("astar", "wastar", "focal", "idastar"):
         assert "exhausted" in res.algorithm
+    if exit_ == "floor":
+        assert res.certificate == "proven"
+        assert res.stats.states_expanded == 2
+        assert ("floor" if engine != "hda" else "seed") in res.algorithm
     assert res.lower_bound <= res.length
-    if res.optimal:
-        assert res.lower_bound == res.length
+    assert res.optimal == (res.lower_bound == res.length)
     if cost_fn is not None:
         assert res.stats.cost_evaluations == cost_fn.evaluations
     if probe is not None:

@@ -39,6 +39,17 @@ pin that the loop reproduces the engines it replaced:
   stages (B&B excepted): the counters and stage answers changed, every
   proven answer kept its makespan, and no other row changed.
 
+* 44 rows were re-recorded when every engine began deciding its
+  certificate by one rule (a proven floor that meets the length proves
+  it), the best-first loop began stopping once its floor meets ``U``
+  (``astar(floor)``, ``focal(eps=…,floor)``) and IDA* began ending its
+  probe at its first goal: 14 A* and 7 Aε* rows took the floor exit
+  (one budgeted A* row among them, ``budget`` before, is now
+  ``proven``), 20 of 21 changed IDA* rows expand fewer states and 4
+  budgeted IDA* rows whose threshold already met their length became
+  ``proven``, and 2 portfolio rows took the floor exit in their exact
+  stage.  No length changed and no certificate got weaker.
+
 The B&B and portfolio rows were recorded before the per-child hot path
 (``extend``, ``child_signature``, the engine loops) was tuned, so they
 pin that the tuning changed no search.

@@ -36,12 +36,11 @@ from repro.errors import ReproError
 from repro.graph.io import graph_to_dict
 from repro.graph.taskgraph import TaskGraph
 from repro.graph.validate import validate_graph
-from repro.parallel.mp_backend import system_to_args
 from repro.service import httpwire
 from repro.service.batch import SolveOptions, item_from_request
 from repro.service.jobs import JobManager
 from repro.service.server import SolverServer
-from repro.system.processors import ProcessorSystem
+from repro.system.processors import ProcessorSystem, system_to_dict
 from tests.service.test_router import StubShard, make_router, ok_shard, solve_via
 
 _GRAPH = TaskGraph([2.0, 3.0, 4.0, 1.0], {(0, 1): 1.0, (0, 2): 2.0, (1, 3): 1.0, (2, 3): 1.0})
@@ -56,7 +55,7 @@ def _body(field: str, literal: str) -> bytes:
     elif field == "cost":
         obj["graph"]["edges"][2][2] = "__hostile__"
     else:
-        obj["system"] = system_to_args(ProcessorSystem.fully_connected(2))
+        obj["system"] = system_to_dict(ProcessorSystem.fully_connected(2))
         obj["system"]["speeds"] = [1.0, "__hostile__"]
         del obj["pes"]
     text = json.dumps(obj)

@@ -33,6 +33,20 @@ class TestGuarantees:
         )
         validate_schedule(result.schedule)
 
+    def test_floor_meeting_the_list_schedule_proves_it(self):
+        """The ladder's certificate follows the engines' rule: here the
+        exact stage's floor meets the list schedule's 283 on its second
+        pop, so the answer is proven, not a ``budget`` guess."""
+        graph = paper_random_graph(
+            PaperGraphSpec(num_nodes=12, ccr=1.0, seed=172683743))
+        system = ProcessorSystem.fully_connected(4)
+        result = portfolio_schedule(graph, system, max_expansions=500,
+                                    preprocess=True)
+        assert result.certificate == "proven"
+        assert result.length == result.lower_bound == 283.0
+        assert result.interrupted is None
+        assert result.stats.states_expanded <= 10
+
     @pytest.mark.parametrize("v,ccr,seed", [
         (10, 0.1, 11), (12, 1.0, 12), (10, 10.0, 13),
     ])

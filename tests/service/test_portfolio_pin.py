@@ -15,10 +15,12 @@ The cases are the golden search table's nine ``portfolio`` instances
 (v 12–16, 2 PEs, 2500 expansions) plus two v=16 instances whose
 improver runs with ε = 0, so the ladder's improver-proves-optimal exit
 is pinned as well as its exact exits.  Seed 7's improver proved its
-answer until the ladder turned the commutation reduction on; since
-then it stops on its budget (A* there needs 2,789 expansions instead
-of 340) and the B&B exact stage proves the answer, so seed 9 carries
-the improver's proof exit.
+answer until the ladder turned the commutation reduction on; then it
+stopped on its budget (A* there needed 2,789 expansions instead of
+340) and the B&B exact stage proved the answer.  Since the best-first
+loop stops once its floor meets ``U``, both improvers prove their
+answer on the floor exit within two expansions and skip the exact
+stage.
 
 Every case's ``search.timeline`` samples were re-recorded when the
 probe began reporting the incumbent a stage holds before it generates
@@ -33,6 +35,15 @@ Every case was re-recorded when the ladder turned the commutation
 reduction on for its best-first stages: the expansions, the stage
 answers and the timelines changed; every proven answer kept its
 makespan.
+
+Four cases were re-recorded when the ladder and its engines began
+deciding the certificate by one rule (a floor that meets the length
+proves it) and the best-first loop began stopping on that floor: the
+v12/CCR 0.1 and v12/CCR 1 exact stages end on ``astar(floor)`` two and
+three expansions earlier, and both ε = 0 improvers end on
+``wastar(eps=0.0,floor)`` after two expansions (seed 7 no longer runs
+its B&B exact stage); the four ``solve_auto`` runs end on the same
+exits.  Every makespan and certificate stayed the same.
 
 Record missing cases (existing ones are kept; delete a case's line to
 re-record it, only on purpose)::

@@ -297,6 +297,42 @@ class TestAdmissionControl:
             thread.join(timeout=60)
         assert cache.stored_entries == 2
 
+    def test_metrics_never_read_a_locked_store(self, tmp_path):
+        """/metrics reads the cache's counters from memory: with a second
+        connection holding the store under an exclusive lock, both the
+        JSON and the Prometheus forms answer promptly (the store's own
+        count would wait out SQLite's busy timeout, then fail)."""
+        import http.client as hc
+        import sqlite3
+
+        path = tmp_path / "locked.db"
+        srv = SolverServer(port=0, solver_workers=1, cache=path,
+                           options=SolveOptions(max_expansions=20_000))
+        thread = srv.serve_in_thread()
+        client = ServerClient(port=srv.port)
+        locker = sqlite3.connect(path, timeout=0.1)
+        try:
+            assert client.solve(graph_for(seed=54), pes=3)["via"] == "solve"
+            locker.execute("BEGIN EXCLUSIVE")
+            for query, marker in (("", '"stored_entries": 1'),
+                                  ("?format=prometheus", "cache_")):
+                conn = hc.HTTPConnection("127.0.0.1", srv.port, timeout=10)
+                try:
+                    t0 = time.perf_counter()
+                    conn.request("GET", f"/metrics{query}")
+                    resp = conn.getresponse()
+                    body = resp.read().decode()
+                    assert time.perf_counter() - t0 < 1.0
+                finally:
+                    conn.close()
+                assert resp.status == 200
+                assert marker in body
+        finally:
+            locker.rollback()
+            locker.close()
+            srv.shutdown()
+            thread.join(timeout=60)
+
     def test_draining_returns_503(self):
         srv = SolverServer(port=0, solver_workers=1, queue_limit=4)
         thread = srv.serve_in_thread()

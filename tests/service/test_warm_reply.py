@@ -126,7 +126,7 @@ class TestWireBytes:
             assert again["result"][key] == first["result"][key]
 
     def test_hit_after_proven_entry_replaced_rendered_one(self, daemon):
-        graph = graph_for(seed=64, v=12)
+        graph = graph_for(seed=65, v=12)
         budget = answer(daemon, body_for(graph, max_expansions=1))
         assert budget["result"]["certificate"] != "proven"
         rendered = answer(daemon, body_for(graph))
