@@ -12,16 +12,27 @@ Faithful to the paper's listing:
     communication round — exchange best-cost information with the
     neighbouring PPEs, import the elected best state, and run the
     round-robin load sharing of :mod:`repro.parallel.loadbalance`.
-    ``T`` starts at ``v/2`` and halves every round down to 2.
+    ``T`` starts at ``v/2`` and halves every round down to 2.  Each
+    local run is one call of the serial engine's best-first loop
+    (:func:`repro.search.astar._best_first`) on the PPE's OPEN and
+    CLOSED lists; it ends early when the PPE pops a goal or its floor
+    meets the incumbent.
 4.  A goal found by any PPE is broadcast; the search terminates when
-    the best goal's length is ≤ (1+ε) × the minimum ``f`` across all
-    OPEN lists (ε = 0 for exact search), which proves (ε-)optimality.
+    the incumbent held (the list schedule until a goal is found) is
+    ≤ (1+ε) × the minimum ``f`` across all OPEN lists (ε = 0 for exact
+    search), which proves (ε-)optimality.  The seed phase is serial
+    A*, so it ends the search outright when it pops a goal or its
+    floor meets the incumbent, and then no local phase runs.
 
 Each PPE checks duplicates **only against its own CLOSED list** (paper:
 a global CLOSED list would serialize the search), so the same placement
 may be explored by several PPEs — the "extra states not generated in
 serial A*" of the paper's Figure 5, and one of the two reasons its
 speedups are sub-linear (the other being communication time).
+
+The budget is the serial engine's, checked before every pop of every
+PPE: a run stops at exactly ``max_expanded`` expansions (seed phase
+included), and ``max_tracked_states`` bounds each PPE's OPEN + CLOSED.
 
 Simulated time: one expansion costs ``spec.expansion_cost`` units; each
 message ``spec.comm_latency``.  Phases are barrier-synchronous: a
@@ -33,7 +44,9 @@ communication round (max per-PPE messages × latency).  Speedup is then
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.graph.taskgraph import TaskGraph
@@ -42,6 +55,7 @@ from repro.parallel.machine import MachineSpec, PPENetwork
 from repro.parallel.partition import distribute_seeds
 from repro.schedule.partial import PartialSchedule
 from repro.schedule.schedule import Schedule
+from repro.search.astar import _best_first, _WeightedOrder
 from repro.search.costs import CostFunction
 from repro.search.dedup import SignatureSet
 from repro.search.frame import SearchFrame
@@ -61,55 +75,67 @@ _Entry = tuple[float, float, int, PartialSchedule]
 
 @dataclass
 class _PPE:
-    """One simulated physical processing element."""
+    """One simulated physical processing element: its OPEN list, as an
+    order for :func:`repro.search.astar._best_first` (``push``, ``pop``,
+    ``floor``, ``len``, ``factor``), and its own CLOSED list ``seen``."""
 
     index: int
     open_heap: list[_Entry] = field(default_factory=list)
     seen: SignatureSet = field(default_factory=SignatureSet)
+    #: Entry numbers, shared by all PPEs so that entries moved between
+    #: them never tie.
+    seq: Iterator[int] = field(default_factory=itertools.count)
+    #: ``1 + ε`` of the windowed pop; 1.0 pops the minimum.
+    relax: float = 1.0
+    #: Keys in ``seen`` whose state this PPE handed on (a seed dealt to
+    #: another PPE, a state given away in load sharing).
+    gone: set = field(default_factory=set)
     expansions: int = 0
-    phase_expansions: int = 0
     messages: int = 0
 
-    def peek_f(self) -> float:
+    #: The loop's floors over one PPE's OPEN bound only that PPE's share
+    #: of the space, so its caller takes the floor over all PPEs instead.
+    factor = 1.0
+
+    def __len__(self) -> int:
+        return len(self.open_heap)
+
+    def floor(self) -> float:
         return self.open_heap[0][0] if self.open_heap else math.inf
 
-    def push(self, entry: _Entry) -> None:
-        heapq.heappush(self.open_heap, entry)
+    def push(self, state: PartialSchedule, f: float, h: float) -> None:
+        heapq.heappush(self.open_heap, (f, h, next(self.seq), state))
 
-    def pop_best(self, epsilon: float, have_incumbent: bool = False) -> _Entry:
+    def pop(self) -> tuple[PartialSchedule, float, float]:
         """Pop the next state to expand (windowed FOCAL for ε > 0).
 
-        For ε = 0 this is a plain minimum pop (serial-equivalent).  For
-        ε > 0, up to ``_FOCAL_WINDOW`` lowest-f entries are examined and
-        the deepest one within ``(1+ε)·f_min`` is taken — a bounded-width
-        FOCAL list.  The ε-admissibility of the *result* is enforced at
-        the termination check, so the window only affects speed.
+        With ``relax`` 1.0 this is a plain minimum pop (serial-
+        equivalent).  Otherwise up to ``_FOCAL_WINDOW`` lowest-f
+        entries are examined and the deepest one within
+        ``relax·f_min`` is taken — a bounded-width FOCAL list.  The
+        ε-admissibility of the *result* is enforced at the termination
+        check, so the window only affects speed.
 
-        Once an incumbent goal exists (``have_incumbent``), selection
-        reverts to pure f-order: the termination test needs the *global*
-        minimum f to rise to ``incumbent/(1+ε)``, and popping the band
-        bottom raises it fastest (deep-first would stall it — the
-        find-then-prove pattern of anytime search).
+        Once an incumbent goal exists, the caller sets ``relax`` back
+        to 1.0: the termination test needs the *global* minimum f to
+        rise to ``incumbent/(1+ε)``, and popping the band bottom raises
+        it fastest (deep-first would stall it — the find-then-prove
+        pattern of anytime search).
         """
         heap = self.open_heap
-        if epsilon == 0.0 or have_incumbent or len(heap) == 1:
-            return heapq.heappop(heap)
         first = heapq.heappop(heap)
-        bound = (1.0 + epsilon) * first[0]
+        if self.relax == 1.0 or not heap:
+            return first[3], first[1], first[0]
+        bound = self.relax * first[0]
         window: list[_Entry] = [first]
         while heap and len(window) < _FOCAL_WINDOW and tol.leq(heap[0][0], bound):
             window.append(heapq.heappop(heap))
         # Deepest state (most nodes scheduled) within the bound wins.
-        best_i = 0
-        best_key = (-window[0][3].num_scheduled, window[0][0])
-        for i in range(1, len(window)):
-            key = (-window[i][3].num_scheduled, window[i][0])
-            if key < best_key:
-                best_i, best_key = i, key
-        chosen = window.pop(best_i)
+        chosen = window.pop(min(range(len(window)), key=lambda i: (
+            -window[i][3].num_scheduled, window[i][0])))
         for entry in window:
             heapq.heappush(heap, entry)
-        return chosen
+        return chosen[3], chosen[1], first[0]
 
     def pop_tail(self) -> _Entry:
         """Remove one poor (large-f) entry in O(1).
@@ -176,124 +202,80 @@ def parallel_astar_schedule(
     if spec is None:
         spec = MachineSpec()
     frame = SearchFrame(graph, system, pruning=pruning, cost=cost, budget=budget)
-    budget, stats, pruning = frame.budget, frame.stats, frame.pruning
+    stats, pruning = frame.stats, frame.pruning
     network = PPENetwork(spec)
     q = spec.num_ppes
     relax = 1.0 + epsilon
-    # The unrelaxed U stays valid for ε > 0: optimal-path states have
-    # f ≤ f_opt ≤ U and survive, so the (1+ε)·global-min termination
-    # test still fires (see repro.search.focal for the argument).
-    upper = frame.upper
-    incumbent: Schedule | None = None
-
     dup_on = pruning.duplicate_detection
-    ub_on = pruning.upper_bound
-    seq = 0
-    # Per-child names, bound once: every PPE's loop runs for every child.
-    children = frame.expander.children
-    h_of = frame.cost_fn.h
-    v = graph.num_nodes
-
-    def evaluate(child: PartialSchedule) -> _Entry | None:
-        """Cost a child; None when the upper-bound rule discards it."""
-        nonlocal seq, incumbent, upper
-        ch = h_of(child)
-        cf = child.makespan + ch
-        if ub_on and tol.gt(cf, upper):
-            stats.pruning.upper_bound_cuts += 1
-            return None
-        if child.num_scheduled == v and (
-            incumbent is None or child.makespan < incumbent.length
-        ):
-            incumbent = child.to_schedule()
-            if ub_on:
-                upper = min(upper, incumbent.length)
-        seq += 1
-        return (cf, ch, seq, child)
 
     # ---- seed phase: every PPE expands the empty state identically -------
     # (paper: "Every PPE initializes the OPEN list by expanding the
-    # initial empty state"; Case 3 keeps expanding until k >= q.)
-    root = frame.root
-    seed_heap: list[_Entry] = [(0.0, 0.0, 0, root)]
+    # initial empty state"; Case 3 keeps expanding until k >= q.)  It
+    # is serial A*, run once, and its goal, floor and empty-OPEN exits
+    # end the whole search; a goal it pops ties the best schedule it
+    # generated.  The root never recurs (every child places one more
+    # task), so CLOSED starts empty.
+    seed = _WeightedOrder(1.0)
+    seed.push(frame.root, 0.0, 0.0)
     seed_seen = SignatureSet(verify=pruning.verify_signatures)
-    seed_seen.add(root.dedup_key, lambda: root.signature)
-    seed_expansions = 0
-    while seed_heap and len(seed_heap) < max(q, 2):
-        f, h, _s, state = heapq.heappop(seed_heap)
-        if state.num_scheduled == v:
-            # Degenerate: the whole space fit below q states.
-            heapq.heappush(seed_heap, (f, h, _s, state))
-            break
-        seed_expansions += 1
-        for child in children(state, seed_seen if dup_on else None):
-            entry = evaluate(child)
-            if entry is not None:
-                stats.states_generated += 1
-                heapq.heappush(seed_heap, entry)
+    status, _, incumbent, lower = _best_first(
+        frame, seed, seen=seed_seen, width=max(q, 2),
+    )
+    seed_expansions = stats.states_expanded
+    stopped = frame.stop_reason if status == "budget" else None
 
-    ppes = [_PPE(index=i) for i in range(q)]
-    for ppe in ppes:
-        # Every PPE ran the identical seed expansion, so every PPE's
-        # CLOSED list starts with the seed-phase signatures.
-        ppe.seen = seed_seen.copy()
-    seeds = [(entry[0], entry) for entry in seed_heap]
-    for i, bucket in enumerate(distribute_seeds(seeds, q)):
-        for entry in bucket:
-            ppes[i].push(entry)  # type: ignore[arg-type]
+    # Every PPE ran the identical seed expansion, so every PPE's CLOSED
+    # list starts with the seed-phase signatures.
+    seq = itertools.count()
+    ppes = [_PPE(index=i, seen=seed_seen.copy(), seq=seq) for i in range(q)]
+    if status == "width":
+        seeds = [(f, (state, f, h)) for f, h, _s, state in seed]
+        dealt = {state.dedup_key for _f, _h, _s, state in seed}
+        for ppe, bucket in zip(ppes, distribute_seeds(seeds, q)):
+            ppe.gone = dealt - {state.dedup_key for state, _f, _h in bucket}
+            for state, f, h in bucket:
+                ppe.push(state, f, h)
 
     # ---- phase loop --------------------------------------------------------
-    T = max(2, v // 2)
+    T = max(2, graph.num_nodes // 2)
     makespan = float(seed_expansions) * spec.expansion_cost
     comm_units = 0.0
     phases = 0
     comm_rounds = 0
     total_messages = 0
-    stopped = None  # the budget's reason, once it stops the run
 
-    while True:
+    while status == "width":
         # -- local search phase: up to T expansions per PPE ----------------
         phases += 1
+        work = []
         for ppe in ppes:
-            ppe.phase_expansions = 0
-            heap = ppe.open_heap
-            while heap and ppe.phase_expansions < T:
-                entry = ppe.pop_best(epsilon, incumbent is not None)
-                f, h, _s, state = entry
-                ppe.phase_expansions += 1
-                ppe.expansions += 1
-                stats.states_expanded += 1
-                if state.num_scheduled == v:
-                    if incumbent is None or state.makespan < incumbent.length:
-                        incumbent = state.to_schedule()
-                        if ub_on:
-                            upper = min(upper, incumbent.length)
-                    continue
-                if ub_on and tol.gt(f, upper):
-                    stats.pruning.upper_bound_cuts += 1
-                    continue
-                for child in children(state, ppe.seen if dup_on else None):
-                    child_entry = evaluate(child)
-                    if child_entry is not None:
-                        stats.states_generated += 1
-                        ppe.push(child_entry)
-        phase_work = max(p.phase_expansions for p in ppes)
-        makespan += phase_work * spec.expansion_cost
-        open_total = sum(len(p.open_heap) for p in ppes)
+            ppe.relax = relax if incumbent is None else 1.0
+            before = stats.states_expanded
+            local, _, found, _ = _best_first(frame, ppe, seen=ppe.seen, limit=T)
+            work.append(stats.states_expanded - before)
+            ppe.expansions += work[-1]
+            # A goal a PPE pops was generated earlier, so only the best
+            # schedule it generated can beat the incumbent.
+            if found is not None and (
+                incumbent is None or found.length < incumbent.length
+            ):
+                incumbent = found
+            if local == "budget":
+                stopped = frame.stop_reason
+                break
+        makespan += max(work) * spec.expansion_cost
+        open_total = sum(len(p) for p in ppes)
         if open_total > stats.max_open_size:
             stats.max_open_size = open_total
 
-        # -- barrier: termination and budget checks --------------------------
-        global_min_f = min(p.peek_f() for p in ppes)
-        # The drift-aware ε-termination test (repro.util.tolerance); an
-        # empty frontier left no state below the bound.
-        if global_min_f is math.inf or (
-            incumbent is not None
-            and tol.proves_bound(incumbent.length, epsilon, global_min_f)
+        # -- barrier: the drift-aware ε-termination test
+        # (repro.util.tolerance) against the incumbent held; an empty
+        # frontier left no state below U.
+        lower = min(p.floor() for p in ppes)
+        held = frame.fallback if incumbent is None else incumbent
+        if stopped or lower == math.inf or tol.proves_bound(
+            held.length, epsilon, lower
         ):
-            break
-        if budget.exhausted(stats.states_expanded, stats.states_generated):
-            stopped = frame.stop_reason
             break
 
         # -- communication round ------------------------------------------------
@@ -322,22 +304,20 @@ def parallel_astar_schedule(
             sig = state.dedup_key
             # Imported states go through seen()/add() with the exact
             # signature so verify mode covers cross-PPE traffic too.
-            exact = (
-                (lambda s=state: s.signature) if ppe.seen.verify else None
-            )
+            exact = (lambda s=state: s.signature) if ppe.seen.verify else None
             if dup_on and ppe.seen.seen(sig, exact):
                 stats.pruning.duplicate_hits += 1
                 continue
             if dup_on:
                 ppe.seen.add(sig, exact)
-            seq += 1
-            ppe.push((f, h, seq, state))
+            ppe.push(state, f, h)
             ppe.messages += 1
             total_messages += 1
             stats.states_generated += 1  # duplicated copy = extra state
 
-        # (b) Round-robin load sharing of OPEN counts (§3.3 listing).
-        counts = [len(p.open_heap) for p in ppes]
+        # (b) Round-robin load sharing of OPEN counts (§3.3 listing);
+        # a moved entry keeps its number.
+        counts = [len(p) for p in ppes]
         for donor, receiver, amount in plan_round_robin_shares(counts):
             moved = 0
             for _ in range(amount):
@@ -346,17 +326,19 @@ def parallel_astar_schedule(
                 entry = ppes[donor].pop_tail()
                 state = entry[3]
                 sig = state.dedup_key
-                recv_seen = ppes[receiver].seen
-                exact = (
-                    (lambda s=state: s.signature) if recv_seen.verify else None
-                )
-                if dup_on and recv_seen.seen(sig, exact):
+                ppes[donor].gone.add(sig)
+                recv = ppes[receiver]
+                exact = (lambda s=state: s.signature) if recv.seen.verify else None
+                # The receiver holds or has expanded a state its CLOSED
+                # list has, unless it handed that state on: then the
+                # donor's copy may be the only one left.
+                if dup_on and sig not in recv.gone and recv.seen.seen(sig, exact):
                     stats.pruning.duplicate_hits += 1
-                    # The donor dropped it; receiver already has it.
                     continue
+                recv.gone.discard(sig)
                 if dup_on:
-                    recv_seen.add(sig, exact)
-                ppes[receiver].push(entry)
+                    recv.seen.add(sig, exact)
+                heapq.heappush(recv.open_heap, entry)
                 moved += 1
             ppes[donor].messages += moved
             ppes[receiver].messages += moved
@@ -374,10 +356,10 @@ def parallel_astar_schedule(
     else:
         algorithm = "parallel-astar" if epsilon == 0.0 else f"parallel-focal(eps={epsilon})"
     # Every PPE's OPEN holds the unexplored rest of the space, so the
-    # last barrier's global minimum f is a proven floor on the optimum.
+    # last barrier's global minimum f is a proven floor on the optimum
+    # (or the seed phase's floor, when it ended the search).
     result = frame.finish(
-        incumbent, global_min_f, algorithm=algorithm, bound=relax,
-        interrupted=stopped,
+        incumbent, lower, algorithm=algorithm, bound=relax, interrupted=stopped,
     )
     return ParallelResult(
         result=result,
@@ -390,3 +372,4 @@ def parallel_astar_schedule(
         seed_expansions=seed_expansions,
         comm_units=comm_units,
     )
+

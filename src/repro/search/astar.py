@@ -99,7 +99,8 @@ class _WeightedOrder:
 
 def _best_first(
     frame: SearchFrame, order, *, trace: SearchTrace | None = None,
-    width: float = math.inf,
+    width: float = math.inf, seen: SignatureSet | None = None,
+    limit: float = math.inf,
 ) -> tuple[str, Schedule | None, Schedule | None, float]:
     """Best-first search over the §3.2 state space, expanding in ``order``.
 
@@ -114,10 +115,13 @@ def _best_first(
 
     The loop stops on the first goal popped (``"goal"``), a running
     floor that meets ``U`` (``"floor"``: the incumbent is optimal), a
-    spent budget (``"budget"``), an empty OPEN (``"exhausted"``) or,
-    after an expansion, OPEN holding ``width`` states (``"width"``: the
-    HDA* seed phase, which then deals OPEN to its workers).  A goal or
-    floor exit counts its last pop as an expansion with no children.  Returns
+    spent budget (``"budget"``), an empty OPEN (``"exhausted"``),
+    ``limit`` expansions into the call (``"limit"``: a simulated PPE's
+    local phase) or, after an expansion, OPEN holding ``width`` states
+    (``"width"``: a seed phase, which then deals OPEN to its HDA*
+    workers or PPEs).  A caller that passes its CLOSED set as ``seen``
+    has filled OPEN itself.  A goal or floor exit counts its last pop as
+    an expansion with no children.  Returns
     ``(status, goal, best, lower)``: the goal popped, the best complete
     schedule generated (each ``None`` when there is none) and the
     proven floor on the optimum.
@@ -125,10 +129,12 @@ def _best_first(
     budget, stats, pruning = frame.budget, frame.stats, frame.pruning
     probe, upper, root = frame.probe, frame.upper, frame.root
     push, pop = order.push, order.pop
-    push(root, 0.0, 0.0)
-    seen = SignatureSet(verify=pruning.verify_signatures)
-    if pruning.duplicate_detection:
-        seen.add(root.dedup_key, lambda: root.signature)
+    if seen is None:
+        push(root, 0.0, 0.0)
+        seen = SignatureSet(verify=pruning.verify_signatures)
+        if pruning.duplicate_detection:
+            seen.add(root.dedup_key, lambda: root.signature)
+    stop_at = stats.states_expanded + limit
     best: Schedule | None = None  # best complete schedule *generated*
     # The probe samples the incumbent held: the fallback until a
     # shorter schedule is generated (the probe keeps the running min).
@@ -153,6 +159,9 @@ def _best_first(
         if budget.exhausted(stats.states_expanded, stats.states_generated,
                             len(order) + len(seen)):
             status = "budget"
+            break
+        if stats.states_expanded >= stop_at:
+            status = "limit"
             break
         state, h, floor = pop()
         if floor > lower:
@@ -214,7 +223,7 @@ def _best_first(
         # still claims no more than the order's guarantee.
         schedule = best if best is not None else frame.fallback
         lower = max(lower, schedule.length / order.factor)
-    elif status in ("budget", "width"):
+    elif status in ("budget", "width", "limit"):
         # Stopped with OPEN non-empty: its floor holds.
         lower = max(lower, order.floor())
     return status, goal, best, lower

@@ -60,7 +60,8 @@ def idastar_schedule(
     for true O(v) memory).
 
     Returns the same :class:`SearchResult` contract: the first goal a
-    probe reaches is optimal, and ``optimal`` is True iff the floor
+    probe reaches is optimal, a threshold that meets ``U`` stops the
+    search (``idastar(floor)``), and ``optimal`` is True iff the floor
     reached (the threshold) meets the returned length.
     """
     frame = SearchFrame(graph, system, pruning=pruning, cost=cost, budget=budget,
@@ -80,13 +81,18 @@ def idastar_schedule(
     v = graph.num_nodes
 
     status = None
+    stack: list[tuple[float, PartialSchedule]] = []
     while True:
+        if tol.geq(threshold, upper):
+            # The threshold, a proven floor (see below), meets U.
+            status = "floor"
+            break
         next_threshold = math.inf
         # Per-probe transposition table of duplicate keys (seen at or
         # below the current threshold).  Rebuilt each probe because the
         # admission condition depends on the threshold.
         table = SignatureSet(verify=verify)
-        stack: list[tuple[float, PartialSchedule]] = [(threshold, root)]
+        stack = [(threshold, root)]
 
         while stack:
             if budget.exhausted(stats.states_expanded, stats.states_generated,

@@ -21,6 +21,18 @@ def small_run():
     return run_figure6(suite, config, OptimumCache(config=config))
 
 
+@functools.lru_cache(maxsize=1)
+def low_ccr_run():
+    # At CCR 0.1 serial A* proves each instance in its first expansions
+    # (its floor meets the list schedule), and so does the parallel
+    # run's seed phase, which is the same search.
+    suite = paper_suite(sizes=(10, 12), ccrs=(0.1,))
+    config = ExperimentConfig(
+        max_expansions=20_000, max_seconds=20.0, ppe_counts=(2, 4)
+    )
+    return run_figure6(suite, config, OptimumCache(config=config))
+
+
 class TestFigure6:
     @pytest.mark.slow
     def test_point_grid(self):
@@ -55,3 +67,13 @@ class TestFigure6:
         out = small_run().render()
         assert "Figure 6" in out
         assert "2 PPEs" in out and "4 PPEs" in out
+
+    def test_seed_phase_decides_low_ccr_points(self):
+        """Where serial A* proves the optimum at once, so do the PPEs:
+        no extra state and no slowdown."""
+        result = low_ccr_run()
+        assert len(result.points) == 2 * 2
+        for p in result.points:
+            assert p.exact
+            assert p.speedup == 1.0
+            assert p.extra_state_ratio == 1.0

@@ -8,6 +8,7 @@ from repro.parallel.parallel_astar import parallel_astar_schedule
 from repro.schedule.validate import schedule_violations
 from repro.search.enumerate import enumerate_optimal
 from repro.util.timing import Budget
+from repro.workloads.suite import paper_suite
 from tests.strategies import scheduling_instances
 
 
@@ -70,6 +71,64 @@ class TestPaperExample:
         )
         assert par.result.length <= 1.5 * 14.0 + 1e-9
         assert par.result.bound == pytest.approx(1.5)
+
+
+class TestBudgets:
+    """The PPEs run the serial loop, so its budget checks and floor
+    exit hold for the whole simulated machine."""
+
+    def test_expansion_budget_is_exact(self):
+        inst = paper_suite().get(1.0, 12)
+        par = parallel_astar_schedule(
+            inst.graph, inst.system, MachineSpec(num_ppes=4),
+            budget=Budget(max_expanded=2000),
+        )
+        assert par.result.interrupted == "expansions"
+        assert par.result.stats.states_expanded == 2000
+        assert par.result.stats.states_expanded == par.total_expansions
+
+    def test_tracked_states_ceiling_stops_the_run(self):
+        inst = paper_suite().get(10.0, 12)
+        par = parallel_astar_schedule(
+            inst.graph, inst.system, MachineSpec(num_ppes=4),
+            budget=Budget(max_tracked_states=500),
+        )
+        assert par.result.interrupted == "memory"
+        assert not par.result.optimal
+
+    def test_seed_phase_floor_proves_the_list_schedule(self):
+        """Serial A* proves this row in 2 expansions; so does the seed
+        phase, and no PPE expands anything."""
+        inst = paper_suite().get(0.1, 16)
+        par = parallel_astar_schedule(
+            inst.graph, inst.system, MachineSpec(num_ppes=4),
+            budget=Budget(max_expanded=200_000),
+        )
+        assert par.result.optimal
+        assert par.result.length == 380.0
+        assert par.phases == 0
+        assert par.total_expansions == par.seed_expansions == 2
+
+
+class TestLoadSharing:
+    def test_moved_state_is_kept_when_the_receiver_has_seen_it(self):
+        """A receiver's CLOSED list starts with every seed, also those
+        dealt to the donor, so a moved state it "has seen" may be held
+        nowhere else.  On this instance load sharing used to drop such
+        a state (f = 34, on the only optimal path) and 2 PPEs proved 35."""
+        from repro.graph.taskgraph import TaskGraph
+        from repro.system.processors import ProcessorSystem
+
+        graph = TaskGraph(
+            [1.0, 1.0, 15.0, 5.0, 16.0, 13.0, 14.0],
+            {(0, 1): 1.0, (0, 2): 8.0, (1, 3): 0.0, (1, 4): 9.0,
+             (1, 6): 0.0, (3, 5): 7.0, (4, 6): 0.0, (5, 6): 0.0},
+        )
+        system = ProcessorSystem.fully_connected(2)
+        assert enumerate_optimal(graph, system).length == 34.0
+        par = parallel_astar_schedule(graph, system, MachineSpec(num_ppes=2))
+        assert par.result.optimal
+        assert par.result.length == 34.0
 
 
 class TestDefaults:

@@ -17,6 +17,8 @@ from __future__ import annotations
 import pytest
 
 from repro.graph.generators.random_paper import PaperGraphSpec, paper_random_graph
+from repro.parallel.machine import MachineSpec
+from repro.parallel.parallel_astar import parallel_astar_schedule
 from repro.schedule.validate import validate_schedule
 from repro.search.astar import astar_schedule
 from repro.search.bnb import bnb_schedule
@@ -32,6 +34,8 @@ ENGINES = [
     ("idastar", lambda g, s, b: idastar_schedule(g, s, budget=b)),
     ("wastar", lambda g, s, b: weighted_astar_schedule(g, s, 0.2, budget=b)),
     ("focal", lambda g, s, b: focal_schedule(g, s, 0.2, budget=b)),
+    ("parallel_astar", lambda g, s, b: parallel_astar_schedule(
+        g, s, MachineSpec(num_ppes=4), budget=b).result),
 ]
 
 INSTANCES = [(9, 0.5, 2), (10, 1.0, 7), (9, 5.0, 13)]
@@ -98,7 +102,7 @@ class TestBudgetExitBracket:
         result = run(graph, system, Budget())
         assert result.interrupted is None
         assert result.lower_bound <= opt + 1e-9
-        if name in ("astar", "bnb", "idastar"):
+        if name in ("astar", "bnb", "idastar", "parallel_astar"):
             assert result.optimal
             assert result.lower_bound == pytest.approx(result.length)
             assert result.length == pytest.approx(opt)

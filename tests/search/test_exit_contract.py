@@ -21,7 +21,9 @@ The floor exit runs on the paper suite's v16/CCR 0.1 row, whose list
 schedule is optimal: the best-first loop's floor meets ``U`` at its
 second pop, before any goal, so A* and Aε* stop there
 (``astar(floor)``, ``focal(eps=0.5,floor)``) and HDA*'s seed phase
-proves the answer before any worker starts.
+proves the answer before any worker starts; IDA*'s second threshold,
+set by the root's children, meets ``U``, so it stops before that
+probe (``idastar(floor)``) after 1 expansion.
 """
 
 from __future__ import annotations
@@ -46,20 +48,22 @@ from repro.workloads.suite import paper_suite
 ENGINES = ("astar", "wastar", "focal", "bnb", "idastar", "parallel_astar", "hda")
 EXITS = ("goal", "budget", "exhausted")
 #: Engines whose loop stops where its floor meets ``U``.
-FLOORED = ("astar", "focal", "hda")
+FLOORED = ("astar", "focal", "idastar", "hda")
 #: Engines that take a ``probe=``.
 PROBED = {"astar", "wastar", "focal", "bnb", "idastar", "hda"}
 
 
 class _AboveBound(CostFunction):
-    """Inadmissible on purpose: every incomplete state costs far more
-    than any schedule, so the upper-bound cut drops every child."""
+    """Inadmissible on purpose: every incomplete state but the root
+    costs far more than any schedule, so the upper-bound cut drops
+    every child.  The root costs 0: IDA*'s first threshold is its ``f``,
+    and one above ``U`` would take the floor exit instead."""
 
     name = "above-bound"
 
     def h(self, ps) -> float:
         self.evaluations += 1
-        return 0.0 if ps.num_scheduled == self.graph.num_nodes else 1e9
+        return 0.0 if ps.num_scheduled in (0, self.graph.num_nodes) else 1e9
 
 
 def _instance(exit_):
@@ -122,7 +126,7 @@ def test_exit_contract(engine, exit_):
         assert "exhausted" in res.algorithm
     if exit_ == "floor":
         assert res.certificate == "proven"
-        assert res.stats.states_expanded == 2
+        assert res.stats.states_expanded == (1 if engine == "idastar" else 2)
         assert ("floor" if engine != "hda" else "seed") in res.algorithm
     assert res.lower_bound <= res.length
     assert res.optimal == (res.lower_bound == res.length)

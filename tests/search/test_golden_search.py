@@ -49,6 +49,15 @@ pin that the loop reproduces the engines it replaced:
   budgeted IDA* rows whose threshold already met their length became
   ``proven``, and 2 portfolio rows took the floor exit in their exact
   stage.  No length changed and no certificate got weaker.
+* 42 rows were re-recorded when the simulated PPEs began running the
+  best-first loop and IDA* began stopping at a probe whose threshold
+  meets ``U`` (``idastar(floor)``): all 30 ``parallel_astar`` rows
+  (the seed phase's expansions now count in ``states_expanded``, the
+  budgeted rows stop at exactly 40 expansions where they overshot to
+  42–47, 5 rows are proven by the seed phase, and load sharing no
+  longer drops a moved state the receiver has handed on) and 12 IDA*
+  rows.  No length changed, no certificate got weaker and no bound
+  grew.
 
 The B&B and portfolio rows were recorded before the per-child hot path
 (``extend``, ``child_signature``, the engine loops) was tuned, so they
