@@ -81,6 +81,22 @@ class CostFunction:
         """Admissible estimate of the remaining schedule length."""
         raise NotImplementedError
 
+    def h_preview(
+        self, ps: PartialSchedule, node: int, pe: int, start: float, finish: float
+    ) -> float:
+        """``h(ps.extend(node, pe))``, the same float, for the child that
+        places ``node`` on ``pe`` over ``[start, finish)``; counts one
+        evaluation.
+
+        ``start`` is ``ps.est(node, pe)`` and ``finish`` is ``start`` plus
+        the node's execution time on ``pe``, computed exactly as
+        :meth:`~repro.schedule.partial.PartialSchedule.extend` does.  A
+        subclass that can read its bound off the parent overrides this so
+        that a child cut by the bound is never built; this fallback
+        builds it.
+        """
+        return self.h(ps.extend(node, pe, _start=start))
+
 
 class PaperCost(CostFunction):
     """The paper's h: max static level among successors of ``n_max``."""
@@ -113,6 +129,25 @@ class PaperCost(CostFunction):
             return self._succ_level[nodes[0]]
         return max(map(self._succ_level.__getitem__, nodes))
 
+    def h_preview(
+        self, ps: PartialSchedule, node: int, pe: int, start: float, finish: float
+    ) -> float:
+        # The child's argmax-finish set is {node} when ``finish`` passes
+        # the parent's makespan, the parent's set plus ``node`` when it
+        # ties, and the parent's set otherwise (extend's three cases).
+        self.evaluations += 1
+        table = self._succ_level
+        g = ps.makespan
+        if finish > g:
+            return table[node]
+        if g == 0.0:  # the child's makespan is 0 too, as h reads it
+            return 0.0
+        nodes = ps.max_finish_nodes
+        hp = table[nodes[0]] if len(nodes) == 1 else max(map(table.__getitem__, nodes))
+        if finish == g and table[node] > hp:
+            return table[node]
+        return hp
+
 
 class ZeroCost(CostFunction):
     """``h = 0``: the trivial admissible bound (exhaustive-search ablation)."""
@@ -120,6 +155,12 @@ class ZeroCost(CostFunction):
     name = "zero"
 
     def h(self, ps: PartialSchedule) -> float:
+        self.evaluations += 1
+        return 0.0
+
+    def h_preview(
+        self, ps: PartialSchedule, node: int, pe: int, start: float, finish: float
+    ) -> float:
         self.evaluations += 1
         return 0.0
 
@@ -261,6 +302,23 @@ class LoadBoundCost(CostFunction):
         g = ps.makespan
         return m - g if m > g else 0.0
 
+    def h_preview(
+        self, ps: PartialSchedule, node: int, pe: int, start: float, finish: float
+    ) -> float:
+        # The child's aggregates: one node's weight less to place, one
+        # PE's ready time moved to ``finish``.
+        self.evaluations += 1
+        w_rem = ps.remaining_weight - self.graph.weights[node]
+        if w_rem <= 0.0:
+            return 0.0
+        ready = list(ps.ready_time)
+        ready[pe] = finish
+        m = _capacity_makespan(w_rem, ready, self._speeds, self._uniform)
+        g = ps.makespan
+        if finish > g:
+            g = finish
+        return m - g if m > g else 0.0
+
 
 class CombinedCost(CostFunction):
     """``max(paper, load)`` — the composite exact-search default.
@@ -321,6 +379,64 @@ class CombinedCost(CostFunction):
         # hp >= 0.0, so a negative load term never wins the max.
         hl = m - g
         return hp if hp >= hl else hl
+
+    def h_preview(
+        self, ps: PartialSchedule, node: int, pe: int, start: float, finish: float
+    ) -> float:
+        # PaperCost.h_preview's argmax cases and LoadBoundCost.h_preview's
+        # child aggregates, combined as in h.
+        self.evaluations += 1
+        table = self._succ_level
+        g = ps.makespan
+        if finish > g:
+            g = finish
+            hp = table[node]
+        elif g == 0.0:
+            hp = 0.0
+        else:
+            nodes = ps.max_finish_nodes
+            hp = (table[nodes[0]] if len(nodes) == 1
+                  else max(map(table.__getitem__, nodes)))
+            if finish == g and table[node] > hp:
+                hp = table[node]
+        w_rem = ps.remaining_weight - self.graph.weights[node]
+        if w_rem <= 0.0:
+            return hp
+        ready = list(ps.ready_time)
+        ready[pe] = finish
+        hl = _capacity_makespan(w_rem, ready, self._speeds, self._uniform) - g
+        return hp if hp >= hl else hl
+
+
+def _capacity_makespan(
+    w_rem: float,
+    ready_time: list[float],
+    speeds: tuple[float, ...],
+    uniform: float | None,
+) -> float:
+    """The capacity sweep of :meth:`LoadBoundCost.h` (inlined there and
+    in :meth:`CombinedCost.h`), the same float operations in the same
+    order: the smallest ``M`` whose capacity beyond the ready times
+    covers ``w_rem``.  ``uniform`` is the one speed of a homogeneous
+    system, else ``None``."""
+    speed_sum = 0.0
+    weighted_rt = 0.0
+    m = 0.0
+    if uniform is not None:
+        for rt in sorted(ready_time):
+            if speed_sum and m <= rt:
+                break
+            speed_sum += uniform
+            weighted_rt += uniform * rt
+            m = (w_rem + weighted_rt) / speed_sum
+    else:
+        for rt, speed in sorted(zip(ready_time, speeds)):
+            if speed_sum and m <= rt:
+                break
+            speed_sum += speed
+            weighted_rt += speed * rt
+            m = (w_rem + weighted_rt) / speed_sum
+    return m
 
 
 #: Registry of cost-function constructors by name.

@@ -247,23 +247,18 @@ class StateExpander:
         pes.sort()
         return pes
 
-    def children(
-        self, ps: PartialSchedule, seen: SignatureSet | None = None
-    ) -> Iterator[PartialSchedule]:
-        """Yield every child state of ``ps`` (after node/PE filtering).
+    def candidate_rows(
+        self, ps: PartialSchedule
+    ) -> list[tuple[int, list[int]]]:
+        """Every placement the pruning rules keep, as ``(node, pes)`` rows.
 
-        Children are yielded highest-priority node first, lowest PE id
-        first — determinism the tests rely on.
-
-        When ``seen`` is given, duplicate placements are filtered *before
-        construction*: the child's duplicate key is previewed
-        (:meth:`PartialSchedule.child_signature` — one EST plus one
-        Zobrist XOR) and only unseen keys are materialized and recorded.
-        Profiling showed 80-90% of expansion candidates dying in the
-        engines' duplicate checks after paying full construction cost —
-        this is the paper's CLOSED-list check, hoisted.  In the table's
-        ``verify`` mode the child is constructed first so its exact
-        signature can confirm each hash hit.
+        Rows come highest-priority node first and each row's PEs lowest
+        id first — the order :meth:`children` yields in, which the tests
+        rely on.  This is the one home of the node/PE filters:
+        equivalence and priority (:meth:`candidate_nodes`), isomorphism
+        and symmetry (:meth:`candidate_pes`), fixed task order and
+        commutation; each skip is counted here, once per call.  Rows may
+        share one PE list, so callers must not mutate them.
         """
         pes = self.candidate_pes(ps)
         nodes = self.candidate_nodes(ps)
@@ -276,36 +271,56 @@ class StateExpander:
                 # head's descendants).
                 self.stats.fixed_order_skips += (len(nodes) - 1) * len(pes)
                 nodes = [head]
-        commut = self.config.commutation and ps.last_node >= 0
-        skip_other_pes = False
-        if commut:
-            last_node = ps.last_node
-            last_pe = ps.last_pe
-            last_rank = self._prio_rank[last_node]
-            rank = self._prio_rank
-            pred_masks = self._pred_masks
+        last_node = ps.last_node
+        if not self.config.commutation or last_node < 0:
+            return [(node, pes) for node in nodes]
+        # Partial-order reduction: if a node was already ready before
+        # the last placement (the last node is not its parent) and
+        # orders canonically before it, the states reachable by placing
+        # it on a *different* PE are transpositions of placements
+        # explored via the swapped order (or isomorphic/equivalent
+        # variants of them).
+        last_pe = ps.last_pe
+        same_pe = [last_pe] if last_pe in pes else []
+        dropped = len(pes) - len(same_pe)
+        rank = self._prio_rank
+        last_rank = rank[last_node]
+        pred_masks = self._pred_masks
+        rows = []
+        for node in nodes:
+            if rank[node] < last_rank and not (pred_masks[node] >> last_node) & 1:
+                self.stats.commutation_skips += dropped
+                rows.append((node, same_pe))
+            else:
+                rows.append((node, pes))
+        return rows
+
+    def children(
+        self, ps: PartialSchedule, seen: SignatureSet | None = None
+    ) -> Iterator[PartialSchedule]:
+        """Yield every child state of ``ps`` (after node/PE filtering).
+
+        Children are yielded in :meth:`candidate_rows` order: highest-
+        priority node first, lowest PE id first — determinism the tests
+        rely on.
+
+        When ``seen`` is given, duplicate placements are filtered *before
+        construction*: the child's duplicate key is previewed
+        (:meth:`PartialSchedule.child_signature` — one EST plus one
+        Zobrist XOR) and only unseen keys are materialized and recorded
+        — the paper's CLOSED-list check, hoisted.  In the table's
+        ``verify`` mode the child is constructed first so its exact
+        signature can confirm each hash hit.
+        """
+        rows = self.candidate_rows(ps)
         verify = seen is not None and seen.verify
         # Per-candidate names, bound once per expansion.
         stats = self.stats
         child_signature = ps.child_signature
         extend = ps.extend
         check_add = seen.check_add if seen is not None else None
-        for node in nodes:
-            if commut:
-                # Partial-order reduction: if `node` was already ready
-                # before the last placement (the last node is not its
-                # parent) and orders canonically before it, the states
-                # reachable by placing `node` on a *different* PE are
-                # transpositions of placements explored via the swapped
-                # order (or isomorphic/equivalent variants of them).
-                skip_other_pes = (
-                    rank[node] < last_rank
-                    and not (pred_masks[node] >> last_node) & 1
-                )
+        for node, pes in rows:
             for pe in pes:
-                if skip_other_pes and pe != last_pe:
-                    stats.commutation_skips += 1
-                    continue
                 if check_add is None:
                     yield extend(node, pe)
                     continue

@@ -2,6 +2,7 @@
 shared-memory coordination primitives."""
 
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +12,14 @@ from repro.obs.trace import Tracer
 from repro.parallel.hda import hda_astar_schedule
 from repro.parallel.mp_backend import pool_context
 from repro.parallel.shared import SharedIncumbent, WorkerBoard, owner_of
+from repro.schedule.partial import PartialSchedule
 from repro.schedule.partial_reference import ReferencePartialSchedule
 from repro.schedule.validate import schedule_violations
 from repro.search.astar import astar_schedule
 from repro.search.enumerate import enumerate_optimal
 from repro.search.focal import focal_schedule
 from repro.search.pruning import PruningConfig
+from repro.search.result import SearchStats
 from repro.system.processors import ProcessorSystem
 from repro.util.timing import Budget
 from tests.strategies import scheduling_instances
@@ -324,6 +327,61 @@ class TestHdaMatchesSerial:
         assert approx.bound == 1.5
         assert approx.certificate == "epsilon"
         assert approx.length <= 1.5 * exact.length + 1e-9
+
+
+class TestHdaWorkerChildren:
+    """The worker loop costs and cuts each child from its parent, and
+    builds only the children that survive the bound and CLOSED."""
+
+    @pytest.mark.skipif(
+        pool_context().get_start_method() != "fork",
+        reason="counts calls through a patch the workers inherit by fork",
+    )
+    def test_workers_build_only_the_children_they_keep(self, monkeypatch):
+        graph = paper_random_graph(PaperGraphSpec(num_nodes=12, ccr=1.0, seed=7))
+        system = ProcessorSystem.fully_connected(3)
+        parent = os.getpid()
+        built = pool_context().Value("q", 0)
+        extend = PartialSchedule.extend
+
+        def counting_extend(self, *args, **kwargs):
+            if os.getpid() != parent:
+                with built.get_lock():
+                    built.value += 1
+            return extend(self, *args, **kwargs)
+
+        worker_generated = []
+        merge = SearchStats.merge
+
+        def recording_merge(self, other):
+            worker_generated.append(other.states_generated)
+            return merge(self, other)
+
+        monkeypatch.setattr(PartialSchedule, "extend", counting_extend)
+        monkeypatch.setattr(SearchStats, "merge", recording_merge)
+        result = hda_astar_schedule(graph, system, workers=2)
+        assert result.algorithm == "hda(workers=2)"  # the workers searched
+        assert result.optimal
+        assert len(worker_generated) == 2
+        assert 0 < built.value <= sum(worker_generated)
+
+    @pytest.mark.parametrize("cost", ["paper", "combined", "load", "zero", "improved"])
+    @pytest.mark.parametrize("system", [
+        ProcessorSystem.ring(3, speeds=[1.0, 2.0, 0.5]),
+        ProcessorSystem(3, links=ProcessorSystem.chain(3).links, distance_scaled=True),
+    ], ids=["hetero-ring", "distance-scaled-chain"])
+    def test_matches_serial_off_the_homogeneous_clique(self, system, cost):
+        """Each cost class's preview carries speeds and hop-scaled links
+        into the workers' cut: the same optimum as serial A*."""
+        graph = paper_random_graph(PaperGraphSpec(num_nodes=9, ccr=1.0, seed=4))
+        serial = astar_schedule(graph, system, cost=cost)
+        parallel = hda_astar_schedule(
+            graph, system, workers=2, cost=cost, oversubscribe=1,
+        )
+        assert parallel.algorithm == "hda(workers=2)"  # past the seed phase
+        assert serial.optimal and parallel.optimal
+        assert parallel.length == serial.length
+        assert schedule_violations(parallel.schedule) == []
 
 
 def _worker_transfers(tracer):

@@ -29,12 +29,14 @@ from repro.graph.taskgraph import TaskGraph
 from repro.schedule.partial import PartialSchedule
 from repro.schedule.partial_reference import ReferencePartialSchedule
 from repro.search.costs import (
+    COST_FUNCTIONS,
     CombinedCost,
     ImprovedCost,
     LoadBoundCost,
     PaperCost,
 )
 from repro.search.astar import astar_schedule
+from repro.system.processors import ProcessorSystem
 from tests.strategies import paper_instances, processor_systems, scheduling_instances
 
 _SETTINGS = settings(max_examples=40, deadline=None)
@@ -296,3 +298,56 @@ def test_every_h_matches_its_reference_scan(instance, other, seed):
             assert repr(combined.h(ps)) == repr(hp if hp >= hl else hl)
         for cost in (paper, load, combined):
             assert cost.evaluations == len(states)
+
+
+def _check_previews(graph, system, states):
+    """``h_preview`` of every child of every state against ``h`` of the
+    built child, for every registered cost class; returns how many
+    children tied their parent's makespan and how many were goals."""
+    costs = [cls(graph, system) for cls in COST_FUNCTIONS.values()]
+    ties = goals = 0
+    for ps in states:
+        for node in ps.ready_nodes():
+            for pe in range(system.num_pes):
+                start = ps.est(node, pe)
+                finish = start + graph.weights[node] / system.speeds[pe]
+                child = ps.extend(node, pe)
+                ties += finish == ps.makespan
+                goals += child.is_complete()
+                for cost in costs:
+                    want = cost.h(child)
+                    before = cost.evaluations
+                    got = cost.h_preview(ps, node, pe, start, finish)
+                    assert cost.evaluations == before + 1, cost.name
+                    assert repr(got) == repr(want), (cost.name, ps, node, pe)
+    return ties, goals
+
+
+@_SETTINGS
+@given(scheduling_instances(max_nodes=7, max_pes=4),
+       processor_systems(max_pes=4, allow_distance_scaled=True),
+       st.integers(0, 2**16))
+def test_h_preview_is_h_of_the_built_child(instance, other, seed):
+    """Every cost class previews, bit for bit, the ``h`` of the child it
+    has not built, counting one evaluation per call — on every topology,
+    heterogeneous speeds and distance-scaled links included, from the
+    empty state to the last task."""
+    graph, system = instance
+    for sys_ in (system, other):
+        states = _walk_states(graph, sys_, limit=30)
+        states += _random_walk_states(graph, sys_, 2, seed)
+        _check_previews(graph, sys_, states)
+
+
+@pytest.mark.parametrize("system", [
+    ProcessorSystem.fully_connected(3),
+    ProcessorSystem.ring(3, speeds=[1.0, 2.0, 0.5]),
+    ProcessorSystem(3, links=ProcessorSystem.chain(3).links, distance_scaled=True),
+], ids=["clique", "hetero-ring", "distance-scaled-chain"])
+def test_h_preview_on_tied_finish_times(system):
+    """Equal-weight independent tasks tie at the makespan (the argmax
+    set grows by the placed node), and the walk reaches the last task."""
+    graph = TaskGraph([2, 2, 2, 4, 1], {(0, 3): 1, (1, 3): 0, (2, 4): 3})
+    states = _walk_states(graph, system, limit=200)
+    ties, goals = _check_previews(graph, system, states)
+    assert ties > 0 and goals > 0

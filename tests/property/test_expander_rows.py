@@ -1,0 +1,133 @@
+"""``StateExpander.children`` walks ``candidate_rows``: the same search.
+
+The node/PE filters (equivalence, priority, fixed task order,
+isomorphism/symmetry, commutation) live in one method,
+:meth:`StateExpander.candidate_rows`, and :meth:`StateExpander.children`
+walks its rows.  The kernel, B&B and IDA* search through ``children``,
+so it must yield exactly what the loop that applied the filters inline
+yielded: the same children, in the same order, with the same
+``PruningStats``.  ``_inline_children`` below is that loop, frozen, and
+is the reference.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.schedule.partial import PartialSchedule
+from repro.search.dedup import SignatureSet
+from repro.search.expansion import StateExpander
+from repro.search.pruning import PruningConfig
+from tests.strategies import processor_systems, task_graphs
+
+#: Every pruning switch the expander reads (the bound and the CLOSED
+#: set act outside it; ``seen`` covers the latter).
+_SWITCHES = ("processor_isomorphism", "node_equivalence", "priority_ordering",
+             "commutation", "fixed_task_order", "root_symmetry")
+
+
+def _inline_children(expander, ps, seen=None):
+    """The children loop with the filters inline, as it stood before
+    ``candidate_rows`` existed."""
+    pes = expander.candidate_pes(ps)
+    nodes = expander.candidate_nodes(ps)
+    if expander._fto_applicable and len(nodes) > 1:
+        head = expander.fixed_order_head(nodes)
+        if head is not None:
+            expander.stats.fixed_order_skips += (len(nodes) - 1) * len(pes)
+            nodes = [head]
+    commut = expander.config.commutation and ps.last_node >= 0
+    skip_other_pes = False
+    if commut:
+        last_node = ps.last_node
+        last_pe = ps.last_pe
+        last_rank = expander._prio_rank[last_node]
+        rank = expander._prio_rank
+        pred_masks = expander._pred_masks
+    verify = seen is not None and seen.verify
+    stats = expander.stats
+    check_add = seen.check_add if seen is not None else None
+    for node in nodes:
+        if commut:
+            skip_other_pes = (
+                rank[node] < last_rank
+                and not (pred_masks[node] >> last_node) & 1
+            )
+        for pe in pes:
+            if skip_other_pes and pe != last_pe:
+                stats.commutation_skips += 1
+                continue
+            if check_add is None:
+                yield ps.extend(node, pe)
+                continue
+            key, start = ps.child_signature(node, pe)
+            if verify:
+                child = ps.extend(node, pe, _start=start, _sig=key)
+                if check_add(key, lambda c=child: c.signature):
+                    stats.duplicate_hits += 1
+                    continue
+                yield child
+                continue
+            if check_add(key):
+                stats.duplicate_hits += 1
+                continue
+            yield ps.extend(node, pe, _start=start, _sig=key)
+
+
+def _walk(graph, system, rng, steps):
+    """States along random walks (plus the empty state)."""
+    out = []
+    while len(out) < steps:
+        ps = PartialSchedule.empty(graph, system)
+        out.append(ps)
+        while not ps.is_complete() and len(out) < steps:
+            ps = ps.extend(rng.choice(ps.ready_nodes()), rng.randrange(system.num_pes))
+            out.append(ps)
+    return out
+
+
+def _ident(child):
+    return (child.signature, child.last_node, child.last_pe, child.makespan,
+            child.ready_time, child.remaining_weight, child.max_finish_nodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(task_graphs(max_nodes=7, max_weight=4, max_comm=4),
+       processor_systems(max_pes=4, allow_distance_scaled=True),
+       st.fixed_dictionaries({k: st.booleans() for k in _SWITCHES}).filter(
+           # The two partial-order reductions refuse to combine.
+           lambda s: not (s["commutation"] and s["fixed_task_order"])),
+       st.sampled_from(["none", "seen", "verify"]),
+       st.integers(0, 2**16))
+def test_children_match_the_inline_filters(graph, system, switches, closed, seed):
+    config = PruningConfig(**switches, verify_signatures=closed == "verify")
+    rows_side = StateExpander(graph, system, config)
+    inline_side = StateExpander(graph, system, config)
+    seen_rows = SignatureSet(verify=config.verify_signatures) if closed != "none" else None
+    seen_inline = SignatureSet(verify=config.verify_signatures) if closed != "none" else None
+    for ps in _walk(graph, system, random.Random(seed), 30):
+        got = [_ident(c) for c in rows_side.children(ps, seen_rows)]
+        want = [_ident(c) for c in _inline_children(inline_side, ps, seen_inline)]
+        assert got == want
+        assert rows_side.stats == inline_side.stats
+    if seen_rows is not None:
+        assert len(seen_rows) == len(seen_inline)
+
+
+def test_children_build_the_rows_in_row_order():
+    """Every placement ``children`` builds is a row entry, in row
+    order, and the rows are counted as skipped once per call."""
+    from repro.graph.examples import paper_example_dag
+    from repro.system.processors import ProcessorSystem
+
+    graph = paper_example_dag()
+    system = ProcessorSystem.fully_connected(3)
+    expander = StateExpander(graph, system, PruningConfig.extended())
+    ps = PartialSchedule.empty(graph, system).extend(0, 0).extend(2, 1)
+    rows = expander.candidate_rows(ps)
+    skips = expander.stats.total
+    assert expander.stats.commutation_skips == 2
+    built = [(c.last_node, c.last_pe) for c in expander.children(ps)]
+    assert built == [(n, pe) for n, pes in rows for pe in pes]
+    assert expander.stats.total == 2 * skips
