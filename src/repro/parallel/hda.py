@@ -580,18 +580,19 @@ def _hda_worker_loop(
         wspan = wtracer.span("hda.worker", attrs={"wid": wid})
         wspan.__enter__()
 
-    def admit(f: float, h: float, wire: tuple) -> None:
+    def admit(f: float, h: float, wire: tuple, line: float) -> None:
         """Bound- and dedup-check an arriving record; queue survivors.
 
         The bound comes first: ``f`` travels with the record, and a state
-        the bound cuts is neither recorded nor decoded (every copy of it
-        carries the same ``f`` and the bound only tightens, so every
-        later copy is cut too).  The duplicate key is read straight off
+        whose ``(1+ε)·f`` reaches ``line`` (the incumbent's cut line,
+        read once per message) is neither recorded nor decoded (every
+        copy of it carries the same ``f`` and the bound only tightens,
+        so every later copy is cut too).  The duplicate key is read straight off
         the wire tuple (fields 0 and 1), so duplicates never pay the
         decode; survivors wait on OPEN still packed.
         """
         nonlocal seq
-        if ub_on and tol.geq(relax * f, inc.value):
+        if ub_on and relax * f >= line:
             pstats.pruning.upper_bound_cuts += 1
             return
         key = (wire[0], wire[1])
@@ -609,8 +610,9 @@ def _hda_worker_loop(
         seq += 1
         heapq.heappush(open_heap, (f, h, seq, item))
 
+    line = tol.cut_line(inc.value)
     for f, h, wire in seeds:
-        admit(f, h, wire)
+        admit(f, h, wire, line)
 
     budget_flagged = False
     wait_s = 0.0
@@ -631,8 +633,9 @@ def _hda_worker_loop(
                 recv_states += len(batch)
                 recv_messages += 1
                 recv_bytes += len(msg)
+                line = tol.cut_line(inc.value)
                 for f, h, wire in batch:
-                    admit(f, h, wire)
+                    admit(f, h, wire, line)
             decode_s += time.perf_counter() - t1
 
         if open_heap and not budget_flagged:
@@ -681,9 +684,10 @@ def _hda_worker_loop(
                     continue
             n = 0
             while open_heap and n < _CHUNK:
-                upper = inc.value
+                # One cut line per pop, for the pop and its children.
+                line = tol.cut_line(inc.value)
                 f, h, _s, item = heapq.heappop(open_heap)
-                if ub_on and tol.geq(relax * f, upper):
+                if ub_on and relax * f >= line:
                     pstats.pruning.upper_bound_cuts += 1
                     continue
                 if type(item) is tuple:
@@ -726,7 +730,7 @@ def _hda_worker_loop(
                             continue
                         ch = h_preview(state, node, pe, start, finish)
                         cf = cg + ch
-                        if ub_on and tol.geq(relax * cf, upper):
+                        if ub_on and relax * cf >= line:
                             pstats.pruning.upper_bound_cuts += 1
                             continue
                         key = child_signature(node, pe, start)[0]

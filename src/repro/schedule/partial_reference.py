@@ -168,13 +168,15 @@ class ReferencePartialSchedule:
                 drt = arrival
         return drt
 
-    def used_pes_mask(self) -> int:
+    @property
+    def used_pes(self) -> int:
         """Bitmask of PEs with at least one scheduled task (O(v) scan)."""
-        mask = 0
-        for pe in self.pes:
-            if pe >= 0:
-                mask |= 1 << pe
-        return mask
+        return sum(1 << pe for pe in set(self.pes) if pe >= 0)
+
+    @property
+    def ready_mask(self) -> int:
+        """Bitmask of the ready nodes (O(v) scan)."""
+        return sum(1 << n for n in self.ready_nodes())
 
     @property
     def max_finish_nodes(self) -> tuple[int, ...]:
@@ -193,11 +195,13 @@ class ReferencePartialSchedule:
 
     # -- expansion -------------------------------------------------------------
 
-    def child_signature(self, node: int, pe: int) -> tuple[tuple, float]:
+    def child_signature(self, node: int, pe: int,
+                        _start: float | None = None) -> tuple[tuple, float]:
         """Signature the child ``extend(node, pe)`` would have, plus its
         start time — *without* constructing the child (two tuple splices).
+        ``_start`` is a precomputed :meth:`est` (trusted).
         """
-        start = self.est(node, pe)
+        start = self.est(node, pe) if _start is None else _start
         sig = (
             self.mask | (1 << node),
             self.pes[:node] + (pe,) + self.pes[node + 1 :],

@@ -17,6 +17,11 @@ This engine plays two roles in the reproduction:
 Depth-first order finds complete schedules early, so the incumbent
 tightens quickly — the classic B&B trade: more expansions than A*, but
 O(depth) open memory (plus the optional visited set).
+
+Each child is costed off its parent (``est``, ``h_preview``) and cut
+against the incumbent's :func:`~repro.util.tolerance.cut_line` before
+it is keyed, checked against the visited set and built, as in HDA*'s
+workers; a cut child's key is never recorded.
 """
 
 from __future__ import annotations
@@ -72,9 +77,15 @@ def bnb_schedule(
     stack: list[tuple[float, PartialSchedule]] = [(0.0, frame.root)]
     visited = SignatureSet(verify=pruning.verify_signatures)
     dup_on = use_visited and pruning.duplicate_detection
+    dedup_by_key = dup_on and not pruning.verify_signatures
+    dedup_exact = dup_on and pruning.verify_signatures
+    # Drift-aware: an f on or past the line cannot beat the incumbent.
+    cut = tol.cut_line(best_len)
     # Per-child names, bound once: the loop below runs for every child.
-    children_of = frame.expander.children
-    h_of = frame.cost_fn.h
+    candidate_rows = frame.expander.candidate_rows
+    h_preview = frame.cost_fn.h_preview
+    check_add = visited.check_add
+    weights, speeds = graph.weights, system.speeds
     pstats = stats.pruning
     v = graph.num_nodes
 
@@ -89,11 +100,10 @@ def bnb_schedule(
             if state.makespan < best_len:
                 best_len = state.makespan
                 best_sched = state.to_schedule()
+                cut = tol.cut_line(best_len)
             continue
         # Re-check against the incumbent: it may have tightened since push.
-        # Drift-aware (repro.util.tolerance, shared with parallel_astar):
-        # an f that ties the incumbent up to rounding cannot improve it.
-        if tol.geq(f, best_len):
+        if f >= cut:
             pstats.upper_bound_cuts += 1
             continue
 
@@ -104,18 +114,34 @@ def bnb_schedule(
             # the real bound.
             probe.tick(stats.states_expanded, len(stack),
                        best_sched.length, 0.0)
+        g = state.makespan
+        last = state.num_scheduled + 1 == v
+        est = state.est
+        child_signature = state.child_signature
+        extend = state.extend
         children: list[tuple[float, PartialSchedule]] = []
-        for child in children_of(state, visited if dup_on else None):
-            ch = h_of(child)
-            cf = child.makespan + ch
-            if tol.geq(cf, best_len):
-                # A complete child that cannot beat the incumbent is
-                # dropped silently; anything else counts as a cut.
-                if child.num_scheduled != v:
-                    pstats.upper_bound_cuts += 1
-                continue
-            stats.states_generated += 1
-            children.append((cf, child))
+        for node, pes in candidate_rows(state):
+            weight = weights[node]
+            for pe in pes:
+                start = est(node, pe)
+                finish = start + weight / speeds[pe]
+                cf = ((finish if finish > g else g)
+                      + h_preview(state, node, pe, start, finish))
+                if cf >= cut:
+                    # A complete child is dropped silently, not counted.
+                    if not last:
+                        pstats.upper_bound_cuts += 1
+                    continue
+                key = child_signature(node, pe, start)[0] if dup_on else None
+                if dedup_by_key and check_add(key):
+                    pstats.duplicate_hits += 1
+                    continue
+                child = extend(node, pe, _start=start, _sig=key)
+                if dedup_exact and check_add(key, lambda c=child: c.signature):
+                    pstats.duplicate_hits += 1
+                    continue
+                children.append((cf, child))
+        stats.states_generated += len(children)
         # Best child on top of the stack.
         children.sort(key=lambda t: -t[0])
         stack.extend(children)

@@ -65,14 +65,14 @@ class StateExpander:
         for rank, n in enumerate(order):
             self._prio_rank[n] = rank
 
-        # node -> equivalence-class id, and class id -> members.
-        self._equiv_id = [0] * graph.num_nodes
-        for cid, members in enumerate(node_equivalence_classes(graph)):
-            for n in members:
-                self._equiv_id[n] = cid
-
-        # PE isomorphism classes (structural part of Definition 2).
-        self._pe_classes = isomorphism_classes(system)
+        # Per node, the lower-id members of its equivalence class: it is
+        # its class's lowest ready member iff none of them is ready.
+        self._equiv_lower = [0] * graph.num_nodes
+        for members in node_equivalence_classes(graph):
+            lower = 0
+            for n in sorted(members):
+                self._equiv_lower[n] = lower
+                lower |= 1 << n
 
         # Per-node predecessor bitmasks: the commutation rule's "is the
         # last-placed node a parent of this candidate?" test becomes a
@@ -100,6 +100,15 @@ class StateExpander:
             and system.is_homogeneous
             and not system.distance_scaled
         )
+        # candidate_pes keeps one empty PE per class (all PEs under symmetry
+        # normalization, else Definition 2's), its lists by used mask.
+        pe_classes = (isomorphism_classes(system) if config.processor_isomorphism
+                      else [(pe,) for pe in range(system.num_pes)])
+        if self._sym_applicable:
+            pe_classes = [range(system.num_pes)]
+        self._pe_class_masks = [sum(1 << pe for pe in members) for members in pe_classes]
+        self._pes_by_used: dict[int, list[int]] = {}
+
         if self._fto_applicable:
             single_parent: list[int] = []
             single_child: list[int] = []
@@ -126,23 +135,25 @@ class StateExpander:
     # -- candidate selection ---------------------------------------------------
 
     def candidate_nodes(self, ps: PartialSchedule) -> list[int]:
-        """Ready nodes, equivalence-filtered and priority-ordered."""
-        ready = ps.ready_nodes()
-        if self.config.node_equivalence and len(ready) > 1:
-            seen_classes: set[int] = set()
-            filtered: list[int] = []
-            equiv_id = self._equiv_id
-            for n in ready:  # ascending id: keeps lowest member per class
-                cid = equiv_id[n]
-                if cid in seen_classes:
-                    self.stats.equivalence_skips += 1
-                    continue
-                seen_classes.add(cid)
-                filtered.append(n)
-            ready = filtered
+        """Ready nodes, equivalence-filtered (a node goes when
+        ``ps.ready_mask`` holds a lower-id member of its class) and
+        priority-ordered."""
+        if self.config.node_equivalence:
+            ready_mask = ps.ready_mask
+            lower = self._equiv_lower
+            ready = []
+            m = ready_mask
+            while m:
+                low = m & -m
+                n = low.bit_length() - 1
+                m ^= low
+                if not ready_mask & lower[n]:
+                    ready.append(n)
+            self.stats.equivalence_skips += ready_mask.bit_count() - len(ready)
+        else:
+            ready = ps.ready_nodes()
         if self.config.priority_ordering and len(ready) > 1:
-            rank = self._prio_rank
-            ready.sort(key=lambda n: rank[n])
+            ready.sort(key=self._prio_rank.__getitem__)
         return ready
 
     def fixed_order_head(self, nodes: list[int]) -> int | None:
@@ -217,34 +228,29 @@ class StateExpander:
         lowest-numbered one — topology is irrelevant to the cost model,
         so the structural classes merge; at the root this pins the
         first task to PE 0.
+
+        Worked out once per ``used_pes`` mask: its set bits are the busy
+        PEs and each class's lowest free bit its representative.  With
+        positive weights "busy" is "ready time past 0", save a finish
+        that underflows to 0.0, where the mask is the sound rule.
         """
         num_pes = self.system.num_pes
-        if self._sym_applicable:
-            ready_time = ps.ready_time
-            pes = [pe for pe in range(num_pes) if ready_time[pe] > 0.0]
-            empties = num_pes - len(pes)
-            if empties:
-                pes.append(min(
-                    pe for pe in range(num_pes) if ready_time[pe] == 0.0
-                ))
-                self.stats.symmetry_skips += empties - 1
+        used = ps.used_pes
+        pes = self._pes_by_used.get(used)
+        if pes is None:
+            pes = [pe for pe in range(num_pes) if used >> pe & 1]
+            for cmask in self._pe_class_masks:
+                free = cmask & ~used
+                if free:
+                    pes.append((free & -free).bit_length() - 1)
             pes.sort()
-            return pes
-        if not self.config.processor_isomorphism:
-            return list(range(num_pes))
-        ready_time = ps.ready_time
-        pes: list[int] = []
-        for members in self._pe_classes:
-            rep_taken = False
-            for pe in members:
-                if ready_time[pe] > 0.0:
-                    pes.append(pe)  # busy PEs are always distinct
-                elif not rep_taken:
-                    pes.append(pe)  # first empty member represents the class
-                    rep_taken = True
-                else:
-                    self.stats.isomorphism_skips += 1
-        pes.sort()
+            self._pes_by_used[used] = pes
+        skips = num_pes - len(pes)
+        if skips:
+            if self._sym_applicable:
+                self.stats.symmetry_skips += skips
+            else:
+                self.stats.isomorphism_skips += skips
         return pes
 
     def candidate_rows(
@@ -257,8 +263,9 @@ class StateExpander:
         rely on.  This is the one home of the node/PE filters:
         equivalence and priority (:meth:`candidate_nodes`), isomorphism
         and symmetry (:meth:`candidate_pes`), fixed task order and
-        commutation; each skip is counted here, once per call.  Rows may
-        share one PE list, so callers must not mutate them.
+        commutation; each skip is counted here, once per call.  Rows
+        share PE lists with each other and with later calls, so callers
+        must not mutate them.
         """
         pes = self.candidate_pes(ps)
         nodes = self.candidate_nodes(ps)
@@ -299,6 +306,9 @@ class StateExpander:
         self, ps: PartialSchedule, seen: SignatureSet | None = None
     ) -> Iterator[PartialSchedule]:
         """Yield every child state of ``ps`` (after node/PE filtering).
+
+        The kernel and IDA* expand through this; B&B and HDA*'s workers
+        walk :meth:`candidate_rows` to cost and cut a child first.
 
         Children are yielded in :meth:`candidate_rows` order: highest-
         priority node first, lowest PE id first — determinism the tests

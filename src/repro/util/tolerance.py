@@ -25,11 +25,16 @@ All helpers answer *decision* questions, named from the caller's view:
 * :func:`lt` — "is ``a`` a real improvement over ``b``?" (incumbent)
 * :func:`proves_bound` — the §3.3/§3.4 ε-termination test
   ``incumbent ≤ (1+ε) · min_f`` with the drift on the proving side.
+
+:func:`cut_line` turns :func:`geq` against a fixed bound into one plain
+comparison, for loops that test many values against the same ``U``.
 """
 
 from __future__ import annotations
 
-__all__ = ["REL_TOL", "tolerance", "leq", "lt", "geq", "gt", "proves_bound"]
+__all__ = [
+    "REL_TOL", "tolerance", "leq", "lt", "geq", "gt", "cut_line", "proves_bound",
+]
 
 #: Relative comparison tolerance; ~1e-9 of the operand magnitude.
 REL_TOL = 1e-9
@@ -68,6 +73,19 @@ def geq(a: float, b: float) -> bool:
 def gt(a: float, b: float) -> bool:
     """True when ``a > b`` by more than drift — a *real* excess."""
     return a > b + tolerance(a, b)
+
+
+def cut_line(b: float) -> float:
+    """The line ``x`` with ``geq(a, b) == (a >= x)`` for all ``a, b >= 0``.
+
+    Below ``b`` the tolerance is ``REL_TOL * max(b, 1)`` whatever ``a``
+    is, and above ``b`` both sides are true, so the line is ``b`` less
+    that tolerance.  A loop that cuts many values against one bound
+    computes the line once per bound instead of a tolerance per value.
+    At ``b = inf`` the line is NaN, which no value reaches, just as
+    ``geq(a, inf)`` is false for every ``a``.
+    """
+    return b - REL_TOL * (b if b > 1.0 else 1.0)
 
 
 def proves_bound(incumbent: float, epsilon: float, min_f: float) -> bool:

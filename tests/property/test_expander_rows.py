@@ -3,11 +3,17 @@
 The node/PE filters (equivalence, priority, fixed task order,
 isomorphism/symmetry, commutation) live in one method,
 :meth:`StateExpander.candidate_rows`, and :meth:`StateExpander.children`
-walks its rows.  The kernel, B&B and IDA* search through ``children``,
-so it must yield exactly what the loop that applied the filters inline
+walks its rows.  The kernel and IDA* search through ``children``, so it
+must yield exactly what the loop that applied the filters inline
 yielded: the same children, in the same order, with the same
 ``PruningStats``.  ``_inline_children`` below is that loop, frozen, and
 is the reference.
+
+``candidate_pes`` and ``candidate_nodes`` read the state's bitmasks
+(``used_pes``, ``ready_mask``); the per-PE scan and the set-based class
+filter they replaced are frozen here too (``_frozen_candidate_pes``,
+``_frozen_candidate_nodes``), so ``_inline_children`` does not lean on
+the live filters and a mask bug shows against either reference.
 """
 
 import random
@@ -16,9 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.schedule.partial import PartialSchedule
+from repro.schedule.partial_reference import ReferencePartialSchedule
+from repro.schedule.preprocess import node_equivalence_classes
 from repro.search.dedup import SignatureSet
 from repro.search.expansion import StateExpander
 from repro.search.pruning import PruningConfig
+from repro.system.isomorphism import isomorphism_classes
+from repro.system.processors import ProcessorSystem
 from tests.strategies import processor_systems, task_graphs
 
 #: Every pruning switch the expander reads (the bound and the CLOSED
@@ -26,12 +36,74 @@ from tests.strategies import processor_systems, task_graphs
 _SWITCHES = ("processor_isomorphism", "node_equivalence", "priority_ordering",
              "commutation", "fixed_task_order", "root_symmetry")
 
+_SWITCH_SETS = st.fixed_dictionaries({k: st.booleans() for k in _SWITCHES}).filter(
+    # The two partial-order reductions refuse to combine.
+    lambda s: not (s["commutation"] and s["fixed_task_order"]))
+
+
+def _frozen_candidate_pes(expander, ps):
+    """``candidate_pes`` as a scan of every PE's ready time, as it stood
+    before it read the ``used_pes`` mask."""
+    num_pes = expander.system.num_pes
+    if expander._sym_applicable:
+        ready_time = ps.ready_time
+        pes = [pe for pe in range(num_pes) if ready_time[pe] > 0.0]
+        empties = num_pes - len(pes)
+        if empties:
+            pes.append(min(
+                pe for pe in range(num_pes) if ready_time[pe] == 0.0
+            ))
+            expander.stats.symmetry_skips += empties - 1
+        pes.sort()
+        return pes
+    if not expander.config.processor_isomorphism:
+        return list(range(num_pes))
+    ready_time = ps.ready_time
+    pes = []
+    for members in isomorphism_classes(expander.system):
+        rep_taken = False
+        for pe in members:
+            if ready_time[pe] > 0.0:
+                pes.append(pe)  # busy PEs are always distinct
+            elif not rep_taken:
+                pes.append(pe)  # first empty member represents the class
+                rep_taken = True
+            else:
+                expander.stats.isomorphism_skips += 1
+    pes.sort()
+    return pes
+
+
+def _frozen_candidate_nodes(expander, ps):
+    """``candidate_nodes`` with the class filter over a set of class
+    ids, as it stood before it read the ``ready_mask``."""
+    ready = ps.ready_nodes()
+    if expander.config.node_equivalence and len(ready) > 1:
+        equiv_id = {}
+        for cid, members in enumerate(node_equivalence_classes(expander.graph)):
+            for n in members:
+                equiv_id[n] = cid
+        seen_classes = set()
+        filtered = []
+        for n in ready:  # ascending id: keeps lowest member per class
+            cid = equiv_id[n]
+            if cid in seen_classes:
+                expander.stats.equivalence_skips += 1
+                continue
+            seen_classes.add(cid)
+            filtered.append(n)
+        ready = filtered
+    if expander.config.priority_ordering and len(ready) > 1:
+        rank = expander._prio_rank
+        ready.sort(key=lambda n: rank[n])
+    return ready
+
 
 def _inline_children(expander, ps, seen=None):
     """The children loop with the filters inline, as it stood before
     ``candidate_rows`` existed."""
-    pes = expander.candidate_pes(ps)
-    nodes = expander.candidate_nodes(ps)
+    pes = _frozen_candidate_pes(expander, ps)
+    nodes = _frozen_candidate_nodes(expander, ps)
     if expander._fto_applicable and len(nodes) > 1:
         head = expander.fixed_order_head(nodes)
         if head is not None:
@@ -75,11 +147,11 @@ def _inline_children(expander, ps, seen=None):
             yield ps.extend(node, pe, _start=start, _sig=key)
 
 
-def _walk(graph, system, rng, steps):
+def _walk(graph, system, rng, steps, state_cls=PartialSchedule):
     """States along random walks (plus the empty state)."""
     out = []
     while len(out) < steps:
-        ps = PartialSchedule.empty(graph, system)
+        ps = state_cls.empty(graph, system)
         out.append(ps)
         while not ps.is_complete() and len(out) < steps:
             ps = ps.extend(rng.choice(ps.ready_nodes()), rng.randrange(system.num_pes))
@@ -95,9 +167,7 @@ def _ident(child):
 @settings(max_examples=60, deadline=None)
 @given(task_graphs(max_nodes=7, max_weight=4, max_comm=4),
        processor_systems(max_pes=4, allow_distance_scaled=True),
-       st.fixed_dictionaries({k: st.booleans() for k in _SWITCHES}).filter(
-           # The two partial-order reductions refuse to combine.
-           lambda s: not (s["commutation"] and s["fixed_task_order"])),
+       _SWITCH_SETS,
        st.sampled_from(["none", "seen", "verify"]),
        st.integers(0, 2**16))
 def test_children_match_the_inline_filters(graph, system, switches, closed, seed):
@@ -131,3 +201,42 @@ def test_children_build_the_rows_in_row_order():
     built = [(c.last_node, c.last_pe) for c in expander.children(ps)]
     assert built == [(n, pe) for n, pes in rows for pe in pes]
     assert expander.stats.total == 2 * skips
+
+
+@st.composite
+def _any_topology(draw):
+    """Every shipped topology, with heterogeneous speeds (repeated, so
+    isomorphism classes still form) and the distance-scaled model."""
+    kind = draw(st.sampled_from(["clique", "ring", "chain", "star", "mesh", "hypercube"]))
+    if kind == "mesh":
+        system = ProcessorSystem.mesh(draw(st.integers(1, 2)), draw(st.integers(2, 3)))
+    elif kind == "hypercube":
+        system = ProcessorSystem.hypercube(draw(st.integers(1, 3)))
+    else:
+        factory = {"clique": ProcessorSystem.fully_connected, "ring": ProcessorSystem.ring,
+                   "chain": ProcessorSystem.chain, "star": ProcessorSystem.star}[kind]
+        system = factory(draw(st.integers(1, 6)))
+    p = system.num_pes
+    speeds = None
+    if draw(st.booleans()):
+        speeds = [draw(st.sampled_from([1.0, 2.0])) for _ in range(p)]
+    return ProcessorSystem(p, system.links, speeds,
+                           distance_scaled=draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(task_graphs(max_nodes=8, max_weight=3, max_comm=3),
+       _any_topology(),
+       _SWITCH_SETS,
+       st.sampled_from([PartialSchedule, ReferencePartialSchedule]),
+       st.integers(0, 2**16))
+def test_mask_filters_match_the_frozen_scans(graph, system, switches, state_cls, seed):
+    """The mask-based node and PE filters return the lists the frozen
+    scans return, and count every skip the same."""
+    config = PruningConfig(**switches)
+    live = StateExpander(graph, system, config)
+    frozen = StateExpander(graph, system, config)
+    for ps in _walk(graph, system, random.Random(seed), 40, state_cls):
+        assert live.candidate_pes(ps) == _frozen_candidate_pes(frozen, ps)
+        assert live.candidate_nodes(ps) == _frozen_candidate_nodes(frozen, ps)
+        assert live.stats == frozen.stats

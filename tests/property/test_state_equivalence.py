@@ -209,7 +209,8 @@ def test_state_fields_track_reference(instance):
         assert new.mask == ref.mask
         assert new.ready_time == ref.ready_time
         assert new.ready_nodes() == ref.ready_nodes()
-        assert new.used_pes == ref.used_pes_mask()
+        assert new.used_pes == ref.used_pes
+        assert new.ready_mask == ref.ready_mask
         assert sorted(new.max_finish_nodes) == sorted(ref.max_finish_nodes)
         # Lazy materialization must reproduce the eager tuples exactly.
         assert new.pes == ref.pes

@@ -59,6 +59,16 @@ pin that the loop reproduces the engines it replaced:
   rows.  No length changed, no certificate got weaker and no bound
   grew.
 
+* 22 rows (19 B&B, 3 portfolio) were re-recorded when B&B began to
+  cost and cut each child before it keys or builds it.  Every child is
+  now costed (``h_preview``) before the visited check, so
+  ``cost_evaluations`` grew in all 22 and nothing else moved in 19.  A
+  cut child's key is no longer recorded, so a later copy of it is cut
+  instead of counted as a duplicate: in 3 rows (two B&B, one
+  portfolio) ``duplicate_hits`` fell and ``upper_bound_cuts`` rose by
+  the same amount, moving ``duplicate_rate``.  Placements, lengths,
+  certificates and expansion and generation counts are unchanged.
+
 The B&B and portfolio rows were recorded before the per-child hot path
 (``extend``, ``child_signature``, the engine loops) was tuned, so they
 pin that the tuning changed no search.

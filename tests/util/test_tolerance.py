@@ -2,7 +2,12 @@
 
 import math
 
-from repro.util.tolerance import REL_TOL, geq, gt, leq, lt, proves_bound, tolerance
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.util.tolerance import (
+    REL_TOL, cut_line, geq, gt, leq, lt, proves_bound, tolerance,
+)
 
 
 class TestDriftAbsorption:
@@ -48,3 +53,26 @@ class TestProvesBound:
 
     def test_empty_open_lists_always_prove(self):
         assert proves_bound(42.0, 0.0, math.inf)
+
+
+_NONNEG = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 1.0 - REL_TOL, 1e-12, math.inf]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, allow_infinity=True, allow_nan=False),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_NONNEG, _NONNEG)
+def test_cut_line_decides_geq(a, b):
+    assert geq(a, b) == (a >= cut_line(b))
+
+
+@given(_NONNEG)
+def test_cut_line_holds_one_ulp_either_side_of_the_tolerance(b):
+    # The values where the answer flips: b less its tolerance, and one
+    # ulp either way.
+    edge = b - tolerance(0.0, b)
+    for a in (edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)):
+        if a >= 0.0:
+            assert geq(a, b) == (a >= cut_line(b))
