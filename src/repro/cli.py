@@ -485,10 +485,17 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def _load_graph_arg(path: str):
+    """The graph file at ``path``; a malformed graph (a repeated edge,
+    a cycle, a bad weight) prints ``error: <path>: <message>`` and exits 2."""
+    from repro.errors import GraphError
     from repro.graph.io import load_graph_json
     from repro.graph.stg import load_stg
 
-    return load_stg(path) if path.endswith(".stg") else load_graph_json(path)
+    try:
+        return load_stg(path) if path.endswith(".stg") else load_graph_json(path)
+    except GraphError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _system_arg(args: argparse.Namespace):

@@ -45,7 +45,9 @@ def graph_from_dict(data: dict[str, Any]) -> TaskGraph:
     Raises
     ------
     GraphError
-        On schema mismatch or structural problems.
+        On schema mismatch or structural problems, a repeated
+        ``(src, dst)`` edge among them (which a mapping would fold into
+        its last cost).
     """
     if data.get("schema") != _SCHEMA_VERSION:
         raise GraphError(f"unsupported schema {data.get('schema')!r}")
@@ -56,8 +58,11 @@ def graph_from_dict(data: dict[str, Any]) -> TaskGraph:
         raise GraphError(f"missing field {exc}") from None
     edges: dict[tuple[int, int], float] = {}
     for u, v, c in edge_rows:
+        edge = (int(u), int(v))
+        if edge in edges:
+            raise GraphError(f"duplicate edge {edge}")
         try:
-            edges[int(u), int(v)] = float(c)
+            edges[edge] = float(c)
         except OverflowError:  # an int too large for a float
             raise GraphError(f"edge ({u}, {v}) has non-finite cost {c!r}") from None
     validate_graph(weights, edges)
@@ -108,7 +113,8 @@ def parse_edge_list(text: str, name: str = "taskgraph") -> TaskGraph:
     Raises
     ------
     GraphError
-        On syntax or structural problems.
+        On syntax or structural problems, a node declared twice or a
+        repeated edge among them.
     """
     node_weights: dict[int, float] = {}
     edges: dict[tuple[int, int], float] = {}
@@ -119,9 +125,15 @@ def parse_edge_list(text: str, name: str = "taskgraph") -> TaskGraph:
         parts = line.split()
         try:
             if parts[0] == "node" and len(parts) == 3:
-                node_weights[int(parts[1])] = float(parts[2])
+                node = int(parts[1])
+                if node in node_weights:
+                    raise GraphError(f"line {lineno}: node {node} declared twice")
+                node_weights[node] = float(parts[2])
             elif parts[0] == "edge" and len(parts) == 4:
-                edges[(int(parts[1]), int(parts[2]))] = float(parts[3])
+                edge = (int(parts[1]), int(parts[2]))
+                if edge in edges:
+                    raise GraphError(f"line {lineno}: duplicate edge {edge}")
+                edges[edge] = float(parts[3])
             else:
                 raise ValueError
         except ValueError:

@@ -104,6 +104,8 @@ def parse_stg(
                 raise GraphError(
                     f"task {tid}: predecessor {pred} must be an earlier task"
                 )
+            if (pred, tid) in edges:
+                raise GraphError(f"task {tid}: duplicate predecessor {pred}")
             edges[(pred, tid)] = comm
     return TaskGraph(weights, edges, name=name)
 

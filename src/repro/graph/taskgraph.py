@@ -118,8 +118,6 @@ class TaskGraph:
                 raise GraphError(f"edge ({u}, {w_node}) has non-finite cost {cost!r}")
             if cost < 0:
                 raise GraphError(f"edge ({u}, {w_node}) has negative cost {cost!r}")
-            if (u, w_node) in edge_cost:
-                raise GraphError(f"duplicate edge ({u}, {w_node})")
             # ``or 0.0`` folds -0.0 into 0.0: the two compare and hash
             # equal but ``repr`` apart, and equal graphs must serialise
             # (and fingerprint) identically.
@@ -448,8 +446,15 @@ class TaskGraph:
         labels: Sequence[str] | None = None,
         name: str = "taskgraph",
     ) -> "TaskGraph":
-        """Build from an ``(u, v, cost)`` triple list."""
-        return cls(weights, {(u, v): c for u, v, c in edge_list}, labels, name)
+        """Build from an ``(u, v, cost)`` triple list; a repeated
+        ``(u, v)`` pair is a :class:`GraphError`, not a fold into its
+        last cost."""
+        edges: dict[Edge, float] = {}
+        for u, v, c in edge_list:
+            if (u, v) in edges:
+                raise GraphError(f"duplicate edge ({u}, {v})")
+            edges[u, v] = c
+        return cls(weights, edges, labels, name)
 
     # -- internals -----------------------------------------------------------
 

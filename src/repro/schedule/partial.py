@@ -67,14 +67,19 @@ def placement_key(node: int, pe: int, start: float) -> int:
     placement order, so no epsilon bucketing is needed — or wanted, since
     bucketing would merge genuinely different states.  The mix is the
     splitmix64 finalizer, giving full avalanche over the 64-bit lane.
-
-    NOTE: :meth:`PartialSchedule.child_signature` inlines this function
-    for speed; the two copies must stay bit-identical (regression-tested
-    in ``tests/property/test_state_equivalence.py``).
+    :meth:`PartialSchedule.child_signature` reads it through
+    :data:`_KEYS`.
     """
     return _splitmix64(
         (node + 1) * _PHI64 + (pe + 1) * _PE64 + (hash(start) & _MASK64)
     )
+
+
+#: Process-wide ``(node, pe, start) -> placement_key(...)`` table, read
+#: by :meth:`PartialSchedule.child_signature`: a search keys the same
+#: few placements over and over.  Emptied when it reaches ``KEYS_CAP``.
+_KEYS: dict[tuple[int, int, float], int] = {}
+KEYS_CAP = 1024
 
 
 @functools.cache
@@ -217,6 +222,7 @@ class PartialSchedule:
         self._starts = starts
         self._finishes = finishes
         self._sig: tuple | None = None
+        graph.pred_masks  # builds the graph views est/extend read
 
     # -- constructors --------------------------------------------------------
 
@@ -352,12 +358,13 @@ class PartialSchedule:
 
         ``ST(n, p) = max(RT_p, max_parents(FT(parent) + comm))`` where
         comm is zero for same-PE parents (paper §2).  The caller must
-        ensure ``node`` is ready.  Iterates the graph's flat CSR in-edge
-        slice; materializes this state's arrays on first use (states
-        being expanded pay that once, their generated children never do).
+        ensure ``node`` is ready.  Iterates the node's in-edge pairs,
+        read off the graph's slot; materializes this state's arrays on
+        first use (states being expanded pay that once, their generated
+        children never do).
         """
         start = self.ready_time[pe]
-        pairs = self.graph.pred_pairs[node]
+        pairs = self.graph._pred_pairs[node]
         if not pairs:
             return start
         if self._finishes is None:
@@ -426,14 +433,12 @@ class PartialSchedule:
         caller that already ran :meth:`est` (the value is trusted).
         """
         start = self.est(node, pe) if _start is None else _start
-        # placement_key() inlined — this runs once per expansion
-        # candidate and the call overhead is measurable.
-        h = ((node + 1) * _PHI64 + (pe + 1) * _PE64 + (hash(start) & _MASK64)) & _MASK64
-        h ^= h >> 30
-        h = (h * 0xBF58476D1CE4E5B9) & _MASK64
-        h ^= h >> 27
-        h = (h * 0x94D049BB133111EB) & _MASK64
-        h ^= h >> 31
+        placement = (node, pe, start)
+        h = _KEYS.get(placement)
+        if h is None:
+            if len(_KEYS) >= KEYS_CAP:
+                _KEYS.clear()
+            h = _KEYS[placement] = placement_key(node, pe, start)
         return (self.mask | (1 << node), self.zkey ^ h), start
 
     def extend(
@@ -451,9 +456,10 @@ class PartialSchedule:
 
         Every engine pays this once per child it builds, so the child is
         filled slot by slot instead of through the keyword
-        :meth:`__init__`; ``tests/property/test_extend_construction.py``
-        pins the two to the same state.  The child is always a plain
-        :class:`PartialSchedule`.
+        :meth:`__init__` (``tests/property/test_extend_construction.py``
+        pins the two to the same state), and the graph's and system's
+        arrays are read off their slots, which every constructor has
+        built.  The child is always a plain :class:`PartialSchedule`.
 
         Raises
         ------
@@ -463,13 +469,13 @@ class PartialSchedule:
         bit = 1 << node
         if not self.ready_mask & bit:
             raise ScheduleError(f"node {node} is not ready for scheduling")
-        system = self.system
-        if not 0 <= pe < system.num_pes:
+        if not 0 <= pe < len(self.ready_time):
             raise ScheduleError(f"unknown PE {pe}")
         graph = self.graph
+        system = self.system
         start = self.est(node, pe) if _start is None else _start
-        weight = graph.weights[node]
-        finish = start + weight / system.speeds[pe]
+        weight = graph._weights[node]
+        finish = start + weight / system._speeds[pe]
 
         child = object.__new__(PartialSchedule)
         makespan = self.makespan
@@ -487,8 +493,8 @@ class PartialSchedule:
         # now all scheduled.
         mask = self.mask | bit
         ready = self.ready_mask ^ bit
-        pmasks = graph.pred_masks
-        for s in graph.succs(node):
+        pmasks = graph._pred_masks
+        for s in graph._succs[node]:
             pm = pmasks[s]
             if pm & mask == pm:
                 ready |= 1 << s
@@ -622,6 +628,7 @@ class PartialSchedule:
         p = system.num_pes
         vals = wire_struct(v, p).unpack(blob)
         rt_end = 2 * v + p
+        graph.pred_masks  # builds the graph views est/extend read
         ps = object.__new__(cls)
         ps.graph = graph
         ps.system = system

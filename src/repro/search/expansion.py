@@ -10,7 +10,9 @@ pruning rules act here:
 
 The expander owns all per-instance precomputation (levels, priority
 ranks, node-equivalence classes, PE isomorphism classes) so the
-per-expansion work is pure array traffic.
+per-expansion work is pure array traffic, and a per-search rows table
+(:meth:`StateExpander.candidate_rows`) so a state whose bitmasks were
+seen before costs one dict lookup.
 """
 
 from __future__ import annotations
@@ -33,6 +35,13 @@ from repro.system.isomorphism import isomorphism_classes
 from repro.system.processors import ProcessorSystem
 
 __all__ = ["StateExpander", "node_equivalence_classes"]
+
+#: Entries the rows table holds before it starts over.  One search
+#: meets a few hundred distinct keys on the service's instances.
+ROWS_CAP = 4096
+#: The counters the node/PE filters advance, in a rows-table entry's order.
+_SKIPS = ("equivalence_skips", "isomorphism_skips", "symmetry_skips",
+          "fixed_order_skips", "commutation_skips")
 
 
 class StateExpander:
@@ -101,13 +110,15 @@ class StateExpander:
             and not system.distance_scaled
         )
         # candidate_pes keeps one empty PE per class (all PEs under symmetry
-        # normalization, else Definition 2's), its lists by used mask.
+        # normalization, else Definition 2's).
         pe_classes = (isomorphism_classes(system) if config.processor_isomorphism
                       else [(pe,) for pe in range(system.num_pes)])
         if self._sym_applicable:
             pe_classes = [range(system.num_pes)]
         self._pe_class_masks = [sum(1 << pe for pe in members) for members in pe_classes]
-        self._pes_by_used: dict[int, list[int]] = {}
+        # candidate_rows' table: key -> (rows, the five skip counts the
+        # miss added).
+        self._rows: dict[tuple[int, ...], tuple] = {}
 
         if self._fto_applicable:
             single_parent: list[int] = []
@@ -229,22 +240,19 @@ class StateExpander:
         so the structural classes merge; at the root this pins the
         first task to PE 0.
 
-        Worked out once per ``used_pes`` mask: its set bits are the busy
-        PEs and each class's lowest free bit its representative.  With
+        Read off the ``used_pes`` mask: its set bits are the busy PEs and
+        each class's lowest free bit its representative.  With
         positive weights "busy" is "ready time past 0", save a finish
         that underflows to 0.0, where the mask is the sound rule.
         """
         num_pes = self.system.num_pes
         used = ps.used_pes
-        pes = self._pes_by_used.get(used)
-        if pes is None:
-            pes = [pe for pe in range(num_pes) if used >> pe & 1]
-            for cmask in self._pe_class_masks:
-                free = cmask & ~used
-                if free:
-                    pes.append((free & -free).bit_length() - 1)
-            pes.sort()
-            self._pes_by_used[used] = pes
+        pes = [pe for pe in range(num_pes) if used >> pe & 1]
+        for cmask in self._pe_class_masks:
+            free = cmask & ~used
+            if free:
+                pes.append((free & -free).bit_length() - 1)
+        pes.sort()
         skips = num_pes - len(pes)
         if skips:
             if self._sym_applicable:
@@ -260,13 +268,49 @@ class StateExpander:
 
         Rows come highest-priority node first and each row's PEs lowest
         id first — the order :meth:`children` yields in, which the tests
-        rely on.  This is the one home of the node/PE filters:
-        equivalence and priority (:meth:`candidate_nodes`), isomorphism
-        and symmetry (:meth:`candidate_pes`), fixed task order and
-        commutation; each skip is counted here, once per call.  Rows
-        share PE lists with each other and with later calls, so callers
-        must not mutate them.
+        rely on.  The filters read only ``ready_mask`` and ``used_pes``
+        (and, under commutation, ``last_node``/``last_pe``), so the rows
+        are worked out once per such key (:meth:`_filter_rows`) and kept
+        in a per-search table of at most :data:`ROWS_CAP` entries; each
+        skip is counted once per call, a hit adding what its miss did.
+        The rows list and its PE lists are shared with later calls, so
+        callers must not mutate them.
         """
+        if self.config.commutation:
+            key = (ps.ready_mask, ps.used_pes, ps.last_node, ps.last_pe)
+        else:
+            key = (ps.ready_mask, ps.used_pes)
+        stats = self.stats
+        entry = self._rows.get(key)
+        if entry is None:
+            before = [getattr(stats, name) for name in _SKIPS]
+            rows = self._filter_rows(ps)
+            if len(self._rows) >= ROWS_CAP:
+                self._rows.clear()
+            self._rows[key] = (rows, *[getattr(stats, name) - b
+                                       for name, b in zip(_SKIPS, before)])
+            return rows
+        rows, eq, iso, sym, fto, com = entry
+        if eq:
+            stats.equivalence_skips += eq
+        if iso:
+            stats.isomorphism_skips += iso
+        if sym:
+            stats.symmetry_skips += sym
+        if fto:
+            stats.fixed_order_skips += fto
+        if com:
+            stats.commutation_skips += com
+        return rows
+
+    def _filter_rows(
+        self, ps: PartialSchedule
+    ) -> list[tuple[int, list[int]]]:
+        """:meth:`candidate_rows` worked out from scratch: the one home
+        of the node/PE filters — equivalence and priority
+        (:meth:`candidate_nodes`), isomorphism and symmetry
+        (:meth:`candidate_pes`), fixed task order and commutation —
+        each skip counted as it is made."""
         pes = self.candidate_pes(ps)
         nodes = self.candidate_nodes(ps)
         if self._fto_applicable and len(nodes) > 1:

@@ -4,12 +4,6 @@ One home for the splitmix64 finalizer and its companion odd constants,
 used by the search states' Zobrist placement keys
 (:func:`repro.schedule.partial.placement_key`) and the schedule layer's
 canonical fingerprints (:mod:`repro.schedule.fingerprint`).
-
-NOTE: :meth:`PartialSchedule.child_signature` keeps a hand-inlined copy
-of :func:`splitmix64` — it runs once per expansion candidate and the
-call overhead is measurable.  That copy must stay bit-identical to this
-function (regression-tested via
-``tests/property/test_state_equivalence.py``).
 """
 
 from __future__ import annotations

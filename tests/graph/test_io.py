@@ -51,6 +51,16 @@ class TestJsonRoundtrip:
         g = paper_example_dag()
         assert graph_from_dict(graph_to_dict(g)).name == g.name
 
+    @pytest.mark.parametrize("cost", [500.0, 1.0])
+    def test_duplicate_edge_rejected_in_either_order(self, cost):
+        # A mapping would keep whichever row came last, so the graph
+        # (and its answer) would depend on the order of the two rows.
+        data = graph_to_dict(paper_example_dag())
+        u, v, _ = data["edges"][0]
+        for rows in ([[u, v, cost]] + data["edges"], data["edges"] + [[u, v, cost]]):
+            with pytest.raises(GraphError, match=rf"duplicate edge \({u}, {v}\)"):
+                graph_from_dict({**data, "edges": rows})
+
 
 class TestDot:
     def test_contains_all_nodes_and_edges(self):
@@ -96,6 +106,14 @@ class TestEdgeList:
     def test_empty_rejected(self):
         with pytest.raises(GraphError, match="no node"):
             parse_edge_list("# nothing\n")
+
+    def test_duplicate_node_reports_line(self):
+        with pytest.raises(GraphError, match="line 3: node 0 declared twice"):
+            parse_edge_list("node 0 1\nnode 1 2\nnode 0 500")
+
+    def test_duplicate_edge_reports_line(self):
+        with pytest.raises(GraphError, match=r"line 4: duplicate edge \(0, 1\)"):
+            parse_edge_list("node 0 1\nnode 1 1\nedge 0 1 7\nedge 0 1 500")
 
     def test_bad_number_reports_line(self):
         with pytest.raises(GraphError, match="line 2"):

@@ -62,6 +62,10 @@ class TestParse:
         with pytest.raises(GraphError, match="bad predecessor"):
             parse_stg("2\n0 1 0\n1 1 1 x\n")
 
+    def test_duplicate_predecessor_rejected(self):
+        with pytest.raises(GraphError, match="task 1: duplicate predecessor 0"):
+            parse_stg("2\n0 1 0\n1 1 2 0:7 0:500\n")
+
 
 class TestRoundtrip:
     def test_paper_example_roundtrip(self):

@@ -75,6 +75,10 @@ class TestConstruction:
         g = TaskGraph.from_lists([1, 1], [(0, 1, 9)])
         assert g.comm_cost(0, 1) == 9.0
 
+    def test_from_lists_rejects_a_duplicate_edge(self):
+        with pytest.raises(GraphError, match=r"duplicate edge \(0, 1\)"):
+            TaskGraph.from_lists([1, 1], [(0, 1, 9), (0, 1, 3)])
+
 
 class TestAdjacency:
     def test_preds_succs(self):

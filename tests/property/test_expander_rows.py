@@ -14,9 +14,17 @@ is the reference.
 filter they replaced are frozen here too (``_frozen_candidate_pes``,
 ``_frozen_candidate_nodes``), so ``_inline_children`` does not lean on
 the live filters and a mask bug shows against either reference.
+
+``candidate_rows`` answers from a per-search table keyed by the state's
+bitmasks, and a hit adds the skip counts its miss added;
+``_frozen_rows`` is the rows list worked out from scratch on every call,
+the reference for the table.
 """
 
+import itertools
 import random
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +33,7 @@ from repro.schedule.partial import PartialSchedule
 from repro.schedule.partial_reference import ReferencePartialSchedule
 from repro.schedule.preprocess import node_equivalence_classes
 from repro.search.dedup import SignatureSet
+from repro.search import expansion
 from repro.search.expansion import StateExpander
 from repro.search.pruning import PruningConfig
 from repro.system.isomorphism import isomorphism_classes
@@ -39,6 +48,13 @@ _SWITCHES = ("processor_isomorphism", "node_equivalence", "priority_ordering",
 _SWITCH_SETS = st.fixed_dictionaries({k: st.booleans() for k in _SWITCHES}).filter(
     # The two partial-order reductions refuse to combine.
     lambda s: not (s["commutation"] and s["fixed_task_order"]))
+
+#: Every combination of the switches, the same filter applied.
+_ALL_SWITCH_SETS = [
+    s for s in (dict(zip(_SWITCHES, bits))
+                for bits in itertools.product((False, True), repeat=len(_SWITCHES)))
+    if not (s["commutation"] and s["fixed_task_order"])
+]
 
 
 def _frozen_candidate_pes(expander, ps):
@@ -240,3 +256,113 @@ def test_mask_filters_match_the_frozen_scans(graph, system, switches, state_cls,
         assert live.candidate_pes(ps) == _frozen_candidate_pes(frozen, ps)
         assert live.candidate_nodes(ps) == _frozen_candidate_nodes(frozen, ps)
         assert live.stats == frozen.stats
+
+
+def _frozen_rows(expander, ps):
+    """``candidate_rows`` worked out from scratch, as it stood before the
+    rows table: the frozen filters, fixed task order, commutation."""
+    pes = _frozen_candidate_pes(expander, ps)
+    nodes = _frozen_candidate_nodes(expander, ps)
+    if expander._fto_applicable and len(nodes) > 1:
+        head = expander.fixed_order_head(nodes)
+        if head is not None:
+            expander.stats.fixed_order_skips += (len(nodes) - 1) * len(pes)
+            nodes = [head]
+    last = ps.last_node
+    if not expander.config.commutation or last < 0:
+        return [(node, pes) for node in nodes]
+    rank = expander._prio_rank
+    rows = []
+    for node in nodes:
+        if rank[node] < rank[last] and last not in expander.graph.preds(node):
+            kept = [pe for pe in pes if pe == ps.last_pe]
+            expander.stats.commutation_skips += len(pes) - len(kept)
+            rows.append((node, kept))
+        else:
+            rows.append((node, pes))
+    return rows
+
+
+def _near_root(graph, system, state_cls, rng, depth=3, width=25):
+    """States within ``depth`` placements of the root, no pruning: each
+    level extends a sample of ``width`` states of the one before, so
+    different placement orders and PE choices meet on one key."""
+    level = [state_cls.empty(graph, system)]
+    out = list(level)
+    for _ in range(depth):
+        level = [ps.extend(node, pe) for ps in level for node in ps.ready_nodes()
+                 for pe in range(system.num_pes)]
+        level = rng.sample(level, min(width, len(level)))
+        out.extend(level)
+    return out
+
+
+@pytest.mark.parametrize("switches", _ALL_SWITCH_SETS,
+                         ids=lambda s: "".join("1" if s[k] else "0" for k in _SWITCHES))
+@settings(max_examples=10, deadline=None)
+@given(task_graphs(max_nodes=6, max_weight=3, max_comm=3),
+       processor_systems(max_pes=3, allow_distance_scaled=True),
+       st.sampled_from([PartialSchedule, ReferencePartialSchedule]),
+       st.integers(0, 2**16))
+def test_rows_table_hits_repeat_the_miss(switches, graph, system, state_cls, seed):
+    """Each state asked twice (a miss or a hit, then a hit), and states
+    that share a key: the rows and every skip counter advance as the
+    from-scratch filters do on every call."""
+    config = PruningConfig(**switches)
+    live = StateExpander(graph, system, config)
+    frozen = StateExpander(graph, system, config)
+    for ps in _near_root(graph, system, state_cls, random.Random(seed)):
+        for _ in range(2):
+            assert live.candidate_rows(ps) == _frozen_rows(frozen, ps)
+            assert live.stats == frozen.stats
+
+
+def _table_key(config, ps):
+    if config.commutation:
+        return (ps.ready_mask, ps.used_pes, ps.last_node, ps.last_pe)
+    return (ps.ready_mask, ps.used_pes)
+
+
+@pytest.mark.parametrize("state_cls", [PartialSchedule, ReferencePartialSchedule])
+@pytest.mark.parametrize("commutation", [False, True])
+def test_a_hit_from_another_state_repeats_its_miss(state_cls, commutation):
+    """Two different states on one key: the second is answered from the
+    first's entry, with the first's skip counts."""
+    from repro.graph.examples import paper_example_dag
+
+    graph = paper_example_dag()
+    system = ProcessorSystem.fully_connected(3)
+    config = PruningConfig(commutation=commutation)
+    states = _near_root(graph, system, state_cls, random.Random(1), width=200)
+    by_key = {}
+    for ps in states:
+        by_key.setdefault(_table_key(config, ps), {})[ps.signature] = ps
+    pairs = [list(group.values())[:2] for group in by_key.values() if len(group) > 1]
+    assert pairs
+    for first, second in pairs:
+        live = StateExpander(graph, system, config)
+        frozen = StateExpander(graph, system, config)
+        for ps in (first, second):
+            assert live.candidate_rows(ps) == _frozen_rows(frozen, ps)
+            assert live.stats == frozen.stats
+        assert len(live._rows) == 1
+
+
+def test_rows_table_never_exceeds_its_cap(monkeypatch):
+    """With a cap of 4 the table starts over as it fills, and every row
+    list and counter still matches the from-scratch filters."""
+    from repro.graph.examples import paper_example_dag
+
+    monkeypatch.setattr(expansion, "ROWS_CAP", 4)
+    graph = paper_example_dag()
+    system = ProcessorSystem.ring(4)
+    config = PruningConfig.extended()
+    live = StateExpander(graph, system, config)
+    frozen = StateExpander(graph, system, config)
+    keys = set()
+    for ps in _near_root(graph, system, PartialSchedule, random.Random(2), depth=4, width=40):
+        keys.add(_table_key(config, ps))
+        assert live.candidate_rows(ps) == _frozen_rows(frozen, ps)
+        assert live.stats == frozen.stats
+        assert len(live._rows) <= 4
+    assert len(keys) > 4 * 3

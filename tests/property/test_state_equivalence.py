@@ -15,16 +15,23 @@ and demand byte-identical observable behaviour:
   tuple signatures on these instances).
 """
 
+import random
+
 from hypothesis import given, settings
 
+from repro.graph.generators import PaperGraphSpec, paper_random_graph
+from repro.graph.io import graph_from_dict, graph_to_dict
+from repro.schedule import partial
 from repro.schedule.partial import PartialSchedule, placement_key
 from repro.schedule.partial_reference import ReferencePartialSchedule
 from repro.search.astar import astar_schedule
 from repro.search.bnb import bnb_schedule
+from repro.search.expansion import StateExpander
 from repro.search.focal import focal_schedule
 from repro.search.idastar import idastar_schedule
 from repro.search.pruning import PruningConfig
 from repro.search.weighted import weighted_astar_schedule
+from repro.system.processors import ProcessorSystem, system_from_dict, system_to_dict
 from tests.strategies import scheduling_instances
 
 _SETTINGS = settings(max_examples=40, deadline=None)
@@ -254,8 +261,8 @@ def test_wire_roundtrip(instance):
 @_SETTINGS
 @given(scheduling_instances())
 def test_child_signature_matches_placement_key(instance):
-    """child_signature's inlined hash must equal the placement_key module
-    function — the two copies silently corrupt dedup if they diverge."""
+    """child_signature's key table must answer placement_key's value —
+    a stale or mis-keyed entry silently corrupts dedup."""
     graph, system = instance
     state = PartialSchedule.empty(graph, system)
     p = system.num_pes
@@ -265,6 +272,62 @@ def test_child_signature_matches_placement_key(instance):
             assert cmask == state.mask | (1 << node)
             assert czkey == state.zkey ^ placement_key(node, pe, start)
         state = state.extend(node, i % p)
+
+
+def test_child_signature_matches_placement_key_past_the_table_cap(monkeypatch):
+    """Once the key table has filled and started over (a cap of 8 here),
+    every key still equals ``placement_key`` and the built child's."""
+    monkeypatch.setattr(partial, "_KEYS", {})
+    monkeypatch.setattr(partial, "KEYS_CAP", 8)
+    graph = paper_random_graph(PaperGraphSpec(num_nodes=10, ccr=1.0, seed=3))
+    system = ProcessorSystem.ring(3)
+    rng = random.Random(5)
+    placements = set()
+    for _ in range(6):
+        state = PartialSchedule.empty(graph, system)
+        while not state.is_complete():
+            for node in state.ready_nodes():
+                for pe in range(system.num_pes):
+                    (cmask, czkey), start = state.child_signature(node, pe)
+                    placements.add((node, pe, start))
+                    assert czkey == state.zkey ^ placement_key(node, pe, start)
+                    assert (cmask, czkey) == state.extend(node, pe).dedup_key
+                    assert len(partial._KEYS) <= 8
+            state = state.extend(rng.choice(state.ready_nodes()),
+                                 rng.randrange(system.num_pes))
+    assert len(placements) > 8 * 4
+
+
+@_SETTINGS
+@given(scheduling_instances())
+def test_from_wire_root_on_a_fresh_graph_expands_like_the_sender(instance):
+    """A receiver rebuilds the graph from its dict form (no search view
+    built yet) and the state from the wire, with no ``empty()`` first:
+    the root must expand into the sender's children."""
+    graph, system = instance
+    config = PruningConfig(commutation=True)
+    state = PartialSchedule.empty(graph, system)
+    order = graph.topological_order
+    for i, node in enumerate(order[: len(order) // 2]):
+        state = state.extend(node, (i + 1) % system.num_pes)
+    fresh_graph = graph_from_dict(graph_to_dict(graph))
+    fresh_system = system_from_dict(system_to_dict(system))
+    assert fresh_graph._pred_masks is None
+    root = PartialSchedule.from_wire(fresh_graph, fresh_system, state.to_wire())
+    # Built straight off the root, before anything else reads the graph.
+    placements = [(n, pe) for n in state.ready_nodes() for pe in range(system.num_pes)]
+    assert ([root.extend(n, pe).signature for n, pe in placements]
+            == [state.extend(n, pe).signature for n, pe in placements])
+
+    def children(expander, ps):
+        return [(c.dedup_key, c.signature, c.makespan, c.ready_time, c.last_node,
+                 c.last_pe, c.remaining_weight, c.max_finish_nodes)
+                for c in expander.children(ps)]
+
+    sender = StateExpander(graph, system, config)
+    receiver = StateExpander(fresh_graph, fresh_system, config)
+    assert children(receiver, root) == children(sender, state)
+    assert receiver.stats == sender.stats
 
 
 @_SETTINGS

@@ -20,6 +20,10 @@ or a 400-digit integer there is a 400 too — which the router passes on.
 The switches (``preprocess``, ``require_proven``) accept only JSON
 booleans: a string such as ``"no"`` is a 400, not a truthy ``True``.
 
+A repeated ``(src, dst)`` edge is refused by the graph parser
+(``GraphError``, so a 400): read into a mapping, the last cost would
+win, and the answer would depend on the order of the two rows.
+
 No hostile body may get a 500, reach a solver, leave a cache entry, or
 be memoized as a prepared request.
 """
@@ -32,7 +36,7 @@ import json
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import GraphError, ReproError
 from repro.graph.io import graph_to_dict
 from repro.graph.taskgraph import TaskGraph
 from repro.graph.validate import validate_graph
@@ -99,6 +103,19 @@ def _option_body(field: str, literal: str) -> bytes:
     return text.replace(_HOLE, literal).encode()
 
 
+def _duplicate_edge_body(cost: float) -> bytes:
+    """A valid request whose edge ``(0, 1)`` is listed a second time
+    at ``cost``."""
+    obj = {"graph": graph_to_dict(_GRAPH), "pes": 2}
+    obj["graph"]["edges"].append([0, 1, cost])
+    return json.dumps(obj).encode()
+
+
+#: Duplicates of edge ``(0, 1)`` (cost 1.0): a higher, an equal and a
+#: lower repeat are all refused.
+DUPLICATE_BODIES = [_duplicate_edge_body(c) for c in (500.0, 1.0, 0.0)]
+
+
 def _id(case: tuple[str, str]) -> str:
     literal = case[1] if len(case[1]) < 20 else f"{len(case[1])}-digit-int"
     return f"{case[0]}={literal}"
@@ -112,6 +129,12 @@ def test_item_from_request_refuses_non_finite_values(case):
     obj = json.loads(_body(*case))
     with pytest.raises(ReproError, match="non-finite|non-positive"):
         item_from_request(obj)
+
+
+@pytest.mark.parametrize("body", DUPLICATE_BODIES)
+def test_item_from_request_refuses_a_duplicate_edge(body):
+    with pytest.raises(GraphError, match=r"duplicate edge \(0, 1\)"):
+        item_from_request(json.loads(body))
 
 
 @pytest.mark.parametrize("case", LITERALS, ids=_id)
@@ -172,6 +195,37 @@ def test_live_server_answers_hostile_bodies_with_400(server):
     status, payload = _post(server.port, _body("cost", "2.5"))
     assert status == 200 and payload["result"]["certificate"] == "proven"
     assert server.manager.metrics()["cache"]["stored_entries"] == 1
+
+
+def test_live_server_answers_duplicate_edges_with_400(server):
+    before = server.manager.metrics()
+    memoized = len(server._memo)
+    for body in DUPLICATE_BODIES:
+        status, payload = _post(server.port, body)
+        assert status == 400, payload
+        assert "duplicate edge (0, 1)" in payload["error"], payload
+        assert body not in server._memo
+    after = server.manager.metrics()
+    assert after["jobs"]["submitted"] == before["jobs"]["submitted"]
+    assert after["cache"]["stored_entries"] == before["cache"]["stored_entries"]
+    assert len(server._memo) == memoized
+
+
+def test_router_answers_duplicate_edges_with_400_and_never_forwards():
+    async def scenario():
+        async with StubShard(ok_shard("a")) as s0:
+            router = await make_router(s0)
+            try:
+                for body in DUPLICATE_BODIES:
+                    status, _, data = await solve_via(router, body)
+                    assert status == 400, data
+                    assert b"duplicate edge (0, 1)" in data, data
+                assert s0.requests == []
+                assert router.metrics()["routing"]["bad_requests"] == len(DUPLICATE_BODIES)
+            finally:
+                await router.drain()
+
+    asyncio.run(scenario())
 
 
 def test_router_answers_hostile_bodies_with_400_and_never_forwards():

@@ -46,6 +46,19 @@ class TestSchedule:
         assert "optimal: True" in out
         assert "length:" in out
 
+    @pytest.mark.parametrize("command", ["schedule", "solve"])
+    def test_duplicate_edge_exits_2_naming_it(self, command, tmp_path, capsys):
+        main(["generate", "--nodes", "8", "--seed", "3"])
+        data = json.loads(capsys.readouterr().out)
+        u, v, c = data["edges"][0]
+        data["edges"].append([u, v, c + 100])
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(path), "--pes", "2"])
+        assert exit_info.value.code == 2
+        assert f"duplicate edge ({u}, {v})" in capsys.readouterr().err
+
     @pytest.mark.parametrize("algo", ["bnb", "focal", "list"])
     def test_other_algorithms(self, algo, tmp_path, capsys):
         main(["generate", "--nodes", "6", "--seed", "2"])
